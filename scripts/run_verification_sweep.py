@@ -9,44 +9,11 @@ import argparse
 import pathlib
 import sys
 
-import numpy as np
-
-from nbdirichlet.cli import canonical_json
+from nbdirichlet.catalog import instance_catalog
+from nbdirichlet.cli import _write_report
 from nbdirichlet.forms import make_form
 from nbdirichlet.samplers import SuiteConfig
-from nbdirichlet.verifier import (
-    check_criteria,
-    check_identities,
-    check_normal_contraction,
-    run_proof_chain,
-)
-
-
-def instance_catalog(seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    edges = [
-        [i, j, float(rng.uniform(0.2, 2.0))]
-        for i in range(20)
-        for j in range(i + 1, 20)
-        if rng.random() < 0.2
-    ]
-    K = rng.uniform(0.0, 1.0, (10, 10))
-    np.fill_diagonal(K, 0.0)
-    grid = {"kind": "local_grid_1d", "nodes": 11, "h": 0.1}
-    return {
-        "graph_quadratic_20": {"kind": "graph_quadratic", "nodes": 20, "edges": edges},
-        "nonlocal_z2": {"kind": "nonlocal_psi", "kernel": K.tolist(), "psi": {"name": "power", "p": 2}},
-        "nonlocal_z4": {"kind": "nonlocal_psi", "kernel": K.tolist(), "psi": {"name": "power", "p": 4}},
-        "nonlocal_abs": {"kind": "nonlocal_psi", "kernel": K.tolist(), "psi": {"name": "power", "p": 1}},
-        "grid_abs_p1": {**grid, "integrand": {"name": "abs_power", "p": 1}},
-        "grid_abs_p2": {**grid, "integrand": {"name": "abs_power", "p": 2}},
-        "grid_abs_p4": {**grid, "integrand": {"name": "abs_power", "p": 4}},
-        "grid_finsler": {
-            **grid,
-            "integrand": {"name": "finsler_weighted", "weights": rng.uniform(0.5, 2.0, 10).tolist()},
-        },
-        "grid_max_positive_part": {**grid, "integrand": {"name": "max_positive_part"}},
-    }
+from nbdirichlet.verifier import check_identities, verify_form
 
 
 def main() -> int:
@@ -62,19 +29,8 @@ def main() -> int:
 
     any_unexpected = False
     for label, desc in instance_catalog(args.seed).items():
-        form = make_form(desc)
-        results = check_criteria(form, cfg)
-        results.append(check_normal_contraction(form, cfg))
-        symmetric = next(r for r in results if r.name == "symmetry").passed
-        if symmetric:
-            results += run_proof_chain(form, cfg, results[:5])
-        doc = {
-            "version": 1,
-            "seed": args.seed,
-            "checks": [r.report_entry() for r in results],
-        }
-        path = outdir / f"{label}.json"
-        path.write_text(canonical_json(doc) + "\n")
+        results = verify_form(make_form(desc), cfg)
+        _write_report(results, args.seed, str(outdir / f"{label}.json"))
         failed = [r.name for r in results if not r.passed]
         expected_failures = (
             {"symmetry", "normal_contraction"} if label == "grid_max_positive_part" else set()
@@ -84,8 +40,7 @@ def main() -> int:
         print(f"{label:26s} checks={len(results):3d} failed={failed or '-'} [{status}]")
 
     identities = check_identities(cfg)
-    doc = {"version": 1, "seed": args.seed, "checks": [r.report_entry() for r in identities]}
-    (outdir / "identities.json").write_text(canonical_json(doc) + "\n")
+    _write_report(identities, args.seed, str(outdir / "identities.json"))
     for r in identities:
         # identity_halfsum is red by algebra: the displayed relation is false
         # off the band; see README

@@ -13,7 +13,6 @@ from .contraction import (
     compose,
     decompose,
     envelope,
-    eval_pl,
     identity_pl,
     is_normal_contraction,
     make_phi,
@@ -40,18 +39,7 @@ from .flow import (
     prox_step,
     trace_to_csv,
 )
-from .forms import (
-    Energy,
-    FormInstance,
-    GraphQuadratic,
-    LocalGrid1D,
-    NonlocalPsi,
-    ScalarPiece,
-    SymmetryReport,
-    eval_form,
-    is_symmetric_sampled,
-    make_form,
-)
+from .forms import FormInstance, ScalarPiece, eval_form, make_form
 from .lattice_ops import (
     ConstraintSet,
     h_alpha,
@@ -89,6 +77,7 @@ from .verifier import (
     counterexample_demo,
     replay,
     run_proof_chain,
+    verify_form,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -20,14 +21,7 @@ from .flow import FlowConfig, evolve, trace_to_csv
 from .forms import make_form
 from .measure import make_field
 from .samplers import ContractionSamplerSpec, FieldSamplerSpec, SuiteConfig
-from .verifier import (
-    CheckResult,
-    check_criteria,
-    check_identities,
-    check_normal_contraction,
-    counterexample_demo,
-    run_proof_chain,
-)
+from .verifier import CheckResult, check_identities, counterexample_demo, verify_form
 
 REPORT_VERSION = 1
 
@@ -38,7 +32,8 @@ def _fmt_float(x: float) -> str:
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no spaces, floats at 17 significant
-    digits. Guarantees byte-identical reports for identical inputs."""
+    digits (non-finite ones as NaN/Infinity, as json.dumps writes them).
+    Guarantees byte-identical reports for identical inputs."""
     if isinstance(obj, dict):
         items = sorted(obj.items())
         inner = ",".join(f"{json.dumps(k)}:{canonical_json(v)}" for k, v in items)
@@ -50,7 +45,7 @@ def canonical_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
+        return _fmt_float(obj) if math.isfinite(obj) else json.dumps(float(obj))
     if obj is None:
         return "null"
     return json.dumps(obj)
@@ -136,13 +131,9 @@ def _cmd_verify(args) -> int:
         if first_space is None:
             first_space = form.space
         label = f"{form.kind}#{idx}"
-        criteria = check_criteria(form, cfg)
-        contraction = check_normal_contraction(form, cfg)
-        batch = criteria + [contraction]
-        symmetric = next(c for c in criteria if c.name == "symmetry").passed
-        if symmetric and all(c.passed for c in criteria):
-            batch += run_proof_chain(form, cfg, criteria)
-        results += [dataclasses.replace(c, name=f"{c.name}[{label}]") for c in batch]
+        results += [
+            dataclasses.replace(c, name=f"{c.name}[{label}]") for c in verify_form(form, cfg)
+        ]
     results += check_identities(cfg, first_space)
     _write_report(results, seed, out)
     return _report_exit(results, out)

@@ -153,11 +153,6 @@ def make_phi(breakpoints) -> PLFunction:
     return PLFunction(tuple(bps), slopes, 0.0)
 
 
-def eval_pl(phi: PLFunction, x):
-    """Functional form of PLFunction.__call__."""
-    return phi(x)
-
-
 def is_normal_contraction(phi: PLFunction) -> bool:
     """True iff every |slope| <= 1 (guaranteed by the carrier) and phi(0) = 0."""
     return phi.anchor == 0.0 and all(abs(s) <= 1.0 for s in phi.slopes)
@@ -353,8 +348,10 @@ def envelope(samples, radius: float) -> PLFunction:
 
     grid = _dedupe_sorted(sorted([-R, *sorted(candidates), R]))
     vals = env(np.asarray(grid))
+    # the envelope of unit cones is 1-Lipschitz; clipping removes the rounding
+    # that near-coincident grid points put into a difference quotient
     inner_slopes = [
-        _snap_slope((v2 - v1) / (b2 - b1))
+        min(1.0, max(-1.0, _snap_slope((v2 - v1) / (b2 - b1))))
         for (b1, v1), (b2, v2) in zip(zip(grid, vals), zip(grid[1:], vals[1:]))
     ]
     slopes = [-1.0, *inner_slopes, 1.0]

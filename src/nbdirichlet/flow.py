@@ -178,23 +178,35 @@ def prox_step(
     Raises NoConvergence if the inner solver exhausts its budget or the
     certificate fails.
     """
+    return _certified_step(form, u, tau, inner_tol, max_inner_iters, probe_seed, n_probes)[0]
+
+
+def _certified_step(
+    form: FormInstance,
+    u: Field,
+    tau: float,
+    inner_tol: float,
+    max_inner_iters: int,
+    probe_seed: int,
+    n_probes: int,
+) -> tuple[Field, float]:
+    """The step of prox_step and its certificate, computed once."""
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     if u.space is not form.space and u.space != form.space:
         raise SpaceMismatch("field does not live on the form's space")
     if form.n_terms == 0:
-        return u
-    if form.smooth:
-        w = _newton_prox(form, u.values, tau, max_inner_iters)
+        v = u
+    elif form.smooth:
+        v = make_field(form.space, _newton_prox(form, u.values, tau, max_inner_iters))
     else:
-        w = _admm_prox(form, u.values, tau, max_inner_iters)
-    v = make_field(form.space, w)
+        v = make_field(form.space, _admm_prox(form, u.values, tau, max_inner_iters))
     worst = prox_certificate(form, v, u, tau, probe_seed, n_probes)
     if worst > inner_tol:
         raise NoConvergence(
             f"prox probe contract violated: certificate {worst:.3e} > {inner_tol:.3e}"
         )
-    return v
+    return v, worst
 
 
 def prox_certificate(
@@ -217,7 +229,8 @@ def prox_certificate(
 
 
 def evolve(form: FormInstance, u0: Field, cfg: FlowConfig) -> FlowTrace:
-    """Iterate prox_step n_steps times, recording states, energies, residuals.
+    """Iterate the prox step n_steps times, recording states, energies and
+    each step's certificate as its residual.
 
     Energies are checked to be non-increasing along the trace (1e-10 slack);
     solver failures carry the failing step index.
@@ -228,18 +241,18 @@ def evolve(form: FormInstance, u0: Field, cfg: FlowConfig) -> FlowTrace:
     u = u0
     for k in range(cfg.n_steps):
         try:
-            v = prox_step(
+            v, residual = _certified_step(
                 form,
                 u,
                 cfg.tau,
-                inner_tol=cfg.inner_tol,
-                max_inner_iters=cfg.max_inner_iters,
-                probe_seed=cfg.probe_seed + k,
-                n_probes=cfg.n_probes,
+                cfg.inner_tol,
+                cfg.max_inner_iters,
+                cfg.probe_seed + k,
+                cfg.n_probes,
             )
         except NoConvergence as exc:
             raise NoConvergence(f"step {k}: {exc}") from exc
-        residuals.append(prox_certificate(form, v, u, cfg.tau, cfg.probe_seed + k, cfg.n_probes))
+        residuals.append(residual)
         e = eval_form(form, v)
         if e > energies[-1] + 1e-10:
             raise NoConvergence(

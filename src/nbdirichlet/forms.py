@@ -1,17 +1,20 @@
 """Convex energy functionals over fields.
 
-Every shipped instance has the shape E(u) = sum_e c_e * g(u_i - u_j) for a
-finite family of ordered index pairs with nonnegative coefficients and a
-convex scalar piece g with g(0) = 0 drawn from a closed catalog:
+Every form is one ``FormInstance``: E(u) = sum_e c_e * g(u_i - u_j) over a
+finite family of ordered index pairs with nonnegative coefficients, and a
+convex scalar piece g with g(0) = 0 from a closed catalog. ``make_form``
+builds it from a JSON-style descriptor of one of three kinds:
 
-* ``GraphQuadratic``  -- unordered weighted edges, g(z) = z^2/2 (one half per edge);
-* ``NonlocalPsi``     -- a per-ordered-pair kernel matrix with psi(z) = |z|^p or max(z, 0);
-* ``LocalGrid1D``     -- uniform 1D grid with node measure h, interior forward
+* ``graph_quadratic`` -- unordered weighted edges, g(z) = z^2/2 (one half per edge);
+* ``nonlocal_psi``    -- a per-ordered-pair kernel matrix with psi(z) = |z|^p or max(z, 0);
+* ``local_grid_1d``   -- uniform 1D grid with node measure h, interior forward
   differences, integrand f(x, v) in {|v|^p / p, max(v, 0), a(x)|v|}.
 
-The catalog keeps convexity checkable by construction; energies are always
-finite nonnegative reals on a finite space (math.inf is the +inf marker of
-the extended-real codomain, never produced here).
+To add a form, write one builder that validates its descriptor, turns it
+into pair data and stores the normalised descriptor, and register it in
+``_BUILDERS``. The catalog keeps convexity checkable by construction.
+Energies are nonnegative reals; extreme exponents can overflow to inf, which
+the verifier reports as a failed check.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec, SpaceMismatch
-from .measure import Field, MeasureSpace, make_field
-
-Energy = float  # extended real: math.inf is the +infinity marker
+from .measure import Field, MeasureSpace
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,6 @@ class ScalarPiece:
     def smooth(self) -> bool:
         """Twice continuously differentiable (safe for Newton steps)."""
         return self.kind == "power" and self.p >= 2.0
-
-    @property
-    def even(self) -> bool:
-        return self.kind == "power"
 
     def value(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "power":
@@ -87,9 +84,8 @@ class ScalarPiece:
 
 
 class FormInstance:
-    """Base: a convex l.s.c. energy over fields on a fixed measure space."""
-
-    kind: str
+    """A convex energy E(u) = sum_e coeffs[e] * piece(u[i_idx[e]] - u[j_idx[e]])
+    over fields on a fixed measure space, built by ``make_form``."""
 
     def __init__(
         self,
@@ -98,12 +94,15 @@ class FormInstance:
         j_idx: np.ndarray,
         coeffs: np.ndarray,
         piece: ScalarPiece,
+        descriptor: dict,
     ) -> None:
         self.space = space
         self.i_idx = i_idx.astype(int)
         self.j_idx = j_idx.astype(int)
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.piece = piece
+        self.kind = descriptor["kind"]
+        self._descriptor = descriptor
         if np.any(self.coeffs < 0.0):
             raise BadSpec("pair coefficients must be nonnegative")
 
@@ -118,208 +117,156 @@ class FormInstance:
     def diffs(self, values: np.ndarray) -> np.ndarray:
         return values[self.i_idx] - values[self.j_idx]
 
-    def energy_of_values(self, values: np.ndarray) -> Energy:
+    def energy_of_values(self, values: np.ndarray) -> float:
         if self.n_terms == 0:
             return 0.0
         terms = self.coeffs * self.piece.value(self.diffs(values))
         return float(math.fsum(terms))
 
-    def __call__(self, u: Field) -> Energy:
+    def __call__(self, u: Field) -> float:
         return eval_form(self, u)
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
-
-
-class GraphQuadratic(FormInstance):
-    """E(u) = 1/2 sum over unordered edges w (u_i - u_j)^2."""
-
-    kind = "graph_quadratic"
-
-    def __init__(self, space: MeasureSpace, edges) -> None:
-        edges = [(int(i), int(j), float(w)) for i, j, w in edges]
-        n = space.n
-        for i, j, w in edges:
-            if not (0 <= i < n and 0 <= j < n and i != j):
-                raise BadSpec(f"edge ({i}, {j}) is not a pair of distinct nodes")
-            if not (np.isfinite(w) and w >= 0.0):
-                raise BadSpec("edge weights must be finite and nonnegative")
-        self.edges = edges
-        ii = np.array([e[0] for e in edges], dtype=int)
-        jj = np.array([e[1] for e in edges], dtype=int)
-        ww = np.array([e[2] for e in edges], dtype=float)
-        super().__init__(space, ii, jj, ww, ScalarPiece("power", 2.0, 0.5))
+        """The normalised descriptor this form was built from; make_form of it
+        gives the same form. Shared, not copied: do not mutate it."""
+        return self._descriptor
 
     def laplacian(self) -> np.ndarray:
-        """Dense weighted graph Laplacian (for the resolvent oracle)."""
+        """Dense Laplacian of the pair graph weighted by the coefficients; a
+        graph_quadratic energy is u.Lu/2 (used by the resolvent oracle)."""
         n = self.space.n
+        ii, jj, c = self.i_idx, self.j_idx, self.coeffs
+        # one pass in pair order, so each entry sums its terms as a loop over
+        # the edges would
+        rows = np.stack([ii, jj, ii, jj], axis=1).ravel()
+        cols = np.stack([ii, jj, jj, ii], axis=1).ravel()
+        vals = np.stack([c, c, -c, -c], axis=1).ravel()
         L = np.zeros((n, n))
-        for i, j, w in self.edges:
-            L[i, i] += w
-            L[j, j] += w
-            L[i, j] -= w
-            L[j, i] -= w
+        np.add.at(L, (rows, cols), vals)
         return L
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "nodes": self.space.n,
-            "node_weights": self.space.weights.tolist(),
-            "edges": [[i, j, w] for i, j, w in self.edges],
-        }
+
+def _graph_quadratic(spec: dict) -> FormInstance:
+    """E(u) = 1/2 sum over unordered edges w (u_i - u_j)^2."""
+    n = spec.get("nodes")
+    if n is None:
+        raise BadSpec("graph_quadratic descriptor needs 'nodes'")
+    space = MeasureSpace(spec.get("node_weights", np.ones(int(n))))
+    edges = [(int(i), int(j), float(w)) for i, j, w in spec.get("edges", [])]
+    for i, j, w in edges:
+        if not (0 <= i < space.n and 0 <= j < space.n and i != j):
+            raise BadSpec(f"edge ({i}, {j}) is not a pair of distinct nodes")
+        if not (np.isfinite(w) and w >= 0.0):
+            raise BadSpec("edge weights must be finite and nonnegative")
+    descriptor = {
+        "kind": "graph_quadratic",
+        "nodes": space.n,
+        "node_weights": space.weights.tolist(),
+        "edges": [list(e) for e in edges],
+    }
+    ii = np.array([e[0] for e in edges], dtype=int)
+    jj = np.array([e[1] for e in edges], dtype=int)
+    ww = np.array([e[2] for e in edges], dtype=float)
+    return FormInstance(space, ii, jj, ww, ScalarPiece("power", 2.0, 0.5), descriptor)
 
 
-_PSI_CATALOG = ("power", "positive_part")
-
-
-class NonlocalPsi(FormInstance):
+def _nonlocal_psi(spec: dict) -> FormInstance:
     """E(u) = sum over ordered pairs w[x, y] psi(u(x) - u(y))."""
+    if "kernel" not in spec:
+        raise BadSpec("nonlocal_psi descriptor needs 'kernel'")
+    K = np.asarray(spec["kernel"], dtype=float)
+    weights = spec.get("node_weights", np.ones(K.shape[0] if K.ndim == 2 else 0))
+    psi_spec = spec.get("psi", {"name": "power", "p": 2.0})
+    name = psi_spec.get("name")
+    if name == "power":
+        piece = ScalarPiece("power", float(psi_spec.get("p", 2.0)))
+        psi = {"name": name, "p": piece.p}
+    elif name == "positive_part":
+        piece = ScalarPiece("positive_part")
+        psi = {"name": name}
+    else:
+        raise BadSpec(f"unknown psi {name!r}")
+    space = MeasureSpace(weights)
+    n = space.n
+    if K.shape != (n, n):
+        raise BadSpec(f"kernel must be an {n}x{n} matrix")
+    if not np.all(np.isfinite(K)) or np.any(K < 0.0):
+        raise BadSpec("kernel weights must be finite and nonnegative")
+    descriptor = {
+        "kind": "nonlocal_psi",
+        "nodes": n,
+        "node_weights": space.weights.tolist(),
+        "kernel": K.tolist(),
+        "psi": psi,
+    }
+    ii, jj = np.nonzero((K > 0.0) & ~np.eye(n, dtype=bool))
+    return FormInstance(space, ii, jj, K[ii, jj], piece, descriptor)
 
-    kind = "nonlocal_psi"
 
-    def __init__(self, space: MeasureSpace, kernel, psi: ScalarPiece) -> None:
-        K = np.asarray(kernel, dtype=float)
-        n = space.n
-        if K.shape != (n, n):
-            raise BadSpec(f"kernel must be an {n}x{n} matrix")
-        if not np.all(np.isfinite(K)) or np.any(K < 0.0):
-            raise BadSpec("kernel weights must be finite and nonnegative")
-        if psi.kind not in _PSI_CATALOG:
-            raise BadSpec(f"psi must be one of {_PSI_CATALOG}")
-        self.kernel = K.copy()
-        ii, jj = np.nonzero((K > 0.0) & ~np.eye(n, dtype=bool))
-        super().__init__(space, ii, jj, K[ii, jj], psi)
-
-    def descriptor(self) -> dict:
-        psi = {"name": self.piece.kind}
-        if self.piece.kind == "power":
-            psi["p"] = self.piece.p
-        return {
-            "kind": self.kind,
-            "nodes": self.space.n,
-            "node_weights": self.space.weights.tolist(),
-            "kernel": self.kernel.tolist(),
-            "psi": psi,
-        }
-
-
-class LocalGrid1D(FormInstance):
+def _local_grid_1d(spec: dict) -> FormInstance:
     """E(u) = sum over interior edges h * f(x_i, (u_{i+1} - u_i)/h).
 
     Node measure is h per node (free boundary); the integrand catalog is
     abs_power (|v|^p / p), max_positive_part (v v 0) and finsler_weighted
     (a_i |v| with positive per-edge weights).
     """
+    if "nodes" not in spec or "h" not in spec:
+        raise BadSpec("local_grid_1d descriptor needs 'nodes' and 'h'")
+    nodes = int(spec["nodes"])
+    h = float(spec["h"])
+    if nodes < 2:
+        raise BadSpec("a 1D grid needs at least 2 nodes")
+    if not (np.isfinite(h) and h > 0.0):
+        raise BadSpec("grid spacing h must be positive")
+    integrand = dict(spec.get("integrand", {}))
+    name = integrand.get("name")
+    n_edges = nodes - 1
+    coeffs = np.ones(n_edges)
+    if name == "abs_power":
+        p = float(integrand.get("p", 2.0))
+        if not p >= 1.0:
+            raise BadSpec("abs_power integrand needs p >= 1")
+        # h * |z/h|^p / p == (h^(1-p)/p) |z|^p with z the raw difference
+        piece = ScalarPiece("power", p, h ** (1.0 - p) / p)
+    elif name == "max_positive_part":
+        # h * max(z/h, 0) == max(z, 0)
+        piece = ScalarPiece("positive_part")
+    elif name == "finsler_weighted":
+        a = np.array(integrand.get("weights", coeffs), dtype=float)
+        if a.shape != (n_edges,) or not np.all(np.isfinite(a)) or np.any(a <= 0):
+            raise BadSpec("finsler_weighted needs one positive weight per edge")
+        # h * a |z/h| == a |z|
+        piece = ScalarPiece("power", 1.0)
+        coeffs = a
+        integrand["weights"] = a.tolist()
+    else:
+        raise BadSpec(f"unknown integrand {name!r}")
+    descriptor = {"kind": "local_grid_1d", "nodes": nodes, "h": h, "integrand": integrand}
+    space = MeasureSpace(np.full(nodes, h))
+    return FormInstance(
+        space, np.arange(1, nodes), np.arange(0, nodes - 1), coeffs, piece, descriptor
+    )
 
-    kind = "local_grid_1d"
 
-    def __init__(self, nodes: int, h: float, integrand: dict) -> None:
-        nodes = int(nodes)
-        h = float(h)
-        if nodes < 2:
-            raise BadSpec("a 1D grid needs at least 2 nodes")
-        if not (np.isfinite(h) and h > 0.0):
-            raise BadSpec("grid spacing h must be positive")
-        name = integrand.get("name")
-        self.integrand = dict(integrand)
-        self.h = h
-        n_edges = nodes - 1
-        space = MeasureSpace(np.full(nodes, h))
-        ii = np.arange(1, nodes)
-        jj = np.arange(0, nodes - 1)
-        if name == "abs_power":
-            p = float(integrand.get("p", 2.0))
-            if not p >= 1.0:
-                raise BadSpec("abs_power integrand needs p >= 1")
-            # h * |z/h|^p / p == (h^(1-p)/p) |z|^p with z the raw difference
-            piece = ScalarPiece("power", p, h ** (1.0 - p) / p)
-            coeffs = np.ones(n_edges)
-        elif name == "max_positive_part":
-            # h * max(z/h, 0) == max(z, 0)
-            piece = ScalarPiece("positive_part")
-            coeffs = np.ones(n_edges)
-        elif name == "finsler_weighted":
-            a = np.asarray(integrand.get("weights", np.ones(n_edges)), dtype=float)
-            if a.shape != (n_edges,) or not np.all(np.isfinite(a)) or np.any(a <= 0):
-                raise BadSpec("finsler_weighted needs one positive weight per edge")
-            # h * a |z/h| == a |z|
-            piece = ScalarPiece("power", 1.0)
-            coeffs = a.copy()
-            self.integrand["weights"] = a.tolist()
-        else:
-            raise BadSpec(f"unknown integrand {name!r}")
-        super().__init__(space, ii, jj, coeffs, piece)
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "nodes": self.space.n,
-            "h": self.h,
-            "integrand": self.integrand,
-        }
+_BUILDERS = {
+    "graph_quadratic": _graph_quadratic,
+    "nonlocal_psi": _nonlocal_psi,
+    "local_grid_1d": _local_grid_1d,
+}
 
 
 def make_form(spec: dict) -> FormInstance:
     """Build and validate a form from its JSON-style descriptor."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise BadSpec("form descriptor must be a mapping with a 'kind'")
-    kind = spec["kind"]
-    if kind == "graph_quadratic":
-        n = spec.get("nodes")
-        if n is None:
-            raise BadSpec("graph_quadratic descriptor needs 'nodes'")
-        weights = spec.get("node_weights", np.ones(int(n)))
-        return GraphQuadratic(MeasureSpace(weights), spec.get("edges", []))
-    if kind == "nonlocal_psi":
-        if "kernel" not in spec:
-            raise BadSpec("nonlocal_psi descriptor needs 'kernel'")
-        K = np.asarray(spec["kernel"], dtype=float)
-        weights = spec.get("node_weights", np.ones(K.shape[0] if K.ndim == 2 else 0))
-        psi_spec = spec.get("psi", {"name": "power", "p": 2.0})
-        name = psi_spec.get("name")
-        if name == "power":
-            psi = ScalarPiece("power", float(psi_spec.get("p", 2.0)))
-        elif name == "positive_part":
-            psi = ScalarPiece("positive_part")
-        else:
-            raise BadSpec(f"unknown psi {name!r}")
-        return NonlocalPsi(MeasureSpace(weights), K, psi)
-    if kind == "local_grid_1d":
-        if "nodes" not in spec or "h" not in spec:
-            raise BadSpec("local_grid_1d descriptor needs 'nodes' and 'h'")
-        return LocalGrid1D(spec["nodes"], spec["h"], spec.get("integrand", {}))
-    raise BadSpec(f"unknown form kind {kind!r}")
+    builder = _BUILDERS.get(spec["kind"])
+    if builder is None:
+        raise BadSpec(f"unknown form kind {spec['kind']!r}")
+    return builder(spec)
 
 
-def eval_form(form: FormInstance, u: Field) -> Energy:
+def eval_form(form: FormInstance, u: Field) -> float:
     """Evaluate the energy; always a finite nonnegative real here."""
     if u.space is not form.space and u.space != form.space:
         raise SpaceMismatch("field does not live on the form's space")
     return form.energy_of_values(u.values)
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    passed: bool
-    worst_asymmetry: float
-    witness: list[float] | None
-
-
-def is_symmetric_sampled(
-    form: FormInstance, n: int, seed: int = 0, tol: float = 1e-9
-) -> SymmetryReport:
-    """Sample n random fields and report the worst |E(-f) - E(f)|."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness: list[float] | None = None
-    for _ in range(n):
-        vals = rng.uniform(-3.0, 3.0, form.space.n)
-        f = make_field(form.space, vals)
-        gap = abs(eval_form(form, -f) - eval_form(form, f))
-        if gap > worst or witness is None:
-            worst = gap
-            witness = vals.tolist()
-    return SymmetryReport(worst <= tol, worst, witness)

@@ -41,10 +41,6 @@ class MeasureSpace:
     def n(self) -> int:
         return self.weights.size
 
-    @property
-    def points(self) -> range:
-        return range(self.n)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MeasureSpace) and np.array_equal(
             self.weights, other.weights
@@ -55,12 +51,6 @@ class MeasureSpace:
 
     def __repr__(self) -> str:
         return f"MeasureSpace(n={self.n})"
-
-    def field(self, values) -> "Field":
-        return Field(self, values)
-
-    def zeros(self) -> "Field":
-        return Field(self, np.zeros(self.n))
 
 
 class Field:

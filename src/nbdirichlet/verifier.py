@@ -3,7 +3,8 @@
 Each check samples seeded tuples, records the worst signed violation
 (lhs - rhs, so anything <= tolerance passes) together with a self-contained
 witness, and is replayable bit-for-bit: ``replay(witness)`` rebuilds the
-inputs from the witness alone and re-evaluates the same arithmetic.
+inputs from the witness alone and re-evaluates the same arithmetic. A check
+with a non-finite sample fails, with the first such sample as its witness.
 
 Check names say what the inequality does: "minmax" is the join/meet split
 E(f v g) + E(f ^ g) <= E(f) + E(g); "clamp" is the two-sided band clamp
@@ -14,10 +15,21 @@ property of a symmetric energy to those criteria, one energy inequality per
 display: fold1 handles single-breakpoint contractions, fold2 the
 two-breakpoint ones (one-sided when both kinks share a sign, straddle when
 they enclose the origin).
+
+Every check is one row of ``CHECKS``: its name, its group (which picks the
+tolerance and the public function that runs it), a sampler that draws one
+parameter dict from the check's RNG stream, and a kernel that maps a form
+(or, for identities, the measure space) and those parameters to the
+violation. The kernel's keyword arguments name the witness keys, so the
+sweep, the witness and ``replay`` all follow from the row. To add a check,
+write its kernel and add one row.
 """
 
 from __future__ import annotations
 
+import inspect
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,33 +57,6 @@ from .samplers import (
     sample_field,
 )
 
-CRITERIA_NAMES = (
-    "minmax",
-    "clamp",
-    "order_projection",
-    "band_projection",
-    "symmetry",
-)
-IDENTITY_NAMES = (
-    "identity_halfsum",
-    "identity_twist",
-    "identity_midpoint",
-    "identity_projection_oracle",
-)
-PROOF_NAMES = (
-    "proof_fold1_lattice_split",
-    "proof_fold1_clamp_chain",
-    "proof_fold1_conclusion",
-    "proof_fold2_onesided_clamp_split",
-    "proof_fold2_onesided_clamp_chain",
-    "proof_fold2_onesided_lattice_split",
-    "proof_fold2_onesided_conclusion",
-    "proof_fold2_straddle_clamp_split",
-    "proof_fold2_straddle_conclusion",
-    "proof_fold2_straddle_clamp_split_mirror",
-    "proof_fold2_straddle_conclusion_mirror",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -93,20 +78,74 @@ class CheckResult:
         }
 
 
-def _sweep(name: str, seed: int, n: int, draw, tol: float) -> CheckResult:
-    rng = check_rng(seed, name)
-    worst = -np.inf
-    worst_witness: dict = {}
-    for _ in range(n):
-        violation, witness = draw(rng)
-        if violation > worst:
-            worst = violation
-            worst_witness = witness
-    return CheckResult(name, bool(worst <= tol), float(worst), worst_witness, n, seed, tol)
+# ---------------------------------------------------------------------------
+# parameter samplers: (rng, space, cfg, sample index) -> parameters
 
 
-def _pl_apply(phi: PLFunction, values: np.ndarray) -> np.ndarray:
-    return phi(np.asarray(values, dtype=float))
+def _draw_f(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
+    return {"f": sample_field(rng, space, cfg.fields).values}
+
+
+def _draw_fg(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
+    return {
+        "f": sample_field(rng, space, cfg.fields).values,
+        "g": sample_field(rng, space, cfg.fields).values,
+    }
+
+
+def _draw_fga(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
+    return {**_draw_fg(rng, space, cfg, idx), "alpha": sample_alpha(rng)}
+
+
+def _draw_phi_f(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
+    # -id and id are always the first two contractions in the sample set, so
+    # a symmetry violation surfaces here as well
+    if idx == 0:
+        phi = negate(make_phi([]))
+    elif idx == 1:
+        phi = make_phi([])
+    else:
+        phi = sample_contraction(rng, cfg.contractions)
+    return {"phi": phi, **_draw_f(rng, space, cfg, idx)}
+
+
+def _draw_x_f(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
+    # the degenerate branch x = 0 is always exercised
+    x = 0.0 if idx == 0 else float(rng.uniform(0.0, 2.0 * cfg.fields.amplitude))
+    return {"x": x, **_draw_f(rng, space, cfg, idx)}
+
+
+def _draw_onesided(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
+    amp = cfg.fields.amplitude
+    x1 = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, amp))
+    x2 = x1 + float(rng.uniform(0.05, amp))
+    return {"x1": x1, "x2": x2, **_draw_f(rng, space, cfg, idx)}
+
+
+def _draw_straddle(lo: float, hi: float) -> Callable:
+    """x1 < 0 < x2 with -x1/x2 drawn from [lo, hi]: below 1 is the stated
+    assumption x2 > -x1, above 1 the mirrored configuration."""
+
+    def draw(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
+        x2 = float(rng.uniform(0.05, cfg.fields.amplitude))
+        x1 = -x2 * float(rng.uniform(lo, hi))
+        return {"x1": x1, "x2": x2, **_draw_f(rng, space, cfg, idx)}
+
+    return draw
+
+
+_FORCED_TS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
+
+
+def _draw_twist(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
+    params = _draw_fga(rng, space, cfg, idx)
+    if idx < len(_FORCED_TS):
+        t, s = _FORCED_TS[idx]
+    else:
+        t, s = rng.uniform(0.0, 1.0, 2)
+        if t + s > 1.0:  # reflect onto the valid simplex
+            t, s = 1.0 - t, 1.0 - s
+    return {**params, "t": float(t), "s": float(s)}
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +157,10 @@ def _viol_minmax(form: FormInstance, f: np.ndarray, g: np.ndarray) -> float:
     return E(np.maximum(f, g)) + E(np.minimum(f, g)) - E(f) - E(g)
 
 
-def _viol_clamp(form: FormInstance, f: np.ndarray, g: np.ndarray, a: float) -> float:
+def _viol_clamp(form: FormInstance, f: np.ndarray, g: np.ndarray, alpha: float) -> float:
     E = form.energy_of_values
-    hfg = np.clip(f, g - a, g + a)
-    hgf = np.clip(g, f - a, f + a)
+    hfg = np.clip(f, g - alpha, g + alpha)
+    hgf = np.clip(g, f - alpha, f + alpha)
     return E(hfg) + E(hgf) - E(f) - E(g)
 
 
@@ -132,10 +171,10 @@ def _viol_order_projection(form: FormInstance, f: np.ndarray, g: np.ndarray) -> 
 
 
 def _viol_band_projection(
-    form: FormInstance, f: np.ndarray, g: np.ndarray, a: float
+    form: FormInstance, f: np.ndarray, g: np.ndarray, alpha: float
 ) -> float:
     E = form.energy_of_values
-    t = phi_alpha(f - g, a)
+    t = phi_alpha(f - g, alpha)
     return E(g + 0.5 * t) + E(f - 0.5 * t) - E(f) - E(g)
 
 
@@ -146,7 +185,7 @@ def _viol_symmetry(form: FormInstance, f: np.ndarray) -> float:
 
 def _viol_contraction(form: FormInstance, phi: PLFunction, f: np.ndarray) -> float:
     E = form.energy_of_values
-    return E(_pl_apply(phi, f)) - E(f)
+    return E(phi(f)) - E(f)
 
 
 _POS_PART = PLFunction((0.0,), (0.0, 1.0), 0.0)  # 0 v id
@@ -161,18 +200,13 @@ def _viol_fold1_lattice_split(form: FormInstance, f: np.ndarray, x: float) -> fl
     # join/meet split of the pair (f, sigma o f): the join is 0 v f and the
     # meet is the one-fold contraction applied to f
     E = form.energy_of_values
-    return (
-        E(_pl_apply(make_phi([x]), f))
-        + E(np.maximum(f, 0.0))
-        - E(f)
-        - E(_pl_apply(_sigma_fold1(x), f))
-    )
+    return E(make_phi([x])(f)) + E(np.maximum(f, 0.0)) - E(f) - E(_sigma_fold1(x)(f))
 
 
 def _viol_fold1_clamp_chain(form: FormInstance, f: np.ndarray, x: float) -> float:
     # symmetry, then the clamp split at band radius 2x, then symmetry again
     E = form.energy_of_values
-    sf = _pl_apply(_sigma_fold1(x), f)
+    sf = _sigma_fold1(x)(f)
     pf = np.maximum(f, 0.0)
     a, b = E(sf), E(-sf)
     c, d = E(pf), E(-pf)
@@ -181,7 +215,7 @@ def _viol_fold1_clamp_chain(form: FormInstance, f: np.ndarray, x: float) -> floa
 
 def _viol_fold1_conclusion(form: FormInstance, f: np.ndarray, x: float) -> float:
     E = form.energy_of_values
-    return E(_pl_apply(make_phi([x]), f)) - E(f)
+    return E(make_phi([x])(f)) - E(f)
 
 
 def _sigma_fold2_onesided(x1: float, x2: float) -> PLFunction:
@@ -196,16 +230,16 @@ def _psi_fold2_onesided(x1: float, x2: float) -> PLFunction:
 def _viol_fold2_onesided_clamp_split(form, f: np.ndarray, x1: float, x2: float) -> float:
     E = form.energy_of_values
     return (
-        E(_pl_apply(_psi_fold2_onesided(x1, x2), f))
+        E(_psi_fold2_onesided(x1, x2)(f))
         + E(np.maximum(f - x1, 0.0))
         - E(np.maximum(f, 0.0))
-        - E(_pl_apply(_sigma_fold2_onesided(x1, x2), f))
+        - E(_sigma_fold2_onesided(x1, x2)(f))
     )
 
 
 def _viol_fold2_onesided_clamp_chain(form, f: np.ndarray, x1: float, x2: float) -> float:
     E = form.energy_of_values
-    sf = _pl_apply(_sigma_fold2_onesided(x1, x2), f)
+    sf = _sigma_fold2_onesided(x1, x2)(f)
     a = E(np.maximum(f - x1, 0.0))
     b = E(np.minimum(x1 - f, 0.0))
     c, d = E(sf), E(-sf)
@@ -215,16 +249,16 @@ def _viol_fold2_onesided_clamp_chain(form, f: np.ndarray, x1: float, x2: float) 
 def _viol_fold2_onesided_lattice_split(form, f: np.ndarray, x1: float, x2: float) -> float:
     E = form.energy_of_values
     return (
-        E(_pl_apply(make_phi([x1, x2]), f))
+        E(make_phi([x1, x2])(f))
         + E(np.maximum(f, 0.0))
-        - E(_pl_apply(_psi_fold2_onesided(x1, x2), f))
+        - E(_psi_fold2_onesided(x1, x2)(f))
         - E(f)
     )
 
 
 def _viol_fold2_conclusion(form, f: np.ndarray, x1: float, x2: float) -> float:
     E = form.energy_of_values
-    return E(_pl_apply(make_phi([x1, x2]), f)) - E(f)
+    return E(make_phi([x1, x2])(f)) - E(f)
 
 
 def _psi_fold2_straddle(x1: float, x2: float) -> PLFunction:
@@ -235,61 +269,160 @@ def _psi_fold2_straddle(x1: float, x2: float) -> PLFunction:
 def _viol_fold2_straddle_clamp_split(form, f: np.ndarray, x1: float, x2: float) -> float:
     E = form.energy_of_values
     return (
-        E(_pl_apply(make_phi([x1, x2]), f))
+        E(make_phi([x1, x2])(f))
         + E(np.minimum(f, x2))
         - E(f)
-        - E(_pl_apply(_psi_fold2_straddle(x1, x2), f))
+        - E(_psi_fold2_straddle(x1, x2)(f))
     )
 
 
 def _viol_identity_halfsum(
-    weights: list, f: np.ndarray, g: np.ndarray, a: float
+    space: MeasureSpace, f: np.ndarray, g: np.ndarray, alpha: float
 ) -> float:
-    space = MeasureSpace(weights)
     ff, gg = make_field(space, f), make_field(space, g)
-    p1 = project_band(ff, gg, a)[0]
-    p2 = project_band(gg, ff, a)[1]
-    h = h_alpha(ff, gg, a)
+    p1 = project_band(ff, gg, alpha)[0]
+    p2 = project_band(gg, ff, alpha)[1]
+    h = h_alpha(ff, gg, alpha)
     return float(
         np.max(np.abs(h.values - (0.5 * p1.values + 0.5 * p2.values)))
     )
 
 
 def _viol_identity_twist(
-    weights: list, f: np.ndarray, g: np.ndarray, a: float, t: float, s: float
+    space: MeasureSpace, f: np.ndarray, g: np.ndarray, alpha: float, t: float, s: float
 ) -> float:
-    space = MeasureSpace(weights)
-    return max(twist_check(make_field(space, f), make_field(space, g), a, t, s))
+    return max(twist_check(make_field(space, f), make_field(space, g), alpha, t, s))
 
 
 def _viol_identity_midpoint(
-    weights: list, f: np.ndarray, g: np.ndarray, a: float
+    space: MeasureSpace, f: np.ndarray, g: np.ndarray, alpha: float
 ) -> float:
-    space = MeasureSpace(weights)
     ff, gg = make_field(space, f), make_field(space, g)
-    h = h_alpha(ff, gg, a)
-    k = h_alpha(gg, ff, a)
+    h = h_alpha(ff, gg, alpha)
+    k = h_alpha(gg, ff, alpha)
     u_half = 0.5 * (ff.values + h.values)
     v_half = 0.5 * (gg.values + k.values)
-    p1, p2 = project_band(ff, gg, a)
+    p1, p2 = project_band(ff, gg, alpha)
     return float(
         max(np.max(np.abs(u_half - p1.values)), np.max(np.abs(v_half - p2.values)))
     )
 
 
 def _viol_identity_projection_oracle(
-    weights: list, f: np.ndarray, g: np.ndarray, a: float
+    space: MeasureSpace, f: np.ndarray, g: np.ndarray, alpha: float
 ) -> float:
-    space = MeasureSpace(weights)
     ff, gg = make_field(space, f), make_field(space, g)
     worst = 0.0
     for closed, oracle in (
         (project_order(ff, gg), project_oracle(ConstraintSet.order(), ff, gg)),
-        (project_band(ff, gg, a), project_oracle(ConstraintSet.band(a), ff, gg)),
+        (project_band(ff, gg, alpha), project_oracle(ConstraintSet.band(alpha), ff, gg)),
     ):
         for c, o in zip(closed, oracle):
             worst = max(worst, float(np.max(np.abs(c.values - o.values))))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the check table
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table."""
+
+    name: str
+    group: str  # "criteria" | "contraction" | "proof" | "identity"
+    sample: Callable  # (rng, space, cfg, idx) -> parameters of the kernel
+    kernel: Callable  # (form, or space for identities, **parameters) -> violation
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """Witness keys of the sampled parameters: the kernel's arguments
+        after the form or space."""
+        return tuple(inspect.signature(self.kernel).parameters)[1:]
+
+
+CHECKS = (
+    Check("minmax", "criteria", _draw_fg, _viol_minmax),
+    Check("clamp", "criteria", _draw_fga, _viol_clamp),
+    Check("order_projection", "criteria", _draw_fg, _viol_order_projection),
+    Check("band_projection", "criteria", _draw_fga, _viol_band_projection),
+    Check("symmetry", "criteria", _draw_f, _viol_symmetry),
+    Check("normal_contraction", "contraction", _draw_phi_f, _viol_contraction),
+    Check("proof_fold1_lattice_split", "proof", _draw_x_f, _viol_fold1_lattice_split),
+    Check("proof_fold1_clamp_chain", "proof", _draw_x_f, _viol_fold1_clamp_chain),
+    Check("proof_fold1_conclusion", "proof", _draw_x_f, _viol_fold1_conclusion),
+    Check("proof_fold2_onesided_clamp_split", "proof", _draw_onesided,
+          _viol_fold2_onesided_clamp_split),
+    Check("proof_fold2_onesided_clamp_chain", "proof", _draw_onesided,
+          _viol_fold2_onesided_clamp_chain),
+    Check("proof_fold2_onesided_lattice_split", "proof", _draw_onesided,
+          _viol_fold2_onesided_lattice_split),
+    Check("proof_fold2_onesided_conclusion", "proof", _draw_onesided, _viol_fold2_conclusion),
+    Check("proof_fold2_straddle_clamp_split", "proof", _draw_straddle(0.02, 0.98),
+          _viol_fold2_straddle_clamp_split),
+    Check("proof_fold2_straddle_conclusion", "proof", _draw_straddle(0.02, 0.98),
+          _viol_fold2_conclusion),
+    Check("proof_fold2_straddle_clamp_split_mirror", "proof", _draw_straddle(1.05, 3.0),
+          _viol_fold2_straddle_clamp_split),
+    Check("proof_fold2_straddle_conclusion_mirror", "proof", _draw_straddle(1.05, 3.0),
+          _viol_fold2_conclusion),
+    Check("identity_halfsum", "identity", _draw_fga, _viol_identity_halfsum),
+    Check("identity_twist", "identity", _draw_twist, _viol_identity_twist),
+    Check("identity_midpoint", "identity", _draw_fga, _viol_identity_midpoint),
+    Check("identity_projection_oracle", "identity", _draw_fga,
+          _viol_identity_projection_oracle),
+)
+_BY_NAME = {c.name: c for c in CHECKS}
+CRITERIA_NAMES = tuple(c.name for c in CHECKS if c.group == "criteria")
+PROOF_NAMES = tuple(c.name for c in CHECKS if c.group == "proof")
+IDENTITY_NAMES = tuple(c.name for c in CHECKS if c.group == "identity")
+
+
+def _encode(value):
+    """Witness form of a sampled parameter: arrays as lists, contractions as
+    breakpoint/slope dicts, floats as they are."""
+    if isinstance(value, PLFunction):
+        return pl_to_witness(value)
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _decode(key: str, value):
+    if key == "phi":
+        return pl_from_witness(value)
+    return np.asarray(value) if key in ("f", "g") else value
+
+
+def _witness(check: Check, target, params: dict) -> dict:
+    """Self-contained record of one sample: the check, the form descriptor
+    (or the space's weights) and the encoded parameters."""
+    if check.group == "identity":
+        head = {"weights": target.weights.tolist()}
+    else:
+        head = {"form": target.descriptor()}
+    return {"check": check.name, **head, **{k: _encode(v) for k, v in params.items()}}
+
+
+def _sweep(check: Check, target, cfg: SuiteConfig) -> CheckResult:
+    """Run one check on a form (or a space, for identities) over
+    cfg.n_samples seeded samples."""
+    space = target if check.group == "identity" else target.space
+    rng = check_rng(cfg.seed, check.name)
+    worst, worst_params, finite = -math.inf, None, True
+    for idx in range(cfg.n_samples):
+        params = check.sample(rng, space, cfg, idx)
+        violation = check.kernel(target, **params)
+        if finite and (violation > worst or not math.isfinite(violation)):
+            worst, worst_params = violation, params
+            finite = math.isfinite(violation)
+    tol = getattr(cfg, f"{check.group}_tol")
+    witness = _witness(check, target, worst_params)
+    passed = finite and bool(worst <= tol)
+    return CheckResult(check.name, passed, float(worst), witness, cfg.n_samples, cfg.seed, tol)
+
+
+def _run(group: str, target, cfg: SuiteConfig) -> list[CheckResult]:
+    return [_sweep(c, target, cfg) for c in CHECKS if c.group == group]
 
 
 # ---------------------------------------------------------------------------
@@ -298,72 +431,7 @@ def _viol_identity_projection_oracle(
 
 def check_criteria(form: FormInstance, cfg: SuiteConfig) -> list[CheckResult]:
     """The lattice, clamp, projection and symmetry criteria on seeded tuples."""
-    desc = form.descriptor()
-    space = form.space
-    results = []
-
-    def fg(rng):
-        return (
-            sample_field(rng, space, cfg.fields).values,
-            sample_field(rng, space, cfg.fields).values,
-        )
-
-    def draw_minmax(rng):
-        f, g = fg(rng)
-        wit = {"check": "minmax", "form": desc, "f": f.tolist(), "g": g.tolist()}
-        return _viol_minmax(form, f, g), wit
-
-    def draw_clamp(rng):
-        f, g = fg(rng)
-        a = sample_alpha(rng)
-        wit = {
-            "check": "clamp",
-            "form": desc,
-            "f": f.tolist(),
-            "g": g.tolist(),
-            "alpha": a,
-        }
-        return _viol_clamp(form, f, g, a), wit
-
-    def draw_order_projection(rng):
-        f, g = fg(rng)
-        wit = {
-            "check": "order_projection",
-            "form": desc,
-            "f": f.tolist(),
-            "g": g.tolist(),
-        }
-        return _viol_order_projection(form, f, g), wit
-
-    def draw_band_projection(rng):
-        f, g = fg(rng)
-        a = sample_alpha(rng)
-        wit = {
-            "check": "band_projection",
-            "form": desc,
-            "f": f.tolist(),
-            "g": g.tolist(),
-            "alpha": a,
-        }
-        return _viol_band_projection(form, f, g, a), wit
-
-    def draw_symmetry(rng):
-        f = sample_field(rng, space, cfg.fields).values
-        wit = {"check": "symmetry", "form": desc, "f": f.tolist()}
-        return _viol_symmetry(form, f), wit
-
-    draws = {
-        "minmax": draw_minmax,
-        "clamp": draw_clamp,
-        "order_projection": draw_order_projection,
-        "band_projection": draw_band_projection,
-        "symmetry": draw_symmetry,
-    }
-    for name in CRITERIA_NAMES:
-        results.append(
-            _sweep(name, cfg.seed, cfg.n_samples, draws[name], cfg.criteria_tol)
-        )
-    return results
+    return _run("criteria", form, cfg)
 
 
 def check_normal_contraction(form: FormInstance, cfg: SuiteConfig) -> CheckResult:
@@ -372,29 +440,7 @@ def check_normal_contraction(form: FormInstance, cfg: SuiteConfig) -> CheckResul
     -id and id are always the first two contractions in the sample set, so a
     symmetry violation surfaces here as well.
     """
-    desc = form.descriptor()
-    forced = [negate(make_phi([])), make_phi([])]
-    count = 0
-
-    def draw(rng):
-        nonlocal count
-        if count < len(forced):
-            phi = forced[count]
-        else:
-            phi = sample_contraction(rng, cfg.contractions)
-        count += 1
-        f = sample_field(rng, form.space, cfg.fields).values
-        wit = {
-            "check": "normal_contraction",
-            "form": desc,
-            "phi": pl_to_witness(phi),
-            "f": f.tolist(),
-        }
-        return _viol_contraction(form, phi, f), wit
-
-    return _sweep(
-        "normal_contraction", cfg.seed, cfg.n_samples, draw, cfg.contraction_tol
-    )
+    return _run("contraction", form, cfg)[0]
 
 
 def run_proof_chain(
@@ -415,80 +461,16 @@ def run_proof_chain(
         raise PreconditionFailed(
             f"proof chain needs the criteria to pass; failing: {failing}"
         )
-    desc = form.descriptor()
-    space = form.space
-    amp = cfg.fields.amplitude
-    results = []
+    return _run("proof", form, cfg)
 
-    def draw_x(rng, idx: int) -> float:
-        if idx == 0:
-            return 0.0  # degenerate branch is always exercised
-        return float(rng.uniform(0.0, 2.0 * amp))
 
-    def fold1_draw(kernel, name):
-        count = 0
-
-        def draw(rng):
-            nonlocal count
-            x = draw_x(rng, count)
-            count += 1
-            f = sample_field(rng, space, cfg.fields).values
-            wit = {"check": name, "form": desc, "f": f.tolist(), "x": x}
-            return kernel(form, f, x), wit
-
-        return draw
-
-    def onesided_params(rng) -> tuple[float, float]:
-        x1 = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, amp))
-        x2 = x1 + float(rng.uniform(0.05, amp))
-        return x1, x2
-
-    def straddle_params(rng, mirrored: bool) -> tuple[float, float]:
-        x2 = float(rng.uniform(0.05, amp))
-        if mirrored:
-            x1 = -x2 * float(rng.uniform(1.05, 3.0))
-        else:
-            x1 = -x2 * float(rng.uniform(0.02, 0.98))
-        return x1, x2
-
-    def pair_draw(kernel, name, params):
-        def draw(rng):
-            x1, x2 = params(rng)
-            f = sample_field(rng, space, cfg.fields).values
-            wit = {
-                "check": name,
-                "form": desc,
-                "f": f.tolist(),
-                "x1": x1,
-                "x2": x2,
-            }
-            return kernel(form, f, x1, x2), wit
-
-        return draw
-
-    plan = [
-        (_viol_fold1_lattice_split, "proof_fold1_lattice_split", None),
-        (_viol_fold1_clamp_chain, "proof_fold1_clamp_chain", None),
-        (_viol_fold1_conclusion, "proof_fold1_conclusion", None),
-        (_viol_fold2_onesided_clamp_split, "proof_fold2_onesided_clamp_split", onesided_params),
-        (_viol_fold2_onesided_clamp_chain, "proof_fold2_onesided_clamp_chain", onesided_params),
-        (_viol_fold2_onesided_lattice_split, "proof_fold2_onesided_lattice_split", onesided_params),
-        (_viol_fold2_conclusion, "proof_fold2_onesided_conclusion", onesided_params),
-        (_viol_fold2_straddle_clamp_split, "proof_fold2_straddle_clamp_split",
-         lambda r: straddle_params(r, False)),
-        (_viol_fold2_conclusion, "proof_fold2_straddle_conclusion",
-         lambda r: straddle_params(r, False)),
-        (_viol_fold2_straddle_clamp_split, "proof_fold2_straddle_clamp_split_mirror",
-         lambda r: straddle_params(r, True)),
-        (_viol_fold2_conclusion, "proof_fold2_straddle_conclusion_mirror",
-         lambda r: straddle_params(r, True)),
-    ]
-    for kernel, name, params in plan:
-        if params is None:
-            draw = fold1_draw(kernel, name)
-        else:
-            draw = pair_draw(kernel, name, params)
-        results.append(_sweep(name, cfg.seed, cfg.n_samples, draw, cfg.proof_tol))
+def verify_form(form: FormInstance, cfg: SuiteConfig) -> list[CheckResult]:
+    """The criteria and normal contraction, then the proof chain when every
+    criterion passed."""
+    criteria = check_criteria(form, cfg)
+    results = criteria + [check_normal_contraction(form, cfg)]
+    if all(c.passed for c in criteria):
+        results += run_proof_chain(form, cfg, criteria)
     return results
 
 
@@ -506,83 +488,7 @@ def check_identities(
     """
     if space is None:
         space = MeasureSpace(np.ones(7))
-    weights = space.weights.tolist()
-    results = []
-
-    def fga(rng):
-        f = sample_field(rng, space, cfg.fields).values
-        g = sample_field(rng, space, cfg.fields).values
-        return f, g, sample_alpha(rng)
-
-    def draw_halfsum(rng):
-        f, g, a = fga(rng)
-        wit = {
-            "check": "identity_halfsum",
-            "weights": weights,
-            "f": f.tolist(),
-            "g": g.tolist(),
-            "alpha": a,
-        }
-        return _viol_identity_halfsum(weights, f, g, a), wit
-
-    forced_ts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]
-    count = 0
-
-    def draw_twist(rng):
-        nonlocal count
-        f, g, a = fga(rng)
-        if count < len(forced_ts):
-            t, s = forced_ts[count]
-        else:
-            t, s = rng.uniform(0.0, 1.0, 2)
-            if t + s > 1.0:  # reflect onto the valid simplex
-                t, s = 1.0 - t, 1.0 - s
-        count += 1
-        t, s = float(t), float(s)
-        wit = {
-            "check": "identity_twist",
-            "weights": weights,
-            "f": f.tolist(),
-            "g": g.tolist(),
-            "alpha": a,
-            "t": t,
-            "s": s,
-        }
-        return _viol_identity_twist(weights, f, g, a, t, s), wit
-
-    def draw_midpoint(rng):
-        f, g, a = fga(rng)
-        wit = {
-            "check": "identity_midpoint",
-            "weights": weights,
-            "f": f.tolist(),
-            "g": g.tolist(),
-            "alpha": a,
-        }
-        return _viol_identity_midpoint(weights, f, g, a), wit
-
-    def draw_oracle(rng):
-        f, g, a = fga(rng)
-        wit = {
-            "check": "identity_projection_oracle",
-            "weights": weights,
-            "f": f.tolist(),
-            "g": g.tolist(),
-            "alpha": a,
-        }
-        return _viol_identity_projection_oracle(weights, f, g, a), wit
-
-    draws = {
-        "identity_halfsum": draw_halfsum,
-        "identity_twist": draw_twist,
-        "identity_midpoint": draw_midpoint,
-        "identity_projection_oracle": draw_oracle,
-    }
-    for name in IDENTITY_NAMES:
-        results.append(
-            _sweep(name, cfg.seed, cfg.n_samples, draws[name], cfg.identity_tol)
-        )
-    return results
+    return _run("identity", space, cfg)
 
 
 def counterexample_demo() -> CheckResult:
@@ -600,18 +506,12 @@ def counterexample_demo() -> CheckResult:
             "integrand": {"name": "max_positive_part"},
         }
     )
-    f = -np.arange(11) / 10.0
-    e_f = form.energy_of_values(f)
-    e_neg = form.energy_of_values(-f)
-    witness = {
-        "check": "normal_contraction",
-        "form": form.descriptor(),
-        "phi": pl_to_witness(negate(make_phi([]))),
-        "f": f.tolist(),
-        "energy_f": e_f,
-        "energy_neg_f": e_neg,
-    }
-    violation = _viol_contraction(form, negate(make_phi([])), f)
+    (check,) = (c for c in CHECKS if c.group == "contraction")
+    params = {"phi": negate(make_phi([])), "f": -np.arange(11) / 10.0}
+    witness = _witness(check, form, params)
+    witness["energy_f"] = form.energy_of_values(params["f"])
+    witness["energy_neg_f"] = form.energy_of_values(-params["f"])
+    violation = check.kernel(form, **params)
     return CheckResult(
         "counterexample_max_positive_part",
         False,
@@ -623,80 +523,13 @@ def counterexample_demo() -> CheckResult:
     )
 
 
-# ---------------------------------------------------------------------------
-# replay
-
-_FORM_KERNELS = {
-    "minmax": lambda form, w: _viol_minmax(form, np.asarray(w["f"]), np.asarray(w["g"])),
-    "clamp": lambda form, w: _viol_clamp(
-        form, np.asarray(w["f"]), np.asarray(w["g"]), w["alpha"]
-    ),
-    "order_projection": lambda form, w: _viol_order_projection(
-        form, np.asarray(w["f"]), np.asarray(w["g"])
-    ),
-    "band_projection": lambda form, w: _viol_band_projection(
-        form, np.asarray(w["f"]), np.asarray(w["g"]), w["alpha"]
-    ),
-    "symmetry": lambda form, w: _viol_symmetry(form, np.asarray(w["f"])),
-    "normal_contraction": lambda form, w: _viol_contraction(
-        form, pl_from_witness(w["phi"]), np.asarray(w["f"])
-    ),
-    "proof_fold1_lattice_split": lambda form, w: _viol_fold1_lattice_split(
-        form, np.asarray(w["f"]), w["x"]
-    ),
-    "proof_fold1_clamp_chain": lambda form, w: _viol_fold1_clamp_chain(
-        form, np.asarray(w["f"]), w["x"]
-    ),
-    "proof_fold1_conclusion": lambda form, w: _viol_fold1_conclusion(
-        form, np.asarray(w["f"]), w["x"]
-    ),
-    "proof_fold2_onesided_clamp_split": lambda form, w: _viol_fold2_onesided_clamp_split(
-        form, np.asarray(w["f"]), w["x1"], w["x2"]
-    ),
-    "proof_fold2_onesided_clamp_chain": lambda form, w: _viol_fold2_onesided_clamp_chain(
-        form, np.asarray(w["f"]), w["x1"], w["x2"]
-    ),
-    "proof_fold2_onesided_lattice_split": lambda form, w: _viol_fold2_onesided_lattice_split(
-        form, np.asarray(w["f"]), w["x1"], w["x2"]
-    ),
-    "proof_fold2_onesided_conclusion": lambda form, w: _viol_fold2_conclusion(
-        form, np.asarray(w["f"]), w["x1"], w["x2"]
-    ),
-    "proof_fold2_straddle_clamp_split": lambda form, w: _viol_fold2_straddle_clamp_split(
-        form, np.asarray(w["f"]), w["x1"], w["x2"]
-    ),
-    "proof_fold2_straddle_conclusion": lambda form, w: _viol_fold2_conclusion(
-        form, np.asarray(w["f"]), w["x1"], w["x2"]
-    ),
-    "proof_fold2_straddle_clamp_split_mirror": lambda form, w: _viol_fold2_straddle_clamp_split(
-        form, np.asarray(w["f"]), w["x1"], w["x2"]
-    ),
-    "proof_fold2_straddle_conclusion_mirror": lambda form, w: _viol_fold2_conclusion(
-        form, np.asarray(w["f"]), w["x1"], w["x2"]
-    ),
-}
-
-_IDENTITY_KERNELS = {
-    "identity_halfsum": lambda w: _viol_identity_halfsum(
-        w["weights"], np.asarray(w["f"]), np.asarray(w["g"]), w["alpha"]
-    ),
-    "identity_twist": lambda w: _viol_identity_twist(
-        w["weights"], np.asarray(w["f"]), np.asarray(w["g"]), w["alpha"], w["t"], w["s"]
-    ),
-    "identity_midpoint": lambda w: _viol_identity_midpoint(
-        w["weights"], np.asarray(w["f"]), np.asarray(w["g"]), w["alpha"]
-    ),
-    "identity_projection_oracle": lambda w: _viol_identity_projection_oracle(
-        w["weights"], np.asarray(w["f"]), np.asarray(w["g"]), w["alpha"]
-    ),
-}
-
-
 def replay(witness: dict) -> float:
     """Re-evaluate the violation a witness records, bit-for-bit."""
-    check = witness["check"]
-    if check in _FORM_KERNELS:
-        return _FORM_KERNELS[check](make_form(witness["form"]), witness)
-    if check in _IDENTITY_KERNELS:
-        return _IDENTITY_KERNELS[check](witness)
-    raise ValueError(f"unknown check {check!r} in witness")
+    check = _BY_NAME.get(witness["check"])
+    if check is None:
+        raise ValueError(f"unknown check {witness['check']!r} in witness")
+    if check.group == "identity":
+        target = MeasureSpace(witness["weights"])
+    else:
+        target = make_form(witness["form"])
+    return check.kernel(target, **{k: _decode(k, witness[k]) for k in check.keys})

@@ -15,6 +15,7 @@ from functools import cache
 import numpy as np
 import pytest
 
+from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.cli import run
 from nbdirichlet.contraction import make_phi, recompose, decompose, classify
 from nbdirichlet.flow import FlowConfig, evolve, prox_step
@@ -43,31 +44,7 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 @cache
 def shipped_instances():
-    rng = np.random.default_rng(20250809)
-    edges = [
-        [i, j, float(rng.uniform(0.2, 2.0))]
-        for i in range(20)
-        for j in range(i + 1, 20)
-        if rng.random() < 0.2
-    ]
-    K = rng.uniform(0.0, 1.0, (10, 10))
-    np.fill_diagonal(K, 0.0)
-    grid = {"kind": "local_grid_1d", "nodes": 11, "h": 0.1}
-    descriptors = {
-        "graph_quadratic_20": {"kind": "graph_quadratic", "nodes": 20, "edges": edges},
-        "nonlocal_z2": {"kind": "nonlocal_psi", "kernel": K.tolist(), "psi": {"name": "power", "p": 2}},
-        "nonlocal_z4": {"kind": "nonlocal_psi", "kernel": K.tolist(), "psi": {"name": "power", "p": 4}},
-        "nonlocal_abs": {"kind": "nonlocal_psi", "kernel": K.tolist(), "psi": {"name": "power", "p": 1}},
-        "grid_abs_p1": {**grid, "integrand": {"name": "abs_power", "p": 1}},
-        "grid_abs_p2": {**grid, "integrand": {"name": "abs_power", "p": 2}},
-        "grid_abs_p4": {**grid, "integrand": {"name": "abs_power", "p": 4}},
-        "grid_finsler": {
-            **grid,
-            "integrand": {"name": "finsler_weighted", "weights": rng.uniform(0.5, 2.0, 10).tolist()},
-        },
-        "grid_max_positive_part": {**grid, "integrand": {"name": "max_positive_part"}},
-    }
-    return {label: make_form(d) for label, d in descriptors.items()}
+    return {label: make_form(d) for label, d in instance_catalog(20250809).items()}
 
 
 SYMMETRIC = (

@@ -29,6 +29,9 @@ def test_canonical_json_is_sorted_and_fixed_precision():
     doc = {"b": 1.0 / 3.0, "a": [True, None, 2]}
     s = canonical_json(doc)
     assert s == '{"a":[true,null,2],"b":0.33333333333333331}'
+    odd = canonical_json([float("nan"), float("inf"), -float("inf")])
+    assert odd == "[NaN,Infinity,-Infinity]"
+    assert np.isnan(json.loads(odd)[0]) and json.loads(odd)[1:] == [np.inf, -np.inf]
 
 
 def test_decompose_command(capsys):

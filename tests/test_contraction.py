@@ -258,3 +258,24 @@ def test_envelope_properties(seed, n_pts):
     for y, v in zip(ys, vals):
         assert np.all(ex <= v + np.abs(xs - y) + 1e-9)
         assert e(float(y)) == pytest.approx(v, abs=1e-9)
+
+
+def test_envelope_near_coincident_grid_points():
+    # grid points 8e-8 apart once rounded an inner slope to 1 + 1.4e-9, which
+    # PLFunction rejects
+    ys = [-4.777726829226124, -4.297894463446887, -3.78320457847938, -2.023758063154287,
+          -1.5972550479332517, -1.5972253362842723, 0.0, 1.1006047849956833,
+          1.2135483999518692, 1.64603764407906]
+    vals = [-1.6525559481223766, -1.6025654173976964, -1.2970402851138962, -0.4997813170419292,
+            -0.901796522123185, -0.9017669719205547, 0.0, 0.8821759370840881,
+            0.9890416153507408, 1.3641830890789028]
+    R = 6.0
+    e = envelope(list(zip(ys, vals)), R)
+    assert e(0.0) == 0.0
+    assert is_normal_contraction(e)
+    xs = np.linspace(-R, R, 801)
+    ex = e(xs)
+    assert np.all(np.abs(np.diff(ex)) <= np.diff(xs) + 1e-12)
+    for y, v in zip(ys, vals):
+        assert np.all(ex <= v + np.abs(xs - y) + 1e-9)
+        assert e(float(y)) == pytest.approx(v, abs=1e-9)

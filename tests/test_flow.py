@@ -9,8 +9,8 @@ from nbdirichlet.flow import (
     prox_step,
     trace_to_csv,
 )
-from nbdirichlet.forms import GraphQuadratic, eval_form, make_form
-from nbdirichlet.measure import leq, linf_norm, make_field, make_space
+from nbdirichlet.forms import eval_form, make_form
+from nbdirichlet.measure import leq, linf_norm, make_field
 
 
 def two_node():
@@ -20,13 +20,15 @@ def two_node():
 def random_graph(n, seed, weighted_nodes=True):
     rng = np.random.default_rng(seed)
     edges = [
-        (i, j, float(rng.uniform(0.2, 2.0)))
+        [i, j, float(rng.uniform(0.2, 2.0))]
         for i in range(n)
         for j in range(i + 1, n)
         if rng.random() < 0.35
     ]
     weights = rng.uniform(0.5, 2.0, n) if weighted_nodes else np.ones(n)
-    return GraphQuadratic(make_space(weights), edges)
+    return make_form(
+        {"kind": "graph_quadratic", "nodes": n, "node_weights": weights.tolist(), "edges": edges}
+    )
 
 
 def test_identity_resolvent_on_empty_edges():
@@ -175,3 +177,21 @@ def test_trace_csv_schema(tmp_path):
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[2]) == 0.5 and float(first[4]) == 1.0
+
+
+def test_evolve_certifies_each_step_once(monkeypatch):
+    from nbdirichlet import flow
+
+    certificates = []
+    original = flow.prox_certificate
+
+    def counted(*args):
+        certificates.append(original(*args))
+        return certificates[-1]
+
+    monkeypatch.setattr(flow, "prox_certificate", counted)
+    form = random_graph(6, seed=13)
+    u = make_field(form.space, np.random.default_rng(6).uniform(-2, 2, 6))
+    trace = evolve(form, u, FlowConfig(tau=0.1, n_steps=3))
+    assert len(certificates) == 3
+    assert trace.residuals == certificates

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
+from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.errors import BadSpec, SpaceMismatch
-from nbdirichlet.forms import (
-    GraphQuadratic,
-    eval_form,
-    is_symmetric_sampled,
-    make_form,
-)
+from nbdirichlet.forms import eval_form, make_form
 from nbdirichlet.measure import make_field, make_space
+from nbdirichlet.samplers import SuiteConfig
+from nbdirichlet.verifier import check_criteria
 
 
 def graph2():
@@ -124,19 +122,24 @@ def test_sampled_convexity():
             assert eval_form(form, mid) <= 0.5 * eval_form(form, f) + 0.5 * eval_form(form, g) + 1e-9
 
 
+def symmetry(form):
+    cfg = SuiteConfig(n_samples=50, seed=0)
+    return next(r for r in check_criteria(form, cfg) if r.name == "symmetry")
+
+
 def test_symmetry_reports():
-    assert is_symmetric_sampled(graph2(), 50, seed=0).passed
-    assert is_symmetric_sampled(nonlocal_form(4.0, directed=True), 50, seed=0).passed
-    rep = is_symmetric_sampled(maxpos_grid(), 50, seed=0)
-    assert not rep.passed and rep.worst_asymmetry > 0.1
-    assert rep.witness is not None
+    assert symmetry(graph2()).passed
+    assert symmetry(nonlocal_form(4.0, directed=True)).passed
+    rep = symmetry(maxpos_grid())
+    assert not rep.passed and rep.worst_violation > 0.1
+    assert len(rep.witness["f"]) == rep.witness["form"]["nodes"]
     # directed kernel with a non-even psi is genuinely asymmetric
     rng = np.random.default_rng(3)
     K = np.triu(rng.uniform(0.5, 1.0, (4, 4)), k=1)
     directed = make_form(
         {"kind": "nonlocal_psi", "kernel": K.tolist(), "psi": {"name": "positive_part"}}
     )
-    assert not is_symmetric_sampled(directed, 50, seed=0).passed
+    assert not symmetry(directed).passed
 
 
 def test_discrete_locality_additive_on_separated_supports():
@@ -167,8 +170,20 @@ def test_discrete_locality_additive_on_separated_supports():
 
 def test_graph_quadratic_half_prefactor_once_per_edge():
     # doubled edge list doubles the energy; the 1/2 applies per edge
-    s = make_space([1.0, 1.0])
-    one = GraphQuadratic(s, [(0, 1, 1.0)])
-    two = GraphQuadratic(s, [(0, 1, 1.0), (1, 0, 1.0)])
-    u = make_field(s, [2.0, -1.0])
+    one = make_form({"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]})
+    two = make_form(
+        {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}
+    )
+    u = make_field(one.space, [2.0, -1.0])
     assert eval_form(two, u) == 2 * eval_form(one, u)
+
+
+def test_descriptor_round_trips_for_every_catalog_kind():
+    for label, desc in instance_catalog(0).items():
+        form = make_form(desc)
+        again = make_form(form.descriptor())
+        assert again.descriptor() == form.descriptor(), label
+        assert again.kind == form.kind == desc["kind"]
+        assert np.array_equal(again.i_idx, form.i_idx) and np.array_equal(again.j_idx, form.j_idx)
+        assert np.array_equal(again.coeffs, form.coeffs) and again.piece == form.piece
+        assert again.space == form.space

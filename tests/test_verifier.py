@@ -174,3 +174,20 @@ def test_decomposition_chain_consistency():
         assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
         direct = eval_form(form, make_field(form.space, phi(f.values)))
         assert direct == pytest.approx(energies[-1], abs=1e-9)
+
+
+def test_non_finite_samples_fail_and_replay():
+    # psi = |z|^2000 overflows on most sampled differences
+    form = make_form(
+        {"kind": "nonlocal_psi", "kernel": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+         "psi": {"name": "power", "p": 2000}}
+    )
+    cfg = SuiteConfig(n_samples=200, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = check_criteria(form, cfg) + [check_normal_contraction(form, cfg)]
+        replayed = [replay(r.witness) for r in results]
+    assert [r.name for r in results] == [*CRITERIA_NAMES, "normal_contraction"]
+    for r, again in zip(results, replayed):
+        assert not r.passed, r.name
+        assert not np.isfinite(r.worst_violation), r.name
+        assert again == r.worst_violation or (np.isnan(again) and np.isnan(r.worst_violation))
