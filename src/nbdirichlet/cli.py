@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .contraction import decompose, envelope, make_phi
-from .errors import BadSpec, InconsistentSamples, NotIncreasing
+from .errors import BadSpec, BadWeight, EmptySpace, InconsistentSamples, NotIncreasing
 from .flow import FlowConfig, evolve, trace_to_csv
 from .forms import make_form
 from .measure import make_field
@@ -55,6 +55,20 @@ class ConfigError(ValueError):
     pass
 
 
+# what make_form raises for a descriptor it cannot build
+_FORM_ERRORS = (BadSpec, BadWeight, EmptySpace)
+
+
+def _config_seed(raw: dict) -> int:
+    try:
+        seed = int(raw.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed must be an integer: {exc}") from exc
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _suite_from_config(raw: dict, seed: int) -> SuiteConfig:
     suite = dict(raw.get("suite", {}))
     fields = FieldSamplerSpec(
@@ -76,9 +90,10 @@ def _suite_from_config(raw: dict, seed: int) -> SuiteConfig:
     unknown = set(suite) - known
     if unknown:
         raise ConfigError(f"unknown suite options: {sorted(unknown)}")
-    return SuiteConfig(
-        seed=seed, fields=fields, contractions=contractions, **suite
-    )
+    try:
+        return SuiteConfig(seed=seed, fields=fields, contractions=contractions, **suite)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad suite options: {exc}") from exc
 
 
 def _load_config(path: str) -> dict:
@@ -118,7 +133,7 @@ def _cmd_verify(args) -> int:
     forms = raw.get("forms")
     if not forms:
         raise ConfigError("config needs a nonempty 'forms' list")
-    seed = int(raw.get("seed", 0))
+    seed = _config_seed(raw)
     cfg = _suite_from_config(raw, seed)
     out = args.output or raw.get("output", "report.json")
     results: list[CheckResult] = []
@@ -126,7 +141,7 @@ def _cmd_verify(args) -> int:
     for idx, desc in enumerate(forms):
         try:
             form = make_form(desc)
-        except BadSpec as exc:
+        except _FORM_ERRORS as exc:
             raise ConfigError(f"forms[{idx}]: {exc}") from exc
         if first_space is None:
             first_space = form.space
@@ -177,9 +192,9 @@ def _cmd_flow(args) -> int:
         raise ConfigError("flow config needs a 'form' descriptor")
     try:
         form = make_form(raw["form"])
-    except BadSpec as exc:
+    except _FORM_ERRORS as exc:
         raise ConfigError(str(exc)) from exc
-    seed = int(raw.get("seed", 0))
+    seed = _config_seed(raw)
     fl = raw.get("flow", {})
     try:
         cfg = FlowConfig(
@@ -200,7 +215,10 @@ def _cmd_flow(args) -> int:
             raise ConfigError(
                 f"initial datum has {len(initial)} values, form has {form.space.n} nodes"
             )
-        u0 = make_field(form.space, initial)
+        try:
+            u0 = make_field(form.space, initial)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"initial datum: {exc}") from exc
     trace = evolve(form, u0, cfg)
     out = args.output or raw.get("output", "trace.csv")
     trace_to_csv(trace, out)

@@ -71,16 +71,44 @@ class ScalarPiece:
             return np.sign(y) * np.maximum(np.abs(y) - kappa, 0.0)
         if self.p == 2.0:
             return y / (1.0 + 2.0 * kappa)
-        from scipy.optimize import brentq
+        return np.sign(y) * _power_prox_magnitude(np.abs(y), kappa * self.p, self.p)
 
-        out = np.empty_like(y)
-        for i, (yi, ki) in enumerate(zip(np.abs(y), kappa)):
-            if yi == 0.0 or ki == 0.0:
-                out[i] = yi if ki == 0.0 else 0.0
-                continue
-            fn = lambda m: ki * self.p * m ** (self.p - 1.0) + m - yi
-            out[i] = brentq(fn, 0.0, yi, xtol=1e-15, rtol=1e-15)
-        return np.sign(y) * out
+
+def _power_prox_magnitude(a: np.ndarray, kp: np.ndarray, p: float) -> np.ndarray:
+    """The root t in [0, a] of t + kp * t^(p-1) = a, componentwise (p > 1).
+
+    Safeguarded Newton: the iterate stays in a bracket [lo, hi] that each
+    step's residual sign shrinks, and a step that would leave it bisects
+    instead. The start (a/kp)^(1/(p-1)), where the power term alone reaches
+    a, bounds the root from above as a does, and is within a factor of the
+    root where kp is large; the iteration stops at floating-point resolution.
+    """
+    a, kp = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(kp, dtype=float))
+    out = np.where(kp == 0.0, a, 0.0)
+    idx = np.flatnonzero((a > 0.0) & (kp > 0.0))
+    if idx.size == 0:
+        return out
+    a, kp = a[idx], kp[idx]
+    q = p - 1.0
+    # the residual is known to a rounding of a, which fixes t to about eps/q
+    # relative; the last steps jitter there, and the bracket closes there
+    rtol = 4.0 * np.finfo(float).eps * (1.0 + 1.0 / q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        hi = np.minimum(a, (a / kp) ** (1.0 / q))
+        lo = np.zeros_like(a)
+        t = hi
+        for _ in range(200):
+            tq = t**q
+            resid = t + kp * tq - a
+            lo = np.where(resid < 0.0, t, lo)
+            hi = np.where(resid > 0.0, t, hi)
+            nxt = t - resid / (1.0 + q * kp * tq / t)
+            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            t, step = nxt, np.abs(nxt - t)
+            if np.all((step <= rtol * t) | (hi - lo <= rtol * t)):
+                break
+    out[idx] = t
+    return out
 
 
 class FormInstance:
@@ -115,7 +143,14 @@ class FormInstance:
         return self.piece.smooth
 
     def diffs(self, values: np.ndarray) -> np.ndarray:
+        """D u: the difference u_i - u_j of every pair, in pair order."""
         return values[self.i_idx] - values[self.j_idx]
+
+    def diffs_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """D^T y, the transpose of ``diffs``: node k collects +y_e from the
+        pairs starting at k and -y_e from the pairs ending at k."""
+        n = self.space.n
+        return np.bincount(self.i_idx, y, n) - np.bincount(self.j_idx, y, n)
 
     def energy_of_values(self, values: np.ndarray) -> float:
         if self.n_terms == 0:

@@ -20,10 +20,14 @@ from .measure import Field, MeasureSpace, make_field
 
 
 def check_rng(seed: int, name: str) -> np.random.Generator:
-    """Independent stream per (seed, check name); stable across runs."""
+    """Independent stream per (seed, check name); stable across runs.
+
+    The seed is a nonnegative integer of any size, and distinct seeds give
+    distinct streams (numpy raises ValueError for a negative one).
+    """
     digest = hashlib.sha256(name.encode()).digest()
     words = [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4)]
-    return np.random.default_rng([int(seed) & 0xFFFFFFFF, *words])
+    return np.random.default_rng([int(seed), *words])
 
 
 @dataclass(frozen=True)

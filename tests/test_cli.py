@@ -150,6 +150,30 @@ def test_verify_config_errors(tmp_path):
     )
 
 
+TWO_NODES = {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("verify", {"forms": [{"kind": "nonlocal_psi", "kernel": [1, 2]}]}),
+        ("verify", {"forms": [{**TWO_NODES, "node_weights": [1, -1]}]}),
+        ("flow", {"form": {**TWO_NODES, "node_weights": [1, -1]}}),
+        ("flow", {"form": TWO_NODES, "initial": [float("nan"), 0.0]}),
+    ],
+)
+def test_typed_config_errors_exit_2(tmp_path, command, doc):
+    assert run([command, write_config(tmp_path, "cfg.json", doc)]) == 2
+
+
+def test_negative_seed_exit_2(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {**GRAPH_CONFIG, "seed": -3})
+    assert run(["verify", cfg, "--output", str(tmp_path / "report.json")]) == 2
+    assert not (tmp_path / "report.json").exists()
+    flow = write_config(tmp_path, "flow.json", {"seed": -3, "form": TWO_NODES})
+    assert run(["flow", flow, "--output", str(tmp_path / "trace.csv")]) == 2
+
+
 def test_flow_command_writes_trace(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -195,3 +195,34 @@ def test_evolve_certifies_each_step_once(monkeypatch):
     trace = evolve(form, u, FlowConfig(tau=0.1, n_steps=3))
     assert len(certificates) == 3
     assert trace.residuals == certificates
+
+
+@pytest.mark.parametrize(
+    "integrand, n",
+    [({"name": "max_positive_part"}, 3000), ({"name": "abs_power", "p": 1}, 2000)],
+)
+def test_admm_step_on_large_grids(integrand, n):
+    # a certified step at sizes where a dense n x n factor would dominate
+    form = make_form({"kind": "local_grid_1d", "nodes": n, "h": 1.0 / (n - 1), "integrand": integrand})
+    u = make_field(form.space, np.random.default_rng(9).uniform(-1, 1, n))
+    v = prox_step(form, u, 1e-3)
+    m = form.space.weights
+    assert abs(float(m @ v.values) - float(m @ u.values)) <= 1e-12 * n  # D^T preserves mass
+    assert eval_form(form, v) < eval_form(form, u)
+
+
+def test_evolve_energy_slack_is_relative(monkeypatch):
+    from nbdirichlet import flow
+
+    def energies_rising_by(rise):
+        values = iter([1e12 + k * rise for k in range(4)])
+        monkeypatch.setattr(flow, "eval_form", lambda form, u: next(values))
+
+    form = two_node()
+    u = make_field(form.space, [1.0, 0.0])
+    cfg = FlowConfig(tau=0.5, n_steps=3)
+    energies_rising_by(1e-3)  # a few ulps of 1e12, far above an absolute 1e-10
+    assert evolve(form, u, cfg).energies[-1] > 1e12
+    energies_rising_by(1e-9 * (1.0 + 1e12))
+    with pytest.raises(NoConvergence, match="energy increased"):
+        evolve(form, u, cfg)

@@ -3,7 +3,7 @@ import pytest
 
 from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.errors import BadSpec, SpaceMismatch
-from nbdirichlet.forms import eval_form, make_form
+from nbdirichlet.forms import ScalarPiece, eval_form, make_form
 from nbdirichlet.measure import make_field, make_space
 from nbdirichlet.samplers import SuiteConfig
 from nbdirichlet.verifier import check_criteria
@@ -187,3 +187,46 @@ def test_descriptor_round_trips_for_every_catalog_kind():
         assert np.array_equal(again.i_idx, form.i_idx) and np.array_equal(again.j_idx, form.j_idx)
         assert np.array_equal(again.coeffs, form.coeffs) and again.piece == form.piece
         assert again.space == form.space
+
+
+def test_diffs_adjoint_is_the_transpose_of_diffs():
+    rng = np.random.default_rng(8)
+    for label, desc in instance_catalog(0).items():
+        form = make_form(desc)
+        n, n_e = form.space.n, form.n_terms
+        D = np.zeros((n_e, n))
+        D[np.arange(n_e), form.i_idx] += 1.0
+        D[np.arange(n_e), form.j_idx] -= 1.0
+        u = rng.uniform(-3, 3, n)
+        y = rng.uniform(-3, 3, n_e)
+        assert abs(form.diffs(u) @ y - u @ form.diffs_adjoint(y)) <= 1e-12, label
+        assert np.max(np.abs(form.diffs_adjoint(y) - D.T @ y)) <= 1e-12, label
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 1.75, 3.0])
+def test_power_prox_matches_scalar_root_finder(p):
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(int(p * 100))
+    size = 10_000
+    y = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-4, 4, size)
+    kappa = 10.0 ** rng.uniform(-8, 8, size)  # kappa = coeff * scale / rho
+    y[:50] = 0.0
+    kappa[25:75] = 0.0
+    scale, rho = 0.7, 1.3
+    piece = ScalarPiece("power", p, scale)
+    coeff = kappa * rho / scale
+    got = piece.prox(y, coeff, rho)
+    ki = coeff * scale / rho
+    ref = np.empty(size)
+    for k in range(size):
+        a = abs(y[k])
+        if a == 0.0 or ki[k] == 0.0:
+            ref[k] = a
+        else:
+            fn = lambda t: ki[k] * p * t ** (p - 1.0) + t - a
+            ref[k] = brentq(fn, 0.0, a, xtol=1e-15, rtol=1e-15)
+    ref *= np.sign(y)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(y)))
+    assert np.array_equal(piece.prox(-y, coeff, rho), -got)
+    assert np.all(got[:50] == 0.0)

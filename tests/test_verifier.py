@@ -191,3 +191,12 @@ def test_non_finite_samples_fail_and_replay():
         assert not r.passed, r.name
         assert not np.isfinite(r.worst_violation), r.name
         assert again == r.worst_violation or (np.isnan(again) and np.isnan(r.worst_violation))
+
+
+def test_check_rng_separates_seeds_beyond_32_bits():
+    # the stream of a seed below 2^32 is the one it has always been
+    draws = check_rng(5, "symmetry").integers(0, 2**63, 3).tolist()
+    assert draws == [2853601389459499137, 2268093652274537357, 2723142066091341814]
+    assert check_rng(5 + 2**32, "symmetry").integers(0, 2**63, 3).tolist() != draws
+    with pytest.raises(ValueError):
+        check_rng(-3, "symmetry")
