@@ -83,7 +83,6 @@ def _power_prox_magnitude(a: np.ndarray, kp: np.ndarray, p: float) -> np.ndarray
     a, bounds the root from above as a does, and is within a factor of the
     root where kp is large; the iteration stops at floating-point resolution.
     """
-    a, kp = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(kp, dtype=float))
     out = np.where(kp == 0.0, a, 0.0)
     idx = np.flatnonzero((a > 0.0) & (kp > 0.0))
     if idx.size == 0:

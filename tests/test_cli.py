@@ -160,6 +160,7 @@ TWO_NODES = {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]}
         ("verify", {"forms": [{**TWO_NODES, "node_weights": [1, -1]}]}),
         ("flow", {"form": {**TWO_NODES, "node_weights": [1, -1]}}),
         ("flow", {"form": TWO_NODES, "initial": [float("nan"), 0.0]}),
+        ("flow", {"form": TWO_NODES, "initial": 5}),
     ],
 )
 def test_typed_config_errors_exit_2(tmp_path, command, doc):
