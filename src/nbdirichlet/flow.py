@@ -1,17 +1,25 @@
 """Implicit-Euler (proximal) realization of the energy gradient flow.
 
 Each step solves v = argmin_w E(w) + ||w - u||^2_m / (2 tau) in the weighted
-L2 metric. Twice-differentiable pieces go through a damped Newton iteration;
-the other pieces (absolute values, positive parts, |z|^p with 1 < p < 2) go
-through ADMM on the difference variables z = Dw with exact one-dimensional
-proxes. Its w-update solves with diag(m/tau) + rho D^T D, a sparse matrix
-factored once by ``scipy.sparse.linalg.splu`` and refactored only when
-residual balancing changes rho. Every step is checked against a probe-set
-suboptimality contract.
+L2 metric, by one of three solvers chosen from the form's structure:
+
+* twice-differentiable pieces (|z|^p, p >= 2) go through a damped Newton
+  iteration;
+* chains -- the pairs (1, 0), (2, 1), ..., (n-1, n-2), as on a 1-D grid --
+  with a piecewise-linear piece (|z|, a(x)|z| or max(z, 0)) go through an
+  exact O(n) dynamic program, ``_chain_prox``;
+* the other pieces (|z| and max(z, 0) on other pair graphs, |z|^p with
+  1 < p < 2) go through ADMM on the difference variables z = Dw with exact
+  one-dimensional proxes. Its w-update solves with diag(m/tau) + rho D^T D,
+  a sparse matrix factored once by ``scipy.sparse.linalg.splu`` and
+  refactored only when residual balancing changes rho.
+
+Every step is checked against a probe-set suboptimality contract.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +165,90 @@ def _admm_prox(
     raise NoConvergence(f"ADMM prox did not converge in {max_iters} iterations")
 
 
+def _is_chain(form: FormInstance) -> bool:
+    """The pairs are (1, 0), (2, 1), ..., (n-1, n-2) in this order and the piece
+    is scale times the support function of an interval: the forms _chain_prox
+    solves."""
+    n = form.space.n
+    return (
+        form.piece.box is not None
+        and form.n_terms == n - 1
+        and np.array_equal(form.j_idx, np.arange(n - 1))
+        and np.array_equal(form.i_idx, np.arange(1, n))
+    )
+
+
+def _cross_from_left(
+    knots: deque, left: tuple, right: tuple, level: float
+) -> tuple[float, tuple]:
+    """Where the derivative that ``knots`` and the end pieces hold crosses
+    ``level``, scanning from its left end; knots left of the crossing are
+    popped. Returns the crossing and the piece (slope, intercept, clip level)
+    holding it."""
+    a, b, lev = left
+    while knots and a * knots[0][0] + b + lev < level:
+        _, da, db, _, lev = knots.popleft()
+        a, b = a + da, b + db
+    if not knots:
+        a, b, lev = right  # the same piece, without the rounding of the sums
+        return (level - lev - b) / a, (a, b, lev)
+    return min((level - lev - b) / a, knots[0][0]), (a, b, lev)  # in its piece despite rounding
+
+
+def _chain_prox(form: FormInstance, u: np.ndarray, tau: float) -> np.ndarray:
+    """Exact prox of a chain form (see _is_chain) by dynamic programming, O(n).
+
+    With w_k = coeffs[k] * scale and g/scale the support function of
+    [lo, hi], the step minimizes sum_k m_k (x_k - u_k)^2 / (2 tau) +
+    sum_k w_k sigma(x_{k+1} - x_k). The forward pass keeps the derivative of
+    the message B_k(x_k), the minimum over x_0..x_{k-1} of the terms up to
+    node k: increasing and piecewise linear. Passing edge k clips it to
+    [w_k lo, w_k hi] at its crossings t-_k < t+_k of the two levels: the best
+    x_k is x_{k+1} (a flat edge) for x_{k+1} between them and the nearer
+    crossing otherwise. Then node k+1's term (m/tau)(x - u) is added. The
+    backward pass starts at the root of the last derivative and sets
+    x_k = clip(x_{k+1}, t-_k, t+_k) (Johnson, JCGS 2013).
+
+    Each piece of the derivative is a clip level plus a sum of node terms
+    (slope, intercept). A deque of knots (position, slope jump, intercept
+    jump, level on the left, level on the right) lies between two end pieces,
+    and only the end pieces take the node terms. Each edge adds two knots,
+    so the work is O(n). The levels are copied across a knot, never added and
+    subtracted, so a large weight costs no precision on the other edges; the
+    data are shifted by u_0, so a constant datum comes back exactly.
+    """
+    lo, hi = form.piece.box
+    w = (form.coeffs * form.piece.scale).tolist()
+    shift = u[0]
+    slope = form.space.weights / tau
+    slopes, icpts = slope.tolist(), (-slope * (u - shift)).tolist()
+    n = u.size
+    knots: deque = deque()
+    left = right = (slopes[0], icpts[0], 0.0)
+    t_lo, t_hi = [0.0] * (n - 1), [0.0] * (n - 1)
+    for k in range(n - 1):
+        lo_k, hi_k = w[k] * lo, w[k] * hi
+        t_lo[k], (a, b, lev) = _cross_from_left(knots, left, right, lo_k)
+        knots.appendleft((t_lo[k], a, b, lo_k, lev))
+        # the same from the right, down to the knot just added at t-_k, where
+        # the derivative is lo_k < hi_k
+        a, b, lev = right
+        while len(knots) > 1 and a * knots[-1][0] + b + lev > hi_k:
+            _, da, db, lev, _ = knots.pop()
+            a, b = a - da, b - db
+        t_hi[k] = max((hi_k - lev - b) / a, knots[-1][0])  # in its piece despite rounding
+        knots.append((t_hi[k], -a, -b, lev, hi_k))
+        # the clipped derivative is lo_k left of t-_k and hi_k right of t+_k;
+        # add node k+1's term to both
+        left = (slopes[k + 1], icpts[k + 1], lo_k)
+        right = (slopes[k + 1], icpts[k + 1], hi_k)
+    x = [0.0] * n
+    x[-1] = _cross_from_left(knots, left, right, 0.0)[0]
+    for k in range(n - 2, -1, -1):
+        x[k] = min(max(x[k + 1], t_lo[k]), t_hi[k])
+    return np.array(x) + shift
+
+
 def prox_step(
     form: FormInstance,
     u: Field,
@@ -171,7 +263,8 @@ def prox_step(
     The result v is certified against a probe set: for u itself and n_probes
     seeded random fields w the objective satisfies obj(v) <= obj(w) + inner_tol.
     Raises NoConvergence if the inner solver exhausts its budget or the
-    certificate fails.
+    certificate fails. max_inner_iters bounds the Newton and ADMM iterations;
+    the chain solver is direct and takes no budget.
     """
     return _certified_step(form, u, tau, inner_tol, max_inner_iters, probe_seed, n_probes)[0]
 
@@ -194,6 +287,8 @@ def _certified_step(
         v = u
     elif form.smooth:
         v = make_field(form.space, _newton_prox(form, u.values, tau, max_inner_iters))
+    elif _is_chain(form):
+        v = make_field(form.space, _chain_prox(form, u.values, tau))
     else:
         v = make_field(form.space, _admm_prox(form, u.values, tau, max_inner_iters))
     worst = prox_certificate(form, v, u, tau, probe_seed, n_probes)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, SpaceMismatch
+from .errors import BadSpec, BadWeight, EmptySpace, SpaceMismatch
 from .measure import Field, MeasureSpace
 
 
@@ -62,13 +62,23 @@ class ScalarPiece:
         assert self.smooth
         return self.scale * self.p * (self.p - 1.0) * np.abs(z) ** (self.p - 2.0)
 
+    @property
+    def box(self) -> tuple[float, float] | None:
+        """The interval [lo, hi] whose support function sup_{l in [lo, hi]} l*z
+        is g/scale: (-1, 1) for |z|, (0, 1) for max(z, 0); None for the pieces
+        that are not piecewise linear."""
+        if self.kind == "positive_part":
+            return (0.0, 1.0)
+        if self.p == 1.0:
+            return (-1.0, 1.0)
+        return None
+
     def prox(self, y: np.ndarray, coeff: np.ndarray, rho: float) -> np.ndarray:
         """argmin_t coeff*g(t) + rho/2 (t - y)^2, componentwise."""
         kappa = coeff * self.scale / rho
-        if self.kind == "positive_part":
-            return np.where(y < 0.0, y, np.maximum(y - kappa, 0.0))
-        if self.p == 1.0:
-            return np.sign(y) * np.maximum(np.abs(y) - kappa, 0.0)
+        box = self.box
+        if box is not None:  # Moreau: y minus its projection onto kappa*[lo, hi]
+            return y - np.clip(y, kappa * box[0], kappa * box[1])
         if self.p == 2.0:
             return y / (1.0 + 2.0 * kappa)
         return np.sign(y) * _power_prox_magnitude(np.abs(y), kappa * self.p, self.p)
@@ -211,6 +221,8 @@ def _nonlocal_psi(spec: dict) -> FormInstance:
     K = np.asarray(spec["kernel"], dtype=float)
     weights = spec.get("node_weights", np.ones(K.shape[0] if K.ndim == 2 else 0))
     psi_spec = spec.get("psi", {"name": "power", "p": 2.0})
+    if not isinstance(psi_spec, dict):
+        raise BadSpec("psi must be a mapping with a 'name'")
     name = psi_spec.get("name")
     if name == "power":
         piece = ScalarPiece("power", float(psi_spec.get("p", 2.0)))
@@ -296,7 +308,12 @@ def make_form(spec: dict) -> FormInstance:
     builder = _BUILDERS.get(spec["kind"])
     if builder is None:
         raise BadSpec(f"unknown form kind {spec['kind']!r}")
-    return builder(spec)
+    try:
+        return builder(spec)
+    except (BadSpec, BadWeight, EmptySpace):
+        raise
+    except (TypeError, ValueError) as exc:  # int(), float(), unpacking of bad values
+        raise BadSpec(f"malformed {spec['kind']} descriptor: {exc}") from exc
 
 
 def eval_form(form: FormInstance, u: Field) -> float:

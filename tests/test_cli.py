@@ -161,6 +161,16 @@ TWO_NODES = {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]}
         ("flow", {"form": {**TWO_NODES, "node_weights": [1, -1]}}),
         ("flow", {"form": TWO_NODES, "initial": [float("nan"), 0.0]}),
         ("flow", {"form": TWO_NODES, "initial": 5}),
+        # non-numeric or malformed descriptor values
+        ("verify", {"forms": [{"kind": "local_grid_1d", "nodes": "abc", "h": 0.1}]}),
+        ("verify", {"forms": [{"kind": "nonlocal_psi", "kernel": [[0, 1], [1, 0]],
+                               "psi": {"name": "power", "p": "x"}}]}),
+        ("verify", {"forms": [{**TWO_NODES, "edges": [[0, 1]]}]}),
+        ("verify", {"forms": [{"kind": "nonlocal_psi", "kernel": [[0, 1], [1, 0]], "psi": 5}]}),
+        ("verify", {"forms": [{"kind": "local_grid_1d", "nodes": 5, "h": 0.25, "integrand":
+                               {"name": "finsler_weighted", "weights": ["a", "b", "c", "d"]}}]}),
+        ("flow", {"form": {"kind": "local_grid_1d", "nodes": "abc", "h": 0.1}}),
+        ("flow", {"form": {**TWO_NODES, "edges": [[0, 1]]}}),
     ],
 )
 def test_typed_config_errors_exit_2(tmp_path, command, doc):

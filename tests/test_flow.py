@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nbdirichlet import flow
 from nbdirichlet.errors import NoConvergence
 from nbdirichlet.flow import (
     FlowConfig,
@@ -150,8 +151,9 @@ def test_semigroup_nesting_exact():
 
 
 def test_no_convergence_raises():
+    # a p in (1, 2) grid goes through ADMM, whose budget max_inner_iters caps
     form = make_form(
-        {"kind": "local_grid_1d", "nodes": 7, "h": 0.2, "integrand": {"name": "abs_power", "p": 1}}
+        {"kind": "local_grid_1d", "nodes": 7, "h": 0.2, "integrand": {"name": "abs_power", "p": 1.5}}
     )
     u = make_field(form.space, np.arange(7, dtype=float))
     with pytest.raises(NoConvergence):
@@ -199,10 +201,16 @@ def test_evolve_certifies_each_step_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "integrand, n",
-    [({"name": "max_positive_part"}, 3000), ({"name": "abs_power", "p": 1}, 2000)],
+    [
+        ({"name": "max_positive_part"}, 3000),
+        ({"name": "abs_power", "p": 1}, 2000),
+        ({"name": "max_positive_part"}, 100_000),
+        ({"name": "abs_power", "p": 1}, 100_000),
+    ],
 )
-def test_admm_step_on_large_grids(integrand, n):
-    # a certified step at sizes where a dense n x n factor would dominate
+def test_chain_step_on_large_grids(integrand, n):
+    # a certified step at sizes where ADMM is slow (n = 2000) or does not
+    # converge (n = 20 000); the chain solver is O(n)
     form = make_form({"kind": "local_grid_1d", "nodes": n, "h": 1.0 / (n - 1), "integrand": integrand})
     u = make_field(form.space, np.random.default_rng(9).uniform(-1, 1, n))
     v = prox_step(form, u, 1e-3)
@@ -226,3 +234,86 @@ def test_evolve_energy_slack_is_relative(monkeypatch):
     energies_rising_by(1e-9 * (1.0 + 1e12))
     with pytest.raises(NoConvergence, match="energy increased"):
         evolve(form, u, cfg)
+
+
+GRID_INTEGRANDS = ("abs_power", "finsler_weighted", "max_positive_part")
+
+
+def chain_grid(integrand, n, rng, decades=6.0):
+    """A local_grid_1d form on n nodes at h = 1/(n-1); finsler weights are
+    log-uniform over [10^-decades, 10^decades]."""
+    spec = {"name": integrand}
+    if integrand == "abs_power":
+        spec["p"] = 1
+    elif integrand == "finsler_weighted":
+        spec["weights"] = (10.0 ** rng.uniform(-decades, decades, n - 1)).tolist()
+    return make_form({"kind": "local_grid_1d", "nodes": n, "h": 1.0 / (n - 1), "integrand": spec})
+
+
+def test_chain_dispatch_follows_the_form_structure():
+    rng = np.random.default_rng(20)
+    for integrand in GRID_INTEGRANDS:
+        assert flow._is_chain(chain_grid(integrand, 9, rng))
+    K = np.zeros((4, 4))
+    K[[1, 2, 3], [0, 1, 2]] = [0.5, 2.0, 1.0]  # a path kernel is a chain as well
+    path = {"kind": "nonlocal_psi", "kernel": K.tolist(), "psi": {"name": "positive_part"}}
+    assert flow._is_chain(make_form(path))
+    not_chains = [
+        {**path, "kernel": K.T.tolist()},  # pairs (k, k+1)
+        {**path, "kernel": (K + K.T).tolist()},  # both orientations
+        {**path, "psi": {"name": "power", "p": 1.5}},
+        {"kind": "local_grid_1d", "nodes": 9, "h": 0.125, "integrand": {"name": "abs_power", "p": 2}},
+    ]
+    for desc in not_chains:
+        assert not flow._is_chain(make_form(desc))
+
+
+@pytest.mark.parametrize("integrand", GRID_INTEGRANDS)
+def test_chain_prox_meets_its_optimality_conditions(integrand):
+    # On a chain, m(x - u)/tau + D^T lam = 0 fixes the edge duals by a cumulative
+    # sum: lam_k = sum_{j <= k} m_j (x_j - u_j)/tau, and the sum over all nodes is 0.
+    # x is the prox iff each lam_k lies in w_k [lo, hi], at w_k hi where
+    # x_{k+1} > x_k and at w_k lo where x_{k+1} < x_k.
+    # Each check is relative to the terms it sums, so a large weight elsewhere
+    # on the chain buys no slack.
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 50, 2000):
+        for tau in (1e-6, 1e-3, 1.0, 1e2):
+            form = chain_grid(integrand, n, rng, decades=12.0)
+            u = rng.uniform(-1.0, 1.0, n)
+            x = flow._chain_prox(form, u, tau)
+            m = form.space.weights
+            lo, hi = form.piece.box
+            w = form.coeffs * form.piece.scale
+            lam = np.cumsum(m * (x - u) / tau)
+            tol = 1e-12 * np.cumsum(m * (np.abs(x) + np.abs(u)) / tau)
+            assert abs(lam[-1]) <= tol[-1]
+            lam, tol, z = lam[:-1], tol[:-1] + 1e-12 * w, np.diff(x)
+            assert np.all(lam >= w * lo - tol) and np.all(lam <= w * hi + tol)
+            up, down = z > 1e-12, z < -1e-12
+            assert np.all(np.abs(lam[up] - w[up] * hi) <= tol[up])
+            assert np.all(np.abs(lam[down] - w[down] * lo) <= tol[down])
+
+
+@pytest.mark.parametrize("integrand", GRID_INTEGRANDS)
+@pytest.mark.parametrize("n", [2, 3, 50, 500])
+def test_chain_prox_agrees_with_admm(integrand, n):
+    rng = np.random.default_rng([22, n])
+    for tau in (1e-6, 1e-3, 1.0, 1e2):
+        form = chain_grid(integrand, n, rng)
+        m = form.space.weights
+        u = rng.uniform(-1.0, 1.0, n)
+        x = flow._chain_prox(form, u, tau)
+        y = flow._admm_prox(form, u, tau, 200_000)
+        obj_x, obj_y = flow._objective(form, x, u, tau), flow._objective(form, y, u, tau)
+        slack = 1e-12 * (1.0 + abs(obj_y))
+        assert obj_x <= obj_y + slack
+        # the objective is 1/tau strongly convex in the m-norm, so ADMM's
+        # distance from the minimizer is bounded by its objective excess
+        assert float(m @ (x - y) ** 2) / (2.0 * tau) <= obj_y - obj_x + slack
+        if tau <= 1e-3:
+            # at larger tau/m ADMM's residual stop fixes its state only to
+            # about 1e-13 tau/m, and to less with weights spread over 12 decades
+            assert np.max(np.abs(x - y)) <= 1e-10 * (1.0 + np.max(np.abs(u)))
+        c = np.full(n, float(rng.normal()))
+        assert np.array_equal(flow._chain_prox(form, c, tau), c)
