@@ -77,34 +77,15 @@ class PLFunction:
         return np.asarray(self.slopes, dtype=float)
 
     @cached_property
-    def _rel(self) -> np.ndarray:
-        """Values at breakpoints relative to the first breakpoint."""
-        bps = self._bp_arr
-        if bps.size == 0:
-            return np.zeros(0)
-        rel = np.empty(bps.size)
-        rel[0] = 0.0
-        if bps.size > 1:
-            rel[1:] = np.cumsum(self._slope_arr[1:-1] * np.diff(bps))
-        return rel
-
-    @cached_property
-    def _rel0(self) -> float:
-        return float(self._rel_at(np.zeros(1))[0])
-
-    def _rel_at(self, x: np.ndarray) -> np.ndarray:
-        bps = self._bp_arr
-        if bps.size == 0:
-            return self.slopes[0] * x
-        idx = np.searchsorted(bps, x, side="right")
-        j = np.clip(idx - 1, 0, bps.size - 1)
-        return self._rel[j] + self._slope_arr[idx] * (x - bps[j])
+    def table(self) -> "PLTable":
+        """This function as a one-row ``PLTable``."""
+        return PLTable.build(self._bp_arr[None], self._slope_arr[None], np.array([self.anchor]))
 
     def __call__(self, x):
         """Evaluate at a scalar or an array of points."""
         arr = np.asarray(x, dtype=float)
-        out = self.anchor + (self._rel_at(np.atleast_1d(arr)) - self._rel0)
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        out = pl_eval(self.table, arr.reshape(1, -1))
+        return float(out[0, 0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def slope_at(self, x: float) -> float:
         """Slope on the interval containing x (right interval at a kink)."""
@@ -121,6 +102,141 @@ class PLFunction:
             )
             and all(abs(a - b) <= tol for a, b in zip(self.slopes, other.slopes))
         )
+
+
+@dataclass(frozen=True)
+class PLTable:
+    """N piecewise-linear functions, one per row, for batched evaluation.
+
+    Row r has ``nb[r]`` breakpoints ``bps[r, :nb[r]]`` (the rest of the row
+    is +inf), slopes ``slopes[r, :nb[r] + 1]``, the values at its
+    breakpoints relative to the first one in ``rel``, the relative value at
+    0 in ``rel0`` and the value at 0 in ``anchor``. ``pl_eval`` evaluates
+    row r at row r of its argument; a ``PLFunction`` is a one-row table.
+    """
+
+    bps: np.ndarray     # (N, K)
+    slopes: np.ndarray  # (N, K + 1)
+    rel: np.ndarray     # (N, K)
+    rel0: np.ndarray    # (N,)
+    anchor: np.ndarray  # (N,)
+    nb: np.ndarray      # (N,)
+
+    @classmethod
+    def build(cls, bps, slopes, anchor, nb=None) -> "PLTable":
+        """Tables of canonical rows: strictly increasing breakpoints and
+        adjacent slopes that differ. A row with nb[r] < K breakpoints repeats
+        its last breakpoint and slope after them (any breakpoint if it has
+        none)."""
+        n_rows, k = bps.shape
+        nb = np.full(n_rows, k) if nb is None else nb
+        rel = np.zeros((n_rows, k))
+        if k > 1:  # padding adds zero-length pieces
+            rel[:, 1:] = np.cumsum(slopes[:, 1:-1] * np.diff(bps, axis=1), axis=1)
+        bps = np.where(np.arange(k) < nb[:, None], bps, np.inf)
+        table = cls(bps, slopes, rel, np.zeros(n_rows), anchor, nb)
+        object.__setattr__(table, "rel0", _rel_at(table, np.zeros((n_rows, 1)))[:, 0])
+        return table
+
+
+def _rel_at(t: PLTable, x: np.ndarray) -> np.ndarray:
+    """Values at x relative to the first breakpoint, row by row."""
+    linear = t.slopes[:, :1] * x  # the rows without breakpoints
+    n_rows, k = t.bps.shape
+    if k == 0:
+        return linear
+    idx = np.count_nonzero(t.bps[:, None, :] <= x[:, :, None], axis=2)
+    j = np.maximum(idx - 1, 0)
+    rows = np.arange(n_rows)[:, None]
+    empty = (t.nb == 0)[:, None]
+    if not empty.any():
+        return t.rel[rows, j] + t.slopes[rows, idx] * (x - t.bps[rows, j])
+    bj = np.where(empty, 0.0, t.bps[rows, j])
+    return np.where(empty, linear, t.rel[rows, j] + t.slopes[rows, idx] * (x - bj))
+
+
+def pl_eval(t: PLTable, x: np.ndarray) -> np.ndarray:
+    """Row r of the table at the points x[r] (x is (N, m)), for finite x."""
+    return t.anchor[:, None] + (_rel_at(t, x) - t.rel0[:, None])
+
+
+def pl_table(phis) -> PLTable:
+    """The given functions as the rows of one table."""
+    k = max(len(p.breakpoints) for p in phis)
+    bps = [p.breakpoints + (p.breakpoints or (0.0,))[-1:] * (k - len(p.breakpoints)) for p in phis]
+    slopes = [p.slopes + p.slopes[-1:] * (k - len(p.breakpoints)) for p in phis]
+    return PLTable.build(
+        np.array(bps).reshape(len(phis), k),
+        np.array(slopes),
+        np.array([p.anchor for p in phis]),
+        np.array([len(p.breakpoints) for p in phis]),
+    )
+
+
+def _compact(a: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kept entries of each row moved to its front, the row's last kept
+    entry repeated after them, and the number kept."""
+    order = np.argsort(~keep, axis=1, kind="stable")
+    a = np.take_along_axis(a, order, axis=1)
+    count = np.count_nonzero(keep, axis=1)
+    last = np.minimum(np.arange(a.shape[1]), np.maximum(count - 1, 0)[:, None])
+    return np.take_along_axis(a, last, axis=1), count
+
+
+def family_table(kinks: np.ndarray, slopes) -> PLTable:
+    """PLFunction(row, slopes, 0.0) for every row of strictly increasing
+    kinks (N, k), for k + 1 slopes of which no two adjacent are equal."""
+    _check_increasing(kinks)
+    return PLTable.build(kinks, np.tile(np.asarray(slopes, dtype=float), (kinks.shape[0], 1)),
+                         np.zeros(kinks.shape[0]))
+
+
+def alternating_table(kinks: np.ndarray) -> PLTable:
+    """make_phi(row) for every row of strictly increasing kinks (N, k)."""
+    return family_table(kinks, np.resize([1.0, -1.0], kinks.shape[1] + 1))
+
+
+def _check_increasing(kinks: np.ndarray) -> None:
+    if np.any(kinks[:, 1:] <= kinks[:, :-1]):
+        raise NotIncreasing("breakpoints must be strictly increasing")
+
+
+def folded_table(kinks: np.ndarray) -> PLTable:
+    """compose(make_phi(row), 0 v id) for every row of nonnegative, strictly
+    increasing kinks (N, k): 0 up to 0, then make_phi(row).
+
+    The closed form of what ``compose`` builds, with its merging of
+    near-coincident breakpoints and the sign of its flat slope: -0.0 when a
+    kink sits at 0.
+    """
+    _check_increasing(kinks)
+    n_rows, k = kinks.shape
+    # compose's candidates: 0 and the positive kinks, deduplicated in order
+    cand = np.concatenate([np.zeros((n_rows, 1)), kinks], axis=1)
+    keep = np.ones((n_rows, k + 1), dtype=bool)
+    last = cand[:, 0]
+    for c in range(1, k + 1):
+        x = cand[:, c]
+        keep[:, c] = (x > 0.0) & (x - last > _MERGE_TOL * (1.0 + np.abs(x)))
+        last = np.where(keep[:, c], x, last)
+    cand, n_cand = _compact(cand, keep)
+    # make_phi's slope at compose's representative point right of each
+    # candidate, and the flat slope: make_phi's slope at 0, times 0
+    inside = np.arange(k + 1) < n_cand[:, None] - 1
+    nxt = np.concatenate([cand[:, 1:], cand[:, -1:]], axis=1)
+    reps = np.where(inside, 0.5 * (cand + nxt), cand + 1.0)
+    parity = np.count_nonzero(kinks[:, None, :] <= reps[:, :, None], axis=2) % 2
+    right = np.where(parity == 0, 1.0, -1.0)
+    flat = np.where(np.count_nonzero(kinks <= 0.0, axis=1) % 2 == 0, 0.0, -0.0)
+    # canonical form: drop a candidate whose right slope repeats the last one
+    last = flat
+    for c in range(k + 1):
+        keep[:, c] = (c < n_cand) & (right[:, c] != last)
+        last = np.where(keep[:, c], right[:, c], last)
+    bps, nb = _compact(cand, keep)
+    right, _ = _compact(right, keep)
+    slopes = np.concatenate([flat[:, None], right], axis=1)
+    return PLTable.build(bps, slopes, np.zeros(n_rows), nb)
 
 
 @dataclass(frozen=True)

@@ -152,8 +152,9 @@ class FormInstance:
         return self.piece.smooth
 
     def diffs(self, values: np.ndarray) -> np.ndarray:
-        """D u: the difference u_i - u_j of every pair, in pair order."""
-        return values[self.i_idx] - values[self.j_idx]
+        """D u: the difference u_i - u_j of every pair, in pair order (along
+        the last axis, for each row of a stack of fields)."""
+        return values[..., self.i_idx] - values[..., self.j_idx]
 
     def diffs_adjoint(self, y: np.ndarray) -> np.ndarray:
         """D^T y, the transpose of ``diffs``: node k collects +y_e from the
@@ -161,11 +162,14 @@ class FormInstance:
         n = self.space.n
         return np.bincount(self.i_idx, y, n) - np.bincount(self.j_idx, y, n)
 
-    def energy_of_values(self, values: np.ndarray) -> float:
-        if self.n_terms == 0:
-            return 0.0
+    def energy_of_values(self, values: np.ndarray):
+        """E at a field's values (n,), as a float, or at each row of (N, n)
+        values, as an (N,) array. Each energy is the exactly rounded sum of
+        its terms, so a row's energy does not depend on the other rows."""
         terms = self.coeffs * self.piece.value(self.diffs(values))
-        return float(math.fsum(terms))
+        if terms.ndim == 1:
+            return math.fsum(terms.tolist())
+        return np.array([math.fsum(row) for row in terms.tolist()])
 
     def __call__(self, u: Field) -> float:
         return eval_form(self, u)

@@ -71,10 +71,9 @@ class SuiteConfig:
                 raise ValueError("tolerances must be positive")
 
 
-def sample_field(
-    rng: np.random.Generator, space: MeasureSpace, spec: FieldSamplerSpec
-) -> Field:
-    n = space.n
+def sample_values(rng: np.random.Generator, n: int, spec: FieldSamplerSpec) -> np.ndarray:
+    """The values of one sampled field on n points: a sorted ramp (reversed
+    half the time), a two-level step, or i.i.d. uniform amplitudes."""
     amp = spec.amplitude
     draw = rng.random()
     if draw < spec.p_ramp:
@@ -87,7 +86,13 @@ def sample_field(
         vals = np.where(np.arange(n) < split, lo, hi)
     else:
         vals = rng.uniform(-amp, amp, n)
-    return make_field(space, vals)
+    return vals
+
+
+def sample_field(
+    rng: np.random.Generator, space: MeasureSpace, spec: FieldSamplerSpec
+) -> Field:
+    return make_field(space, sample_values(rng, space.n, spec))
 
 
 def sample_alpha(rng: np.random.Generator) -> float:

@@ -18,11 +18,15 @@ they enclose the origin).
 
 Every check is one row of ``CHECKS``: its name, its group (which picks the
 tolerance and the public function that runs it), a sampler that draws one
-parameter dict from the check's RNG stream, and a kernel that maps a form
-(or, for identities, the measure space) and those parameters to the
-violation. The kernel's keyword arguments name the witness keys, so the
-sweep, the witness and ``replay`` all follow from the row. To add a check,
-write its kernel and add one row.
+sample's parameters from the check's RNG stream, and a batched kernel. The
+sweep draws the samples in order, stacks a chunk of them (fields as (N, n)
+arrays, scalars as (N, 1) columns, contractions as one ``PLTable``) and
+calls the kernel once per chunk; the kernel returns the N violations, each
+row computed on its own, so the bits do not depend on the chunking.
+``replay`` calls the same kernel on a one-row batch. The kernel's keyword
+arguments name the witness keys, so the sweep, the witness and ``replay``
+all follow from the row. To add a check, write its batched kernel and add
+one row.
 """
 
 from __future__ import annotations
@@ -34,19 +38,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import PLFunction, compose, make_phi, negate
+from .contraction import (
+    PLFunction,
+    alternating_table,
+    family_table,
+    folded_table,
+    make_phi,
+    negate,
+    pl_eval,
+    pl_table,
+)
 from .errors import PreconditionFailed
 from .forms import FormInstance, make_form
 from .lattice_ops import (
-    ConstraintSet,
-    h_alpha,
+    h_alpha_values,
     phi_alpha,
-    project_band,
-    project_order,
-    project_oracle,
-    twist_check,
+    project_band_values,
+    project_oracle_values,
+    project_order_values,
+    twist_residuals,
 )
-from .measure import MeasureSpace, make_field
+from .measure import MeasureSpace
 from .samplers import (
     SuiteConfig,
     check_rng,
@@ -54,8 +66,12 @@ from .samplers import (
     pl_to_witness,
     sample_alpha,
     sample_contraction,
-    sample_field,
+    sample_values,
 )
+
+# array values a chunk of the sweep holds per field or energy term array:
+# a chunk has max(1, _CHUNK_VALUES // width) rows, width = max(n, n_terms)
+_CHUNK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -79,17 +95,17 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# parameter samplers: (rng, space, cfg, sample index) -> parameters
+# parameter samplers: (rng, space, cfg, sample index) -> one sample's parameters
 
 
 def _draw_f(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
-    return {"f": sample_field(rng, space, cfg.fields).values}
+    return {"f": sample_values(rng, space.n, cfg.fields)}
 
 
 def _draw_fg(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
     return {
-        "f": sample_field(rng, space, cfg.fields).values,
-        "g": sample_field(rng, space, cfg.fields).values,
+        "f": sample_values(rng, space.n, cfg.fields),
+        "g": sample_values(rng, space.n, cfg.fields),
     }
 
 
@@ -149,176 +165,164 @@ def _draw_twist(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# violation kernels; used identically by the sweeps and by replay()
+# batched violation kernels; used identically by the sweeps and by replay().
+# Fields are (N, n) arrays, scalars (N, 1) columns, contractions PLTables;
+# every kernel returns the (N,) violations.
 
 
-def _viol_minmax(form: FormInstance, f: np.ndarray, g: np.ndarray) -> float:
+def _pymax(first, *rest):
+    """Row-wise max(first, *rest) with Python's rule: a later value wins
+    only if it is greater, so a NaN wins only in first place."""
+    for other in rest:
+        first = np.where(other > first, other, first)
+    return first
+
+
+def _viol_minmax(form: FormInstance, f, g):
     E = form.energy_of_values
     return E(np.maximum(f, g)) + E(np.minimum(f, g)) - E(f) - E(g)
 
 
-def _viol_clamp(form: FormInstance, f: np.ndarray, g: np.ndarray, alpha: float) -> float:
+def _viol_clamp(form: FormInstance, f, g, alpha):
     E = form.energy_of_values
     hfg = np.clip(f, g - alpha, g + alpha)
     hgf = np.clip(g, f - alpha, f + alpha)
     return E(hfg) + E(hgf) - E(f) - E(g)
 
 
-def _viol_order_projection(form: FormInstance, f: np.ndarray, g: np.ndarray) -> float:
+def _viol_order_projection(form: FormInstance, f, g):
     E = form.energy_of_values
     d = np.maximum(f - g, 0.0)
     return E(f - 0.5 * d) + E(g + 0.5 * d) - E(f) - E(g)
 
 
-def _viol_band_projection(
-    form: FormInstance, f: np.ndarray, g: np.ndarray, alpha: float
-) -> float:
+def _viol_band_projection(form: FormInstance, f, g, alpha):
     E = form.energy_of_values
     t = phi_alpha(f - g, alpha)
     return E(g + 0.5 * t) + E(f - 0.5 * t) - E(f) - E(g)
 
 
-def _viol_symmetry(form: FormInstance, f: np.ndarray) -> float:
+def _viol_symmetry(form: FormInstance, f):
     E = form.energy_of_values
     return abs(E(-f) - E(f))
 
 
-def _viol_contraction(form: FormInstance, phi: PLFunction, f: np.ndarray) -> float:
+def _viol_contraction(form: FormInstance, phi, f):
     E = form.energy_of_values
-    return E(phi(f)) - E(f)
+    return E(pl_eval(phi, f)) - E(f)
 
 
-_POS_PART = PLFunction((0.0,), (0.0, 1.0), 0.0)  # 0 v id
+# the fold families: kinks are (N, k) rows; sigma and psi of fold2 are fixed
+# slope patterns, sigma of fold1 and psi of the one-sided fold2 are
+# make_phi(kinks) composed with 0 v id (folded_table)
+_SIGMA_FOLD2_ONESIDED = (0.0, -1.0, 1.0)  # 0 up to x1, x1 - y, y + x1 - 2 x2
+_PSI_FOLD2_STRADDLE = (1.0, -1.0, 0.0)  # y - 2 x1 below x1, -y, then -x2
 
 
-def _sigma_fold1(x: float) -> PLFunction:
-    """Flat, then identity, folded down at x >= 0."""
-    return compose(make_phi([x]), _POS_PART)
-
-
-def _viol_fold1_lattice_split(form: FormInstance, f: np.ndarray, x: float) -> float:
+def _viol_fold1_lattice_split(form: FormInstance, f, x):
     # join/meet split of the pair (f, sigma o f): the join is 0 v f and the
     # meet is the one-fold contraction applied to f
     E = form.energy_of_values
-    return E(make_phi([x])(f)) + E(np.maximum(f, 0.0)) - E(f) - E(_sigma_fold1(x)(f))
+    return (
+        E(pl_eval(alternating_table(x), f))
+        + E(np.maximum(f, 0.0))
+        - E(f)
+        - E(pl_eval(folded_table(x), f))
+    )
 
 
-def _viol_fold1_clamp_chain(form: FormInstance, f: np.ndarray, x: float) -> float:
+def _viol_fold1_clamp_chain(form: FormInstance, f, x):
     # symmetry, then the clamp split at band radius 2x, then symmetry again
     E = form.energy_of_values
-    sf = _sigma_fold1(x)(f)
+    sf = pl_eval(folded_table(x), f)
     pf = np.maximum(f, 0.0)
     a, b = E(sf), E(-sf)
     c, d = E(pf), E(-pf)
-    return max(2 * a - (a + b), (a + b) - (c + d), (c + d) - 2 * c)
+    return _pymax(2 * a - (a + b), (a + b) - (c + d), (c + d) - 2 * c)
 
 
-def _viol_fold1_conclusion(form: FormInstance, f: np.ndarray, x: float) -> float:
+def _viol_fold1_conclusion(form: FormInstance, f, x):
     E = form.energy_of_values
-    return E(make_phi([x])(f)) - E(f)
+    return E(pl_eval(alternating_table(x), f)) - E(f)
 
 
-def _sigma_fold2_onesided(x1: float, x2: float) -> PLFunction:
-    """0 up to x1, then x1 - y, then y + x1 - 2 x2 (for 0 <= x1 < x2)."""
-    return PLFunction((x1, x2), (0.0, -1.0, 1.0), 0.0)
-
-
-def _psi_fold2_onesided(x1: float, x2: float) -> PLFunction:
-    return compose(make_phi([x1, x2]), _POS_PART)
-
-
-def _viol_fold2_onesided_clamp_split(form, f: np.ndarray, x1: float, x2: float) -> float:
+def _viol_fold2_onesided_clamp_split(form, f, x1, x2):
     E = form.energy_of_values
+    kinks = np.hstack([x1, x2])
     return (
-        E(_psi_fold2_onesided(x1, x2)(f))
+        E(pl_eval(folded_table(kinks), f))
         + E(np.maximum(f - x1, 0.0))
         - E(np.maximum(f, 0.0))
-        - E(_sigma_fold2_onesided(x1, x2)(f))
+        - E(pl_eval(family_table(kinks, _SIGMA_FOLD2_ONESIDED), f))
     )
 
 
-def _viol_fold2_onesided_clamp_chain(form, f: np.ndarray, x1: float, x2: float) -> float:
+def _viol_fold2_onesided_clamp_chain(form, f, x1, x2):
     E = form.energy_of_values
-    sf = _sigma_fold2_onesided(x1, x2)(f)
+    sf = pl_eval(family_table(np.hstack([x1, x2]), _SIGMA_FOLD2_ONESIDED), f)
     a = E(np.maximum(f - x1, 0.0))
     b = E(np.minimum(x1 - f, 0.0))
     c, d = E(sf), E(-sf)
-    return max((a + b) - 2 * a, (c + d) - (a + b), 2 * c - (c + d))
+    return _pymax((a + b) - 2 * a, (c + d) - (a + b), 2 * c - (c + d))
 
 
-def _viol_fold2_onesided_lattice_split(form, f: np.ndarray, x1: float, x2: float) -> float:
+def _viol_fold2_onesided_lattice_split(form, f, x1, x2):
     E = form.energy_of_values
+    kinks = np.hstack([x1, x2])
     return (
-        E(make_phi([x1, x2])(f))
+        E(pl_eval(alternating_table(kinks), f))
         + E(np.maximum(f, 0.0))
-        - E(_psi_fold2_onesided(x1, x2)(f))
+        - E(pl_eval(folded_table(kinks), f))
         - E(f)
     )
 
 
-def _viol_fold2_conclusion(form, f: np.ndarray, x1: float, x2: float) -> float:
+def _viol_fold2_conclusion(form, f, x1, x2):
     E = form.energy_of_values
-    return E(make_phi([x1, x2])(f)) - E(f)
+    return E(pl_eval(alternating_table(np.hstack([x1, x2])), f)) - E(f)
 
 
-def _psi_fold2_straddle(x1: float, x2: float) -> PLFunction:
-    """y - 2 x1 below x1, then -y, then the constant -x2 (for x1 < 0 < x2)."""
-    return PLFunction((x1, x2), (1.0, -1.0, 0.0), 0.0)
-
-
-def _viol_fold2_straddle_clamp_split(form, f: np.ndarray, x1: float, x2: float) -> float:
+def _viol_fold2_straddle_clamp_split(form, f, x1, x2):
     E = form.energy_of_values
+    kinks = np.hstack([x1, x2])
     return (
-        E(make_phi([x1, x2])(f))
+        E(pl_eval(alternating_table(kinks), f))
         + E(np.minimum(f, x2))
         - E(f)
-        - E(_psi_fold2_straddle(x1, x2)(f))
+        - E(pl_eval(family_table(kinks, _PSI_FOLD2_STRADDLE), f))
     )
 
 
-def _viol_identity_halfsum(
-    space: MeasureSpace, f: np.ndarray, g: np.ndarray, alpha: float
-) -> float:
-    ff, gg = make_field(space, f), make_field(space, g)
-    p1 = project_band(ff, gg, alpha)[0]
-    p2 = project_band(gg, ff, alpha)[1]
-    h = h_alpha(ff, gg, alpha)
-    return float(
-        np.max(np.abs(h.values - (0.5 * p1.values + 0.5 * p2.values)))
+def _viol_identity_halfsum(space: MeasureSpace, f, g, alpha):
+    p1 = project_band_values(f, g, alpha)[0]
+    p2 = project_band_values(g, f, alpha)[1]
+    h = h_alpha_values(f, g, alpha)
+    return np.max(np.abs(h - (0.5 * p1 + 0.5 * p2)), axis=1)
+
+
+def _viol_identity_twist(space: MeasureSpace, f, g, alpha, t, s):
+    return _pymax(*twist_residuals(f, g, alpha, t, s))
+
+
+def _viol_identity_midpoint(space: MeasureSpace, f, g, alpha):
+    h = h_alpha_values(f, g, alpha)
+    k = h_alpha_values(g, f, alpha)
+    u_half = 0.5 * (f + h)
+    v_half = 0.5 * (g + k)
+    p1, p2 = project_band_values(f, g, alpha)
+    return _pymax(
+        np.max(np.abs(u_half - p1), axis=1), np.max(np.abs(v_half - p2), axis=1)
     )
 
 
-def _viol_identity_twist(
-    space: MeasureSpace, f: np.ndarray, g: np.ndarray, alpha: float, t: float, s: float
-) -> float:
-    return max(twist_check(make_field(space, f), make_field(space, g), alpha, t, s))
-
-
-def _viol_identity_midpoint(
-    space: MeasureSpace, f: np.ndarray, g: np.ndarray, alpha: float
-) -> float:
-    ff, gg = make_field(space, f), make_field(space, g)
-    h = h_alpha(ff, gg, alpha)
-    k = h_alpha(gg, ff, alpha)
-    u_half = 0.5 * (ff.values + h.values)
-    v_half = 0.5 * (gg.values + k.values)
-    p1, p2 = project_band(ff, gg, alpha)
-    return float(
-        max(np.max(np.abs(u_half - p1.values)), np.max(np.abs(v_half - p2.values)))
-    )
-
-
-def _viol_identity_projection_oracle(
-    space: MeasureSpace, f: np.ndarray, g: np.ndarray, alpha: float
-) -> float:
-    ff, gg = make_field(space, f), make_field(space, g)
-    worst = 0.0
+def _viol_identity_projection_oracle(space: MeasureSpace, f, g, alpha):
+    worst = np.zeros(f.shape[0])
     for closed, oracle in (
-        (project_order(ff, gg), project_oracle(ConstraintSet.order(), ff, gg)),
-        (project_band(ff, gg, alpha), project_oracle(ConstraintSet.band(alpha), ff, gg)),
+        (project_order_values(f, g), project_oracle_values("order", f, g)),
+        (project_band_values(f, g, alpha), project_oracle_values("band", f, g, alpha)),
     ):
         for c, o in zip(closed, oracle):
-            worst = max(worst, float(np.max(np.abs(c.values - o.values))))
+            worst = _pymax(worst, np.max(np.abs(c - o), axis=1))
     return worst
 
 
@@ -332,8 +336,8 @@ class Check:
 
     name: str
     group: str  # "criteria" | "contraction" | "proof" | "identity"
-    sample: Callable  # (rng, space, cfg, idx) -> parameters of the kernel
-    kernel: Callable  # (form, or space for identities, **parameters) -> violation
+    sample: Callable  # (rng, space, cfg, idx) -> one sample's parameters
+    kernel: Callable  # (form, or space for identities, **stacked parameters) -> violations
 
     @property
     def keys(self) -> tuple[str, ...]:
@@ -390,7 +394,21 @@ def _encode(value):
 def _decode(key: str, value):
     if key == "phi":
         return pl_from_witness(value)
-    return np.asarray(value) if key in ("f", "g") else value
+    return np.asarray(value, dtype=float) if key in ("f", "g") else value
+
+
+def _stack(values: list):
+    """One parameter of a batch of samples, as the kernels take it."""
+    if isinstance(values[0], PLFunction):
+        return pl_table(values)
+    if isinstance(values[0], np.ndarray):
+        return np.stack(values)
+    return np.array(values, dtype=float)[:, None]
+
+
+def _violations(check: Check, target, samples: list[dict]) -> np.ndarray:
+    """The check's kernel on a batch of samples: one violation per sample."""
+    return check.kernel(target, **{k: _stack([p[k] for p in samples]) for k in check.keys})
 
 
 def _witness(check: Check, target, params: dict) -> dict:
@@ -405,20 +423,33 @@ def _witness(check: Check, target, params: dict) -> dict:
 
 def _sweep(check: Check, target, cfg: SuiteConfig) -> CheckResult:
     """Run one check on a form (or a space, for identities) over
-    cfg.n_samples seeded samples."""
+    cfg.n_samples seeded samples, a chunk of them per kernel call.
+
+    The witness is the first non-finite sample, or else the first sample at
+    the maximum: what a loop over the samples keeping the first strict
+    maximum, and stopping at a non-finite one, would keep.
+    """
     space = target if check.group == "identity" else target.space
     rng = check_rng(cfg.seed, check.name)
+    rows = max(1, _CHUNK_VALUES // max(space.n, getattr(target, "n_terms", 0)))
     worst, worst_params, finite = -math.inf, None, True
-    for idx in range(cfg.n_samples):
-        params = check.sample(rng, space, cfg, idx)
-        violation = check.kernel(target, **params)
-        if finite and (violation > worst or not math.isfinite(violation)):
-            worst, worst_params = violation, params
-            finite = math.isfinite(violation)
+    for start in range(0, cfg.n_samples, rows):
+        samples = [
+            check.sample(rng, space, cfg, idx)
+            for idx in range(start, min(start + rows, cfg.n_samples))
+        ]
+        violations = _violations(check, target, samples)
+        if not finite:
+            continue
+        bad = np.flatnonzero(~np.isfinite(violations))
+        i = int(bad[0]) if bad.size else int(np.argmax(violations))
+        if bad.size or violations[i] > worst:
+            worst, worst_params = float(violations[i]), samples[i]
+            finite = not bad.size
     tol = getattr(cfg, f"{check.group}_tol")
     witness = _witness(check, target, worst_params)
     passed = finite and bool(worst <= tol)
-    return CheckResult(check.name, passed, float(worst), witness, cfg.n_samples, cfg.seed, tol)
+    return CheckResult(check.name, passed, worst, witness, cfg.n_samples, cfg.seed, tol)
 
 
 def _run(group: str, target, cfg: SuiteConfig) -> list[CheckResult]:
@@ -511,7 +542,7 @@ def counterexample_demo() -> CheckResult:
     witness = _witness(check, form, params)
     witness["energy_f"] = form.energy_of_values(params["f"])
     witness["energy_neg_f"] = form.energy_of_values(-params["f"])
-    violation = check.kernel(form, **params)
+    violation = _violations(check, form, [params])[0]
     return CheckResult(
         "counterexample_max_positive_part",
         False,
@@ -532,4 +563,5 @@ def replay(witness: dict) -> float:
         target = MeasureSpace(witness["weights"])
     else:
         target = make_form(witness["form"])
-    return check.kernel(target, **{k: _decode(k, witness[k]) for k in check.keys})
+    params = {k: _decode(k, witness[k]) for k in check.keys}
+    return float(_violations(check, target, [params])[0])
