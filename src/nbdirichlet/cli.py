@@ -2,7 +2,8 @@
 envelopes, run gradient flows, and emit deterministic JSON/CSV reports.
 
 Exit codes: 0 all checks passed, 1 at least one violation found (including
-the intentional counterexample), 2 malformed config or usage error.
+the intentional counterexample) or a flow step that did not converge, 2
+malformed config or usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ import sys
 import numpy as np
 
 from .contraction import decompose, envelope, make_phi
-from .errors import BadSpec, BadWeight, EmptySpace, InconsistentSamples, NotIncreasing
+from .errors import (
+    BadSpec,
+    BadWeight,
+    EmptySpace,
+    InconsistentSamples,
+    NoConvergence,
+    NotIncreasing,
+)
 from .flow import FlowConfig, evolve, trace_to_csv
 from .forms import make_form
 from .measure import make_field
@@ -215,7 +223,11 @@ def _cmd_flow(args) -> int:
             u0 = make_field(form.space, initial)
         except (TypeError, ValueError) as exc:  # wrong size, non-finite, not numbers
             raise ConfigError(f"initial datum: {exc}") from exc
-    trace = evolve(form, u0, cfg)
+    try:
+        trace = evolve(form, u0, cfg)
+    except NoConvergence as exc:
+        print(f"error: flow stopped: {exc}", file=sys.stderr)
+        return 1
     out = args.output or raw.get("output", "trace.csv")
     trace_to_csv(trace, out)
     print(

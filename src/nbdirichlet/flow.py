@@ -47,6 +47,8 @@ class FlowConfig:
             raise ValueError("need at least one step")
         if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
+        if self.max_inner_iters < 1:
+            raise ValueError("max_inner_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,11 @@ def _newton_prox(
         return m * (w - u) / tau + form.diffs_adjoint(c * piece.grad(form.diffs(w)))
 
     w = u.copy()
-    for _ in range(max(2, min(max_iters, 200))):
+    for _ in range(max_iters):
         grad = gradient(w)
         gnorm = float(np.max(np.abs(grad)))
+        if not np.isfinite(gnorm):
+            raise NoConvergence("Newton prox: the gradient is not finite")
         if gnorm <= 1e-13 * scale:
             return w
         hz = c * piece.hess(w[ii] - w[jj])
@@ -93,7 +97,12 @@ def _newton_prox(
         np.add.at(H, (ii, jj), -hz)
         np.add.at(H, (jj, ii), -hz)
         H[np.diag_indices(n)] += m / tau
-        step = np.linalg.solve(H, -grad)
+        try:
+            step = np.linalg.solve(H, -grad)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"Newton prox: {exc}") from exc
+        if not np.all(np.isfinite(step)):
+            raise NoConvergence("Newton prox: the step is not finite")
         if float(np.max(np.abs(step))) <= 1e-16 * (1.0 + float(np.max(np.abs(w)))):
             return w  # at floating-point resolution
         if gnorm <= 1e-6 * scale:
@@ -111,7 +120,7 @@ def _newton_prox(
         w = w + t * step
     if float(np.max(np.abs(gradient(w)))) <= 1e-10 * scale:
         return w
-    raise NoConvergence("Newton prox did not reach its gradient tolerance")
+    raise NoConvergence(f"Newton prox did not reach its gradient tolerance in {max_iters} iterations")
 
 
 def _admm_prox(

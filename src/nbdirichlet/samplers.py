@@ -59,6 +59,8 @@ class SuiteConfig:
     )
 
     def __post_init__(self):
+        if isinstance(self.n_samples, bool) or not isinstance(self.n_samples, (int, np.integer)):
+            raise ValueError(f"n_samples must be an integer, got {self.n_samples!r}")
         if self.n_samples < 1:
             raise ValueError("need at least one sample per check")
         for tol in (

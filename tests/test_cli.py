@@ -171,6 +171,11 @@ TWO_NODES = {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]}
                                {"name": "finsler_weighted", "weights": ["a", "b", "c", "d"]}}]}),
         ("flow", {"form": {"kind": "local_grid_1d", "nodes": "abc", "h": 0.1}}),
         ("flow", {"form": {**TWO_NODES, "edges": [[0, 1]]}}),
+        # a sample count must be an integer: not a float, not a bool
+        ("verify", {**GRAPH_CONFIG, "suite": {"n_samples": 2.5}}),
+        ("verify", {**GRAPH_CONFIG, "suite": {"n_samples": 1e9}}),
+        ("verify", {**GRAPH_CONFIG, "suite": {"n_samples": True}}),
+        ("flow", {"form": TWO_NODES, "flow": {"max_inner_iters": 0}}),
     ],
 )
 def test_typed_config_errors_exit_2(tmp_path, command, doc):
@@ -203,6 +208,17 @@ def test_flow_command_writes_trace(tmp_path, capsys):
     last = lines[-1].split(",")
     assert abs(float(last[4]) - 0.625) <= 1e-12
     assert abs(float(last[5]) - 0.375) <= 1e-12
+
+
+def test_flow_that_does_not_converge_exits_1(tmp_path, capsys):
+    # |v|^16 on a fine grid: the Newton Hessian is singular at the first step
+    grid = {"kind": "local_grid_1d", "nodes": 50, "h": 1.0 / 49,
+            "integrand": {"name": "abs_power", "p": 16}}
+    cfg = write_config(tmp_path, "flow.json", {"seed": 0, "form": grid, "flow": {"tau": 1e-3}})
+    out = tmp_path / "trace.csv"
+    assert run(["flow", cfg, "--output", str(out)]) == 1
+    assert "error: flow stopped: step 0: Newton prox" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flow_command_initial_size_mismatch(tmp_path):

@@ -160,6 +160,31 @@ def test_no_convergence_raises():
         prox_step(form, u, 0.5, max_inner_iters=2)
 
 
+def test_newton_honours_its_iteration_budget():
+    # a p = 4 grid step takes tens of Newton iterations; three are not enough
+    form = make_form(
+        {"kind": "local_grid_1d", "nodes": 40, "h": 0.025, "integrand": {"name": "abs_power", "p": 4}}
+    )
+    u = np.random.default_rng(3).uniform(-1, 1, 40)
+    with pytest.raises(NoConvergence, match="in 3 iterations"):
+        flow._newton_prox(form, u, 1e-3, 3)
+    assert np.all(np.isfinite(flow._newton_prox(form, u, 1e-3, 1000)))
+
+
+def test_newton_failures_are_typed():
+    # |v|^16 with h = 1/49: the Hessian of the first step is singular
+    form = make_form(
+        {"kind": "local_grid_1d", "nodes": 50, "h": 1.0 / 49, "integrand": {"name": "abs_power", "p": 16}}
+    )
+    u = np.random.default_rng(0).uniform(-1, 1, 50)
+    with pytest.raises(NoConvergence, match="Newton prox"):
+        flow._newton_prox(form, u, 1e-3, 200_000)
+    # a gradient that overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NoConvergence, match="not finite"):
+            flow._newton_prox(form, 1e30 * u, 1e-3, 200_000)
+
+
 def test_probe_certificates_within_tolerance():
     form = random_graph(6, seed=13)
     rng = np.random.default_rng(6)
