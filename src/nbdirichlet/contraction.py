@@ -45,7 +45,7 @@ class PLFunction:
     def __post_init__(self):
         bps = tuple(float(b) for b in self.breakpoints)
         slopes = tuple(float(s) for s in self.slopes)
-        if any(not np.isfinite(b) for b in bps):
+        if not np.all(np.isfinite(bps)):
             raise NotIncreasing("breakpoints must be finite")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise NotIncreasing("breakpoints must be strictly increasing")
@@ -307,17 +307,20 @@ def compose(outer: PLFunction, inner: PLFunction) -> PLFunction:
     out_bps = outer.breakpoints
     if out_bps:
         bounds = [-np.inf, *in_bps, np.inf]
-        for p in range(len(inner.slopes)):
-            s = inner.slopes[p]
+        # inner at its kinks; at 0 when it has none (one affine piece)
+        at = inner(np.asarray(in_bps or [0.0])).tolist()
+        for p, s in enumerate(inner.slopes):
             if s == 0.0:
                 continue
             lo_x, hi_x = bounds[p], bounds[p + 1]
-            ref = hi_x if np.isinf(lo_x) else lo_x
-            if np.isinf(ref):  # no breakpoints at all: single affine piece
-                ref = 0.0
-            v_ref = inner(ref)
-            v_lo = -np.inf * s if np.isinf(lo_x) else inner(lo_x)
-            v_hi = np.inf * s if np.isinf(hi_x) else inner(hi_x)
+            v_lo = -np.inf * s if np.isinf(lo_x) else at[p - 1]
+            v_hi = np.inf * s if np.isinf(hi_x) else at[p]
+            if not in_bps:
+                ref, v_ref = 0.0, at[0]
+            elif np.isinf(lo_x):
+                ref, v_ref = hi_x, v_hi
+            else:
+                ref, v_ref = lo_x, v_lo
             v_min, v_max = min(v_lo, v_hi), max(v_lo, v_hi)
             for b in out_bps:
                 if v_min < b < v_max:
@@ -334,9 +337,10 @@ def compose(outer: PLFunction, inner: PLFunction) -> PLFunction:
         )
     else:
         reps = [0.0]
-    slopes = tuple(
-        _snap_slope(outer.slope_at(inner(r)) * inner.slope_at(r)) for r in reps
-    )
+    # outer's slope at inner(r) times inner's slope at r, for every r at once
+    outer_s = outer._slope_arr[np.searchsorted(outer._bp_arr, inner(np.asarray(reps)), side="right")]
+    inner_s = inner._slope_arr[np.searchsorted(inner._bp_arr, reps, side="right")]
+    slopes = tuple(_snap_slope(s) for s in (outer_s * inner_s).tolist())
     return PLFunction(tuple(candidates), slopes, outer(inner(0.0)))
 
 
