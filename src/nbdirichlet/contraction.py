@@ -87,9 +87,10 @@ class PLFunction:
         out = pl_eval(self.table, arr.reshape(1, -1))
         return float(out[0, 0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
-    def slope_at(self, x: float) -> float:
-        """Slope on the interval containing x (right interval at a kink)."""
-        return self.slopes[int(np.searchsorted(self._bp_arr, x, side="right"))]
+    def slope_at(self, x):
+        """Slope on the interval containing x (right interval at a kink), at
+        a scalar or an array of points."""
+        return self._slope_arr[np.searchsorted(self._bp_arr, x, side="right")]
 
     def approx_equal(self, other: "PLFunction", tol: float = 1e-12) -> bool:
         if len(self.breakpoints) != len(other.breakpoints):
@@ -337,10 +338,9 @@ def compose(outer: PLFunction, inner: PLFunction) -> PLFunction:
         )
     else:
         reps = [0.0]
-    # outer's slope at inner(r) times inner's slope at r, for every r at once
-    outer_s = outer._slope_arr[np.searchsorted(outer._bp_arr, inner(np.asarray(reps)), side="right")]
-    inner_s = inner._slope_arr[np.searchsorted(inner._bp_arr, reps, side="right")]
-    slopes = tuple(_snap_slope(s) for s in (outer_s * inner_s).tolist())
+    reps = np.asarray(reps)
+    slopes = (outer.slope_at(inner(reps)) * inner.slope_at(reps)).tolist()
+    slopes = tuple(_snap_slope(s) for s in slopes)
     return PLFunction(tuple(candidates), slopes, outer(inner(0.0)))
 
 
