@@ -48,21 +48,9 @@ class ConstraintSet:
         return cls("band", alpha)
 
 
-def sup(f: Field, g: Field) -> Field:
-    """Pointwise maximum f v g."""
-    check_same_space(f, g)
-    return Field(f.space, np.maximum(f.values, g.values))
-
-
-def inf(f: Field, g: Field) -> Field:
-    """Pointwise minimum f ^ g."""
-    check_same_space(f, g)
-    return Field(f.space, np.minimum(f.values, g.values))
-
-
 # Array cores: each operator once, on the values of fields (n,) or on stacks
-# of them (N, n) with per-row radii and weights as (N, 1) columns. The Field
-# API below and the verifier's batched identity checks both call them.
+# of them (N, n) with per-row scalars (radius, t, s) as (N, 1) columns. The
+# Field API below and the verifier's batched identity checks both call them.
 
 
 def h_alpha_values(f, g, alpha):
