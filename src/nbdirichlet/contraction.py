@@ -79,7 +79,7 @@ class PLFunction:
     @cached_property
     def table(self) -> "PLTable":
         """This function as a one-row ``PLTable``."""
-        return PLTable.build(self._bp_arr[None], self._slope_arr[None], np.array([self.anchor]))
+        return pl_table([self])
 
     def __call__(self, x):
         """Evaluate at a scalar or an array of points."""
@@ -150,9 +150,7 @@ def _rel_at(t: PLTable, x: np.ndarray) -> np.ndarray:
     j = np.maximum(idx - 1, 0)
     rows = np.arange(n_rows)[:, None]
     empty = (t.nb == 0)[:, None]
-    if not empty.any():
-        return t.rel[rows, j] + t.slopes[rows, idx] * (x - t.bps[rows, j])
-    bj = np.where(empty, 0.0, t.bps[rows, j])
+    bj = np.where(empty, 0.0, t.bps[rows, j])  # not the +inf padding
     return np.where(empty, linear, t.rel[rows, j] + t.slopes[rows, idx] * (x - bj))
 
 
