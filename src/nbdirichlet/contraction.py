@@ -6,6 +6,11 @@ module builds the alternating-slope family F_k (slopes +1, -1, ... starting at
 +1, anchored to 0 at 0), composes piecewise-linear functions exactly, factors
 any F_k element into two-breakpoint pieces, and approximates arbitrary
 contractions through lower Lipschitz envelopes of sampled values.
+
+A ``PLTable`` holds many such functions, one per row, and ``pl_eval``
+evaluates every row at its own points with the arithmetic of one
+``PLFunction`` call; a ``PLFunction`` evaluates as a one-row table. The
+contraction families of the verifier's proof chain have closed-form tables.
 """
 
 from __future__ import annotations
