@@ -151,7 +151,17 @@ def _rel_at(t: PLTable, x: np.ndarray) -> np.ndarray:
     n_rows, k = t.bps.shape
     if k == 0:
         return linear
-    idx = np.count_nonzero(t.bps[:, None, :] <= x[:, :, None], axis=2)
+    # idx = the number of breakpoints <= x, by a binary search in each row
+    # that sets one bit of idx at a time; flat[before + c] is the row's c-th
+    # breakpoint, and a candidate past the row's end tests its last one
+    flat = t.bps.ravel()
+    before = np.arange(0, n_rows * k, k)[:, None] - 1
+    idx = np.zeros(x.shape, dtype=np.intp)
+    bit = 1 << (k.bit_length() - 1)
+    while bit:
+        cand = np.minimum(idx + bit, k)
+        idx = np.where(flat[before + cand] <= x, cand, idx)
+        bit >>= 1
     j = np.maximum(idx - 1, 0)
     rows = np.arange(n_rows)[:, None]
     empty = (t.nb == 0)[:, None]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,3 +281,25 @@ def test_envelope_near_coincident_grid_points():
     for y, v in zip(ys, vals):
         assert np.all(ex <= v + np.abs(xs - y) + 1e-9)
         assert e(float(y)) == pytest.approx(v, abs=1e-9)
+
+
+def test_many_kinks_evaluate_in_little_memory():
+    # each point's interval comes from a binary search over the kinks, so
+    # memory does not grow with points x kinks (that comparison takes 25 MB)
+    rng = np.random.default_rng(0)
+    kinks = np.cumsum(rng.uniform(0.01, 1.0, 5000)) - 2000.0
+    phi = make_phi(kinks)
+    xs = rng.uniform(kinks[0] - 1.0, kinks[-1] + 1.0, 5000)
+    xs[:100] = kinks[::50]  # at a kink: the interval on its right
+    t = phi.table
+    tracemalloc.start()
+    try:
+        got = phi(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    idx = np.searchsorted(kinks, xs, side="right")
+    j = np.maximum(idx - 1, 0)
+    expect = t.anchor[0] + ((t.rel[0, j] + t.slopes[0, idx] * (xs - t.bps[0, j])) - t.rel0[0])
+    assert np.array_equal(got, expect)
