@@ -58,7 +58,7 @@ from .lattice_ops import (
     project_order_values,
     twist_residuals,
 )
-from .measure import MeasureSpace
+from .measure import MeasureSpace, make_field
 from .samplers import (
     SuiteConfig,
     check_rng,
@@ -391,10 +391,14 @@ def _encode(value):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-def _decode(key: str, value):
+def _decode(key: str, value, space: MeasureSpace):
+    """A witness parameter as one sample of the kernels: fields are checked
+    against the target's space, scalars must be numbers."""
     if key == "phi":
         return pl_from_witness(value)
-    return np.asarray(value, dtype=float) if key in ("f", "g") else value
+    if key in ("f", "g"):
+        return make_field(space, value).values
+    return float(value)
 
 
 def _stack(values: list):
@@ -560,8 +564,9 @@ def replay(witness: dict) -> float:
     if check is None:
         raise ValueError(f"unknown check {witness['check']!r} in witness")
     if check.group == "identity":
-        target = MeasureSpace(witness["weights"])
+        target = space = MeasureSpace(witness["weights"])
     else:
         target = make_form(witness["form"])
-    params = {k: _decode(k, witness[k]) for k in check.keys}
+        space = target.space
+    params = {k: _decode(k, witness[k], space) for k in check.keys}
     return float(_violations(check, target, [params])[0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nbdirichlet.contraction import classify, decompose, make_phi
-from nbdirichlet.errors import PreconditionFailed
+from nbdirichlet.errors import PreconditionFailed, SpaceMismatch
 from nbdirichlet.forms import eval_form, make_form
 from nbdirichlet.measure import make_field
 from nbdirichlet.samplers import SuiteConfig, check_rng, sample_contraction
@@ -142,6 +142,22 @@ def test_replay_reproduces_every_check_bit_for_bit():
     results += check_identities(CFG)
     for r in results:
         assert replay(r.witness) == r.worst_violation, r.name
+
+
+def test_replay_checks_witness_fields_against_the_space():
+    identity = check_identities(CFG)[0].witness
+    form_check = check_normal_contraction(graph_form(), CFG).witness
+    for w in (identity, form_check):
+        with pytest.raises(SpaceMismatch):
+            replay(dict(w, f=w["f"][:1]))
+        with pytest.raises(SpaceMismatch):
+            replay(dict(w, f=w["f"] + [0.0]))
+        with pytest.raises(ValueError):
+            replay(dict(w, f=[float("nan")] + w["f"][1:]))
+    with pytest.raises(SpaceMismatch):
+        replay(dict(identity, g=identity["g"][:-1]))
+    with pytest.raises(TypeError):
+        replay(dict(identity, alpha=[identity["alpha"]] * 2))
 
 
 def test_checks_are_deterministic_and_order_independent():
