@@ -70,6 +70,12 @@ def _objective(form: FormInstance, w: np.ndarray, u: np.ndarray, tau: float) -> 
     return form.energy_of_values(w) + quad
 
 
+# Newton iterations without a new smallest gradient after which the solve
+# counts as stalled: gradients in the max norm can rise for tens of
+# iterations on the way to convergence (75 seen for |v|^6 grids)
+_NEWTON_STALL = 200
+
+
 def _newton_prox(
     form: FormInstance, u: np.ndarray, tau: float, max_iters: int
 ) -> np.ndarray:
@@ -82,7 +88,13 @@ def _newton_prox(
     def gradient(w: np.ndarray) -> np.ndarray:
         return m * (w - u) / tau + form.diffs_adjoint(c * piece.grad(form.diffs(w)))
 
+    def finish(w: np.ndarray, why: str) -> np.ndarray:
+        if float(np.max(np.abs(gradient(w)))) <= 1e-10 * scale:
+            return w
+        raise NoConvergence(f"Newton prox did not reach its gradient tolerance {why}")
+
     w = u.copy()
+    best, since_best = np.inf, 0
     for _ in range(max_iters):
         grad = gradient(w)
         gnorm = float(np.max(np.abs(grad)))
@@ -90,6 +102,12 @@ def _newton_prox(
             raise NoConvergence("Newton prox: the gradient is not finite")
         if gnorm <= 1e-13 * scale:
             return w
+        if gnorm < best:
+            best, since_best = gnorm, 0
+        else:
+            since_best += 1
+            if since_best == _NEWTON_STALL:
+                return finish(w, f"and made no progress in {_NEWTON_STALL} iterations")
         hz = c * piece.hess(w[ii] - w[jj])
         H = np.zeros((n, n))
         np.add.at(H, (ii, ii), hz)
@@ -118,9 +136,7 @@ def _newton_prox(
                 break
             t *= 0.5
         w = w + t * step
-    if float(np.max(np.abs(gradient(w)))) <= 1e-10 * scale:
-        return w
-    raise NoConvergence(f"Newton prox did not reach its gradient tolerance in {max_iters} iterations")
+    return finish(w, f"in {max_iters} iterations")
 
 
 def _admm_prox(
@@ -271,9 +287,10 @@ def prox_step(
 
     The result v is certified against a probe set: for u itself and n_probes
     seeded random fields w the objective satisfies obj(v) <= obj(w) + inner_tol.
-    Raises NoConvergence if the inner solver exhausts its budget or the
-    certificate fails. max_inner_iters bounds the Newton and ADMM iterations;
-    the chain solver is direct and takes no budget.
+    Raises NoConvergence if the inner solver exhausts its budget, if Newton
+    stalls above its gradient tolerance, or if the certificate fails.
+    max_inner_iters bounds the Newton and ADMM iterations; the chain solver
+    is direct and takes no budget.
     """
     return _certified_step(form, u, tau, inner_tol, max_inner_iters, probe_seed, n_probes)[0]
 

@@ -185,6 +185,40 @@ def test_newton_failures_are_typed():
             flow._newton_prox(form, 1e30 * u, 1e-3, 200_000)
 
 
+@pytest.mark.parametrize(
+    "p, h",
+    [
+        (2, 1e-8),  # the gradient's rounding noise stays above the tolerance
+        (4, 1e-10),  # the line search leaves the iterate where it is
+    ],
+)
+def test_newton_stall_ends_before_the_budget(monkeypatch, p, h):
+    form = make_form(
+        {"kind": "local_grid_1d", "nodes": 20, "h": h, "integrand": {"name": "abs_power", "p": p}}
+    )
+    u = np.random.default_rng(0).uniform(-1, 1, 20)
+    solve, solves = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda H, b: solves.append(1) or solve(H, b))
+    with pytest.raises(NoConvergence, match="no progress in 200 iterations"):
+        flow._newton_prox(form, u, 1.0, 200_000)
+    assert len(solves) < 1000
+
+
+def test_newton_gradient_rises_on_the_way():
+    # the max-norm gradient rises after a pure Newton step (8.5e-8 to 9.7e-6
+    # of its scale, |v|^4) and for tens of iterations (|v|^6); neither is a stall
+    for p, n, h, tau in ((4, 20, 1e-6, 1.0), (6, 60, 1e-8, 10.0)):
+        form = make_form(
+            {"kind": "local_grid_1d", "nodes": n, "h": h, "integrand": {"name": "abs_power", "p": p}}
+        )
+        u = np.random.default_rng(0).uniform(-1, 1, n)
+        w = flow._newton_prox(form, u, tau, 200_000)
+        grad = form.space.weights * (w - u) / tau + form.diffs_adjoint(
+            form.coeffs * form.piece.grad(form.diffs(w))
+        )
+        assert np.max(np.abs(grad)) <= 1e-10 * (1.0 + np.max(np.abs(form.space.weights * u)) / tau)
+
+
 def test_probe_certificates_within_tolerance():
     form = random_graph(6, seed=13)
     rng = np.random.default_rng(6)
