@@ -210,7 +210,6 @@ def _cmd_flow(args) -> int:
             n_steps=int(fl.get("n_steps", 100)),
             inner_tol=float(fl.get("inner_tol", 1e-9)),
             max_inner_iters=int(fl.get("max_inner_iters", 200_000)),
-            probe_seed=seed,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

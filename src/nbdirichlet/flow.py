@@ -14,11 +14,25 @@ L2 metric, by one of three solvers chosen from the form's structure:
   a sparse matrix factored once by ``scipy.sparse.linalg.splu`` and
   refactored only when residual balancing changes rho.
 
-Every step is checked against a probe-set suboptimality contract.
+Every step carries a certificate: an upper bound on F(v) - min F, where
+F(w) = E(w) + ||w - u||^2_m / (2 tau) is the step's objective. F is
+1/tau-strongly convex in the m-metric, so for a differentiable piece
+(|z|^p, p > 1) the gradient g = grad F(v) gives F(v) - min F <=
+(tau/2) sum_k g_k^2 / m_k. A piecewise-linear piece is c_e * scale times the
+support function of an interval, so E(w) = max over lambda in the boxes
+c_e * scale * [lo, hi] of lambda^T D w, and every such lambda gives the dual
+lower bound D(lambda) = lambda^T D u - (tau/2) sum_k (D^T lambda)_k^2 / m_k
+on min F; the certificate is the duality gap F(v) - D(lambda). On a chain
+the multipliers are prefix sums of m (v - u) / tau, exact at the minimizer;
+elsewhere they are ADMM's. On an edge whose difference is not zero both are
+the face of the box that its sign picks. A step passes when its certificate is at most
+inner_tol * (1 + |F(v)| + |F(v) - certificate|), relative to the objective
+and to the lower bound it is computed from.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -37,8 +51,6 @@ class FlowConfig:
     n_steps: int
     inner_tol: float = 1e-9
     max_inner_iters: int = 200_000
-    probe_seed: int = 0
-    n_probes: int = 32
 
     def __post_init__(self):
         if not self.tau > 0.0:
@@ -53,7 +65,9 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """States, energies and per-step suboptimality certificates of one run."""
+    """States, energies and per-step certificates of one run: residuals[k]
+    bounds the suboptimality of step k, the gradient bound or the duality
+    gap of prox_certificate."""
 
     states: list[Field]
     energies: list[float]
@@ -68,6 +82,13 @@ class FlowTrace:
 def _objective(form: FormInstance, w: np.ndarray, u: np.ndarray, tau: float) -> float:
     quad = float(np.sum(form.space.weights * (w - u) ** 2)) / (2.0 * tau)
     return form.energy_of_values(w) + quad
+
+
+def _gradient(form: FormInstance, w: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
+    """The gradient of the objective at w, for a differentiable piece."""
+    return form.space.weights * (w - u) / tau + form.diffs_adjoint(
+        form.coeffs * form.piece.grad(form.diffs(w))
+    )
 
 
 # Newton iterations without a new smallest gradient after which the solve
@@ -85,18 +106,15 @@ def _newton_prox(
     piece = form.piece
     scale = 1.0 + float(np.max(np.abs(m * u))) / tau
 
-    def gradient(w: np.ndarray) -> np.ndarray:
-        return m * (w - u) / tau + form.diffs_adjoint(c * piece.grad(form.diffs(w)))
-
     def finish(w: np.ndarray, why: str) -> np.ndarray:
-        if float(np.max(np.abs(gradient(w)))) <= 1e-10 * scale:
+        if float(np.max(np.abs(_gradient(form, w, u, tau)))) <= 1e-10 * scale:
             return w
         raise NoConvergence(f"Newton prox did not reach its gradient tolerance {why}")
 
     w = u.copy()
     best, since_best = np.inf, 0
     for _ in range(max_iters):
-        grad = gradient(w)
+        grad = _gradient(form, w, u, tau)
         gnorm = float(np.max(np.abs(grad)))
         if not np.isfinite(gnorm):
             raise NoConvergence("Newton prox: the gradient is not finite")
@@ -141,7 +159,9 @@ def _newton_prox(
 
 def _admm_prox(
     form: FormInstance, u: np.ndarray, tau: float, max_iters: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """ADMM on z = Dw; returns w and the edge multipliers rho * lam, which lie
+    in the subdifferential of the piece at z (see _face_multipliers)."""
     m = form.space.weights
     n = m.size
     ii, jj, c = form.i_idx, form.j_idx, form.coeffs
@@ -177,7 +197,7 @@ def _admm_prox(
         lam = y - z
         r = float(np.max(np.abs(dw - z)))
         if r <= eps and s <= eps:
-            return w
+            return w, _face_multipliers(form, z, rho * lam)
         if it % 64 == 0:  # residual balancing keeps rho in a useful range
             if r > 10.0 * s and rho < 1e8:
                 rho *= 2.0
@@ -188,6 +208,19 @@ def _admm_prox(
                 lam *= 2.0
                 lu = factor(rho)
     raise NoConvergence(f"ADMM prox did not converge in {max_iters} iterations")
+
+
+def _face_multipliers(form: FormInstance, z: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Edge multipliers of a piecewise-linear piece: the face c_e scale hi of
+    the box where z_e > 0, c_e scale lo where z_e < 0, and lam_e where
+    z_e = 0. The subdifferential at z_e != 0 is that face alone, and taking
+    it from the box avoids the cancellation in lam_e, a difference of
+    numbers as large as the data; a differentiable piece keeps lam."""
+    box = form.piece.box
+    if box is None:
+        return lam
+    w = form.coeffs * form.piece.scale
+    return np.where(z > 0.0, w * box[1], np.where(z < 0.0, w * box[0], lam))
 
 
 def _is_chain(form: FormInstance) -> bool:
@@ -280,19 +313,17 @@ def prox_step(
     tau: float,
     inner_tol: float = 1e-9,
     max_inner_iters: int = 200_000,
-    probe_seed: int = 0,
-    n_probes: int = 32,
 ) -> Field:
-    """One implicit-Euler step: near-minimizer of E(w) + ||w-u||^2_m/(2 tau).
+    """One implicit-Euler step: near-minimizer v of F(w) = E(w) + ||w-u||^2_m/(2 tau).
 
-    The result v is certified against a probe set: for u itself and n_probes
-    seeded random fields w the objective satisfies obj(v) <= obj(w) + inner_tol.
-    Raises NoConvergence if the inner solver exhausts its budget, if Newton
-    stalls above its gradient tolerance, or if the certificate fails.
-    max_inner_iters bounds the Newton and ADMM iterations; the chain solver
-    is direct and takes no budget.
+    The step is certified by prox_certificate, an upper bound on
+    F(v) - min F, which must be at most inner_tol * (1 + |F(v)| +
+    |F(v) - certificate|). Raises NoConvergence if the inner solver exhausts
+    its budget, if Newton stalls above its gradient tolerance, or if the
+    certificate fails. max_inner_iters bounds the Newton and ADMM
+    iterations; the chain solver is direct and takes no budget.
     """
-    return _certified_step(form, u, tau, inner_tol, max_inner_iters, probe_seed, n_probes)[0]
+    return _certified_step(form, u, tau, inner_tol, max_inner_iters)[0]
 
 
 def _certified_step(
@@ -301,28 +332,30 @@ def _certified_step(
     tau: float,
     inner_tol: float,
     max_inner_iters: int,
-    probe_seed: int,
-    n_probes: int,
 ) -> tuple[Field, float]:
     """The step of prox_step and its certificate, computed once."""
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     if u.space is not form.space and u.space != form.space:
         raise SpaceMismatch("field does not live on the form's space")
+    duals = None  # a chain's are read off v; differentiable pieces need none
     if form.n_terms == 0:
-        v = u
+        v, duals = u, np.zeros(0)  # no pairs, so an empty gap on any pair graph
     elif form.smooth:
         v = make_field(form.space, _newton_prox(form, u.values, tau, max_inner_iters))
     elif _is_chain(form):
         v = make_field(form.space, _chain_prox(form, u.values, tau))
     else:
-        v = make_field(form.space, _admm_prox(form, u.values, tau, max_inner_iters))
-    worst = prox_certificate(form, v, u, tau, probe_seed, n_probes)
-    if worst > inner_tol:
+        w, duals = _admm_prox(form, u.values, tau, max_inner_iters)
+        v = make_field(form.space, w)
+    certificate = prox_certificate(form, v, u, tau, duals)
+    obj = _objective(form, v.values, u.values, tau)
+    tol = inner_tol * (1.0 + abs(obj) + abs(obj - certificate))
+    if not certificate <= tol:
         raise NoConvergence(
-            f"prox probe contract violated: certificate {worst:.3e} > {inner_tol:.3e}"
+            f"prox certificate {certificate:.3e} exceeds its tolerance {tol:.3e}"
         )
-    return v, worst
+    return v, certificate
 
 
 def prox_certificate(
@@ -330,18 +363,33 @@ def prox_certificate(
     v: Field,
     u: Field,
     tau: float,
-    probe_seed: int = 0,
-    n_probes: int = 32,
+    duals: np.ndarray | None = None,
 ) -> float:
-    """max over probes w of obj(v) - obj(w); <= 0 means v beats every probe."""
-    obj_v = _objective(form, v.values, u.values, tau)
-    worst = obj_v - _objective(form, u.values, u.values, tau)
-    rng = np.random.default_rng([probe_seed, 0x70B5])
-    amp = 1.0 + float(np.max(np.abs(u.values)))
-    for _ in range(n_probes):
-        probe = rng.uniform(-amp, amp, form.space.n)
-        worst = max(worst, obj_v - _objective(form, probe, u.values, tau))
-    return worst
+    """An upper bound on F(v) - min F for the step from u (see the module
+    docstring): the gradient bound for a differentiable piece, the duality
+    gap for a piecewise-linear one. ``duals`` are the gap's edge multipliers;
+    they are projected onto their boxes first, so any values give a valid
+    bound. On a chain they default to the prefix sums of m (v - u) / tau,
+    or the box face where Dv is not zero; other pair graphs need them, and a
+    differentiable piece ignores them."""
+    m = form.space.weights
+    box = form.piece.box
+    if box is None:
+        g = _gradient(form, v.values, u.values, tau)
+        return 0.5 * tau * float(np.sum(g * g / m))
+    if duals is None:
+        if not _is_chain(form):
+            raise ValueError("the duality gap off a chain needs the edge multipliers")
+        duals = _face_multipliers(
+            form, form.diffs(v.values), np.cumsum(m * (v.values - u.values) / tau)[:-1]
+        )
+    w = form.coeffs * form.piece.scale
+    lam = np.clip(duals, w * box[0], w * box[1])
+    t = form.diffs_adjoint(lam)
+    dual = math.fsum((lam * form.diffs(u.values)).tolist()) - 0.5 * tau * math.fsum(
+        (t * t / m).tolist()
+    )
+    return _objective(form, v.values, u.values, tau) - dual
 
 
 def evolve(form: FormInstance, u0: Field, cfg: FlowConfig) -> FlowTrace:
@@ -358,15 +406,7 @@ def evolve(form: FormInstance, u0: Field, cfg: FlowConfig) -> FlowTrace:
     u = u0
     for k in range(cfg.n_steps):
         try:
-            v, residual = _certified_step(
-                form,
-                u,
-                cfg.tau,
-                cfg.inner_tol,
-                cfg.max_inner_iters,
-                cfg.probe_seed + k,
-                cfg.n_probes,
-            )
+            v, residual = _certified_step(form, u, cfg.tau, cfg.inner_tol, cfg.max_inner_iters)
         except NoConvergence as exc:
             raise NoConvergence(f"step {k}: {exc}") from exc
         residuals.append(residual)

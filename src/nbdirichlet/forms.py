@@ -55,7 +55,8 @@ class ScalarPiece:
         return self.scale * np.maximum(z, 0.0)
 
     def grad(self, z: np.ndarray) -> np.ndarray:
-        assert self.smooth
+        """g'(z) for |z|^p with p > 1, differentiable though C^2 only from p = 2."""
+        assert self.kind == "power" and self.p > 1.0
         return self.scale * self.p * np.sign(z) * np.abs(z) ** (self.p - 1.0)
 
     def hess(self, z: np.ndarray) -> np.ndarray:

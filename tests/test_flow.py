@@ -219,12 +219,111 @@ def test_newton_gradient_rises_on_the_way():
         assert np.max(np.abs(grad)) <= 1e-10 * (1.0 + np.max(np.abs(form.space.weights * u)) / tau)
 
 
-def test_probe_certificates_within_tolerance():
-    form = random_graph(6, seed=13)
+def test_certificates_within_tolerance():
+    # every solver's steps are exact to rounding: each residual, an upper
+    # bound on F(v) - min F, is within rounding of 0, and it is never
+    # negative beyond rounding
     rng = np.random.default_rng(6)
-    u = make_field(form.space, rng.uniform(-2, 2, 6))
-    trace = evolve(form, u, FlowConfig(tau=0.1, n_steps=3, inner_tol=1e-9))
-    assert all(r <= 1e-9 for r in trace.residuals)
+    K = rng.uniform(0, 1, (6, 6))
+    np.fill_diagonal(K, 0)
+    forms = [
+        random_graph(6, seed=13),
+        make_form({"kind": "local_grid_1d", "nodes": 9, "h": 0.125, "integrand": {"name": "abs_power", "p": 1}}),
+        make_form({"kind": "local_grid_1d", "nodes": 9, "h": 0.125, "integrand": {"name": "abs_power", "p": 1.5}}),
+        make_form({"kind": "nonlocal_psi", "kernel": K.tolist(), "psi": {"name": "power", "p": 1}}),
+    ]
+    for form in forms:
+        u = make_field(form.space, rng.uniform(-2, 2, form.space.n))
+        trace = evolve(form, u, FlowConfig(tau=0.1, n_steps=3, inner_tol=1e-9))
+        for k, r in enumerate(trace.residuals):
+            obj = flow._objective(form, trace.states[k + 1].values, trace.states[k].values, 0.1)
+            assert abs(r) <= 1e-12 * (1.0 + abs(obj))
+
+
+def test_certificate_tolerance_is_relative(monkeypatch):
+    # the duality gap subtracts two numbers as large as the objective, so on
+    # large data its rounding alone can exceed an absolute 1e-9; a step's
+    # certificate is held to inner_tol * (1 + |F(v)| + |F(v) - certificate|)
+    form = make_form({"kind": "local_grid_1d", "nodes": 20, "h": 1 / 19, "integrand": {"name": "abs_power", "p": 1}})
+    u = make_field(form.space, 1e9 * np.random.default_rng(7).uniform(-1, 1, 20))
+    v = prox_step(form, u, 1e-3)
+    obj = flow._objective(form, v.values, u.values, 1e-3)
+    assert obj > 1e9
+    monkeypatch.setattr(flow, "prox_certificate", lambda *args: 1e-9 * obj)
+    assert np.array_equal(prox_step(form, u, 1e-3).values, v.values)
+    monkeypatch.setattr(flow, "prox_certificate", lambda *args: 3e-9 * (1.0 + obj))
+    with pytest.raises(NoConvergence, match="exceeds its tolerance"):
+        prox_step(form, u, 1e-3)
+
+
+def _kernel_form(psi, n, seed):
+    K = np.random.default_rng(seed).uniform(0, 1, (n, n))
+    np.fill_diagonal(K, 0)
+    return make_form({"kind": "nonlocal_psi", "kernel": K.tolist(), "psi": psi})
+
+
+def _grid_form(integrand, n):
+    return make_form({"kind": "local_grid_1d", "nodes": n, "h": 1 / (n - 1), "integrand": integrand})
+
+
+# label -> (form, the solver _certified_step picks for it)
+CERTIFIED_PATHS = {
+    "newton grid p=2": (lambda: _grid_form({"name": "abs_power", "p": 2}, 30), "newton"),
+    "newton grid p=4": (lambda: _grid_form({"name": "abs_power", "p": 4}, 30), "newton"),
+    "newton graph quadratic": (lambda: random_graph(12, seed=30), "newton"),
+    "newton nonlocal p=4": (lambda: _kernel_form({"name": "power", "p": 4}, 10, 31), "newton"),
+    "chain |v|": (lambda: _grid_form({"name": "abs_power", "p": 1}, 30), "chain"),
+    "chain a(x)|v|": (
+        lambda: _grid_form({"name": "finsler_weighted", "weights": np.linspace(0.2, 3.0, 29).tolist()}, 30),
+        "chain",
+    ),
+    "chain max(v, 0)": (lambda: _grid_form({"name": "max_positive_part"}, 30), "chain"),
+    "admm nonlocal |z|": (lambda: _kernel_form({"name": "power", "p": 1}, 10, 32), "admm"),
+    "admm nonlocal max(z, 0)": (lambda: _kernel_form({"name": "positive_part"}, 10, 33), "admm"),
+    "admm grid p=1.5": (lambda: _grid_form({"name": "abs_power", "p": 1.5}, 30), "admm"),
+}
+
+
+@pytest.mark.parametrize("label", list(CERTIFIED_PATHS))
+def test_certificate_bounds_the_suboptimality(label):
+    # prox_certificate(w) >= F(w) - min F for the solver's step, for points
+    # around it and for the datum itself, which is not stationary: a
+    # certificate that compares w with a few other points reads about 0 there
+    make, path = CERTIFIED_PATHS[label]
+    form = make()
+    assert path == ("newton" if form.smooth else "chain" if flow._is_chain(form) else "admm")
+    tau = 1e-2
+    rng = np.random.default_rng(40)
+    u = rng.uniform(-1, 1, form.space.n)
+    duals = ()
+    if path == "newton":
+        v = flow._newton_prox(form, u, tau, 200_000)
+    elif path == "chain":
+        v = flow._chain_prox(form, u, tau)
+    else:
+        v, lam = flow._admm_prox(form, u, tau, 200_000)
+        duals = (lam,)
+        if form.piece.box is not None:  # off a chain the gap needs them
+            with pytest.raises(ValueError, match="edge multipliers"):
+                flow.prox_certificate(form, make_field(form.space, v), make_field(form.space, u), tau)
+    if form.kind == "graph_quadratic":
+        v_star = exact_graph_resolvent(form, make_field(form.space, u), tau).values
+    else:
+        v_star = v  # F(v) >= min F, so F(w) - F(v) <= F(w) - min F
+    f_star = flow._objective(form, v_star, u, tau)
+
+    def certificate(w):
+        return flow.prox_certificate(form, make_field(form.space, w), make_field(form.space, u), tau, *duals)
+
+    gap_u = flow._objective(form, u, u, tau) - f_star
+    assert gap_u > 1e-3 and certificate(u) >= gap_u
+    f_v = flow._objective(form, v, u, tau)
+    assert certificate(v) <= 1e-12 * (1.0 + abs(f_v))
+    for size in (1e-8, 1e-4, 1e-2, 1.0):
+        for _ in range(3):
+            w = v + size * rng.uniform(-1, 1, form.space.n)
+            f_w = flow._objective(form, w, u, tau)
+            assert f_w - f_star <= certificate(w) + 1e-12 * (1.0 + abs(f_w) + abs(f_star))
 
 
 def test_trace_csv_schema(tmp_path):
@@ -363,7 +462,7 @@ def test_chain_prox_agrees_with_admm(integrand, n):
         m = form.space.weights
         u = rng.uniform(-1.0, 1.0, n)
         x = flow._chain_prox(form, u, tau)
-        y = flow._admm_prox(form, u, tau, 200_000)
+        y, _ = flow._admm_prox(form, u, tau, 200_000)
         obj_x, obj_y = flow._objective(form, x, u, tau), flow._objective(form, y, u, tau)
         slack = 1e-12 * (1.0 + abs(obj_y))
         assert obj_x <= obj_y + slack

@@ -230,3 +230,16 @@ def test_power_prox_matches_scalar_root_finder(p):
     assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(y)))
     assert np.array_equal(piece.prox(-y, coeff, rho), -got)
     assert np.all(got[:50] == 0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_power_grad_matches_finite_differences(p):
+    # |z|^p is differentiable for every p > 1, though C^2 only from p = 2;
+    # the flow's gradient certificate needs the derivative at p = 1.5
+    piece = ScalarPiece("power", p, 0.7)
+    z = np.random.default_rng(8).uniform(-2.0, 2.0, 200)
+    z = z[np.abs(z) > 0.1]
+    h = 1e-6
+    fd = (piece.value(z + h) - piece.value(z - h)) / (2.0 * h)
+    assert np.all(np.abs(piece.grad(z) - fd) <= 1e-7 * np.abs(fd))
+    assert np.array_equal(piece.grad(np.zeros(3)), np.zeros(3))
