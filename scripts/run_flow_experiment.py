@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Evolve a few instances under the proximal gradient flow and study the
+"""Evolve three forms of the shipped catalog (the graph quadratic, nonlocal
+z^4 and the |v| grid) under the proximal gradient flow and study the
 order-preservation / sup-norm-contraction margins along the trajectories."""
 
 import argparse
@@ -8,33 +9,29 @@ import sys
 
 import numpy as np
 
+from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.flow import FlowConfig, evolve, trace_to_csv
 from nbdirichlet.forms import make_form
 from nbdirichlet.measure import linf_norm, make_field
+from nbdirichlet.samplers import check_rng
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--tau", type=float, default=0.01)
-    ap.add_argument("--steps", type=int, default=100)
+    ap.add_argument("--tau", type=float, default=FlowConfig.tau)
+    ap.add_argument("--steps", type=int, default=FlowConfig.n_steps)
     ap.add_argument("--outdir", default="flow_traces")
     args = ap.parse_args()
 
-    rng = np.random.default_rng(args.seed)
-    K = rng.uniform(0.0, 1.0, (10, 10))
-    np.fill_diagonal(K, 0.0)
-    edges = [
-        [i, j, float(rng.uniform(0.2, 2.0))]
-        for i in range(20)
-        for j in range(i + 1, 20)
-        if rng.random() < 0.2
-    ]
+    shipped = instance_catalog(args.seed)
     catalog = {
-        "graph_quadratic": {"kind": "graph_quadratic", "nodes": 20, "edges": edges},
-        "nonlocal_z4": {"kind": "nonlocal_psi", "kernel": K.tolist(), "psi": {"name": "power", "p": 4}},
-        "grid_tv": {"kind": "local_grid_1d", "nodes": 11, "h": 0.1, "integrand": {"name": "abs_power", "p": 1}},
+        "graph_quadratic": shipped["graph_quadratic_20"],
+        "nonlocal_z4": shipped["nonlocal_z4"],
+        "grid_tv": shipped["grid_abs_p1"],
     }
+    # the initial data come from a stream of their own, not the catalog's
+    rng = check_rng(args.seed, "flow_experiment")
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ from nbdirichlet.verifier import check_identities, verify_form
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--n-samples", type=int, default=500)
+    ap.add_argument("--n-samples", type=int, default=SuiteConfig.n_samples)
     ap.add_argument("--outdir", default="sweep_reports")
     args = ap.parse_args()
 

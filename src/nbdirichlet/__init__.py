@@ -61,13 +61,10 @@ from .measure import (
     make_space,
 )
 from .samplers import (
-    ContractionSamplerSpec,
-    FieldSamplerSpec,
     SuiteConfig,
     check_rng,
     sample_alpha,
     sample_contraction,
-    sample_field,
 )
 from .verifier import (
     CheckResult,

@@ -28,7 +28,7 @@ from .errors import (
 from .flow import FlowConfig, evolve, trace_to_csv
 from .forms import make_form
 from .measure import make_field
-from .samplers import ContractionSamplerSpec, FieldSamplerSpec, SuiteConfig
+from .samplers import SuiteConfig
 from .verifier import CheckResult, check_identities, counterexample_demo, verify_form
 
 REPORT_VERSION = 1
@@ -77,31 +77,22 @@ def _config_seed(raw: dict) -> int:
     return seed
 
 
-def _suite_from_config(raw: dict, seed: int) -> SuiteConfig:
-    suite = dict(raw.get("suite", {}))
-    fields = FieldSamplerSpec(
-        amplitude=float(suite.pop("amplitude", 3.0)),
-        p_ramp=float(suite.pop("p_ramp", 0.25)),
-        p_step=float(suite.pop("p_step", 0.25)),
-    )
-    contractions = ContractionSamplerSpec(
-        max_breakpoints=int(suite.pop("max_breakpoints", 8)),
-        max_depth=int(suite.pop("max_depth", 3)),
-    )
-    known = {
-        "n_samples",
-        "criteria_tol",
-        "contraction_tol",
-        "proof_tol",
-        "identity_tol",
-    }
-    unknown = set(suite) - known
+def _section(raw: dict, key: str, schema, **fixed):
+    """The config section ``key`` as an instance of the dataclass ``schema``.
+
+    The section is a JSON object whose keys are the dataclass's fields, less
+    the ``fixed`` ones the caller sets; a missing section gives the defaults.
+    """
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{key}' must be a JSON object")
+    unknown = set(section) - {f.name for f in dataclasses.fields(schema)} - set(fixed)
     if unknown:
-        raise ConfigError(f"unknown suite options: {sorted(unknown)}")
+        raise ConfigError(f"unknown {key} options: {sorted(unknown)}")
     try:
-        return SuiteConfig(seed=seed, fields=fields, contractions=contractions, **suite)
+        return schema(**section, **fixed)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad suite options: {exc}") from exc
+        raise ConfigError(f"bad {key} options: {exc}") from exc
 
 
 def _load_config(path: str) -> dict:
@@ -139,10 +130,10 @@ def _report_exit(results: list[CheckResult], path: str) -> int:
 def _cmd_verify(args) -> int:
     raw = _load_config(args.config)
     forms = raw.get("forms")
-    if not forms:
+    if not isinstance(forms, list) or not forms:
         raise ConfigError("config needs a nonempty 'forms' list")
     seed = _config_seed(raw)
-    cfg = _suite_from_config(raw, seed)
+    cfg = _section(raw, "suite", SuiteConfig, seed=seed)
     out = args.output or raw.get("output", "report.json")
     results: list[CheckResult] = []
     first_space = None
@@ -203,16 +194,7 @@ def _cmd_flow(args) -> int:
     except _FORM_ERRORS as exc:
         raise ConfigError(str(exc)) from exc
     seed = _config_seed(raw)
-    fl = raw.get("flow", {})
-    try:
-        cfg = FlowConfig(
-            tau=float(fl.get("tau", 0.01)),
-            n_steps=int(fl.get("n_steps", 100)),
-            inner_tol=float(fl.get("inner_tol", 1e-9)),
-            max_inner_iters=int(fl.get("max_inner_iters", 200_000)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = _section(raw, "flow", FlowConfig)
     initial = raw.get("initial")
     if initial is None:
         rng = np.random.default_rng(seed)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of the
+config dataclasses."""
+
+import numpy as np
 
 
 class EmptySpace(ValueError):
@@ -35,3 +38,12 @@ class NoConvergence(RuntimeError):
 
 class PreconditionFailed(RuntimeError):
     """A check was invoked on an instance that fails its prerequisites."""
+
+
+def require_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer, not a bool or a float,
+    of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")

@@ -40,27 +40,28 @@ import numpy as np
 from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
-from .errors import NoConvergence, SpaceMismatch
+from .errors import NoConvergence, SpaceMismatch, require_int
 from .forms import FormInstance, eval_form
 from .measure import Field, make_field
 
 
 @dataclass(frozen=True)
 class FlowConfig:
-    tau: float
-    n_steps: int
+    tau: float = 0.01
+    n_steps: int = 100
     inner_tol: float = 1e-9
     max_inner_iters: int = 200_000
 
     def __post_init__(self):
+        # stored as floats, so an integer gives the bits of the same float
+        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "inner_tol", float(self.inner_tol))
         if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        if self.n_steps < 1:
-            raise ValueError("need at least one step")
+        require_int("n_steps", self.n_steps, 1)
         if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
-        if self.max_inner_iters < 1:
-            raise ValueError("max_inner_iters must be at least 1")
+        require_int("max_inner_iters", self.max_inner_iters, 1)
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,13 @@ class FlowTrace:
         assert len(self.residuals) == len(self.states) - 1
 
 
+def _proximity(form: FormInstance, w: np.ndarray, u: np.ndarray, tau: float) -> float:
+    """The quadratic term ||w - u||^2_m / (2 tau) of the objective."""
+    return float(np.sum(form.space.weights * (w - u) ** 2)) / (2.0 * tau)
+
+
 def _objective(form: FormInstance, w: np.ndarray, u: np.ndarray, tau: float) -> float:
-    quad = float(np.sum(form.space.weights * (w - u) ** 2)) / (2.0 * tau)
-    return form.energy_of_values(w) + quad
+    return form.energy_of_values(w) + _proximity(form, w, u, tau)
 
 
 def _gradient(form: FormInstance, w: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
@@ -311,8 +316,8 @@ def prox_step(
     form: FormInstance,
     u: Field,
     tau: float,
-    inner_tol: float = 1e-9,
-    max_inner_iters: int = 200_000,
+    inner_tol: float = FlowConfig.inner_tol,
+    max_inner_iters: int = FlowConfig.max_inner_iters,
 ) -> Field:
     """One implicit-Euler step: near-minimizer v of F(w) = E(w) + ||w-u||^2_m/(2 tau).
 
@@ -332,8 +337,9 @@ def _certified_step(
     tau: float,
     inner_tol: float,
     max_inner_iters: int,
-) -> tuple[Field, float]:
-    """The step of prox_step and its certificate, computed once."""
+) -> tuple[Field, float, float]:
+    """The step of prox_step, its certificate and its energy E(v), each
+    computed once."""
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     if u.space is not form.space and u.space != form.space:
@@ -349,13 +355,14 @@ def _certified_step(
         w, duals = _admm_prox(form, u.values, tau, max_inner_iters)
         v = make_field(form.space, w)
     certificate = prox_certificate(form, v, u, tau, duals)
-    obj = _objective(form, v.values, u.values, tau)
+    energy = form.energy_of_values(v.values)
+    obj = energy + _proximity(form, v.values, u.values, tau)
     tol = inner_tol * (1.0 + abs(obj) + abs(obj - certificate))
     if not certificate <= tol:
         raise NoConvergence(
             f"prox certificate {certificate:.3e} exceeds its tolerance {tol:.3e}"
         )
-    return v, certificate
+    return v, certificate, energy
 
 
 def prox_certificate(
@@ -406,11 +413,12 @@ def evolve(form: FormInstance, u0: Field, cfg: FlowConfig) -> FlowTrace:
     u = u0
     for k in range(cfg.n_steps):
         try:
-            v, residual = _certified_step(form, u, cfg.tau, cfg.inner_tol, cfg.max_inner_iters)
+            v, residual, e = _certified_step(
+                form, u, cfg.tau, cfg.inner_tol, cfg.max_inner_iters
+            )
         except NoConvergence as exc:
             raise NoConvergence(f"step {k}: {exc}") from exc
         residuals.append(residual)
-        e = eval_form(form, v)
         if e > energies[-1] + 1e-10 * (1.0 + abs(energies[-1])):
             raise NoConvergence(
                 f"step {k}: energy increased from {energies[-1]!r} to {e!r}"

@@ -11,12 +11,12 @@ Lipschitz-envelope approximants of random 1-Lipschitz data.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .contraction import PLFunction, compose, envelope, make_phi, negate
-from .measure import Field, MeasureSpace, make_field
+from .errors import require_int
 
 
 def check_rng(seed: int, name: str) -> np.random.Generator:
@@ -30,71 +30,41 @@ def check_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([int(seed), *words])
 
 
-@dataclass(frozen=True)
-class FieldSamplerSpec:
-    amplitude: float = 3.0
-    p_ramp: float = 0.25
-    p_step: float = 0.25
-
-
-@dataclass(frozen=True)
-class ContractionSamplerSpec:
-    max_breakpoints: int = 8
-    max_depth: int = 3
-    envelope_points: int = 9
-    breakpoint_range: float = 5.0
+# The sampler constants. They fix the RNG calls of every check, and so the
+# bytes of every report; they are not settings.
+AMPLITUDE = 3.0  # field values lie in [-AMPLITUDE, AMPLITUDE]
+P_RAMP = 0.25  # share of sorted ramps among the fields
+P_STEP = 0.25  # share of two-level steps; the rest are i.i.d. uniform
+MAX_BREAKPOINTS = 8  # F_k samples have k <= MAX_BREAKPOINTS
+MAX_DEPTH = 3  # generators per composition
+ENVELOPE_POINTS = 9  # sample points of an envelope contraction
+BREAKPOINT_RANGE = 5.0  # breakpoints lie in [-BREAKPOINT_RANGE, BREAKPOINT_RANGE]
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
     n_samples: int = 500
     seed: int = 0
-    criteria_tol: float = 1e-9
-    contraction_tol: float = 1e-9
-    proof_tol: float = 1e-9
-    identity_tol: float = 1e-12
-    fields: FieldSamplerSpec = field(default_factory=FieldSamplerSpec)
-    contractions: ContractionSamplerSpec = field(
-        default_factory=ContractionSamplerSpec
-    )
 
     def __post_init__(self):
-        if isinstance(self.n_samples, bool) or not isinstance(self.n_samples, (int, np.integer)):
-            raise ValueError(f"n_samples must be an integer, got {self.n_samples!r}")
-        if self.n_samples < 1:
-            raise ValueError("need at least one sample per check")
-        for tol in (
-            self.criteria_tol,
-            self.contraction_tol,
-            self.proof_tol,
-            self.identity_tol,
-        ):
-            if not tol > 0.0:
-                raise ValueError("tolerances must be positive")
+        require_int("n_samples", self.n_samples, 1)
 
 
-def sample_values(rng: np.random.Generator, n: int, spec: FieldSamplerSpec) -> np.ndarray:
+def sample_values(rng: np.random.Generator, n: int) -> np.ndarray:
     """The values of one sampled field on n points: a sorted ramp (reversed
     half the time), a two-level step, or i.i.d. uniform amplitudes."""
-    amp = spec.amplitude
     draw = rng.random()
-    if draw < spec.p_ramp:
-        vals = np.sort(rng.uniform(-amp, amp, n))
+    if draw < P_RAMP:
+        vals = np.sort(rng.uniform(-AMPLITUDE, AMPLITUDE, n))
         if rng.random() < 0.5:
             vals = vals[::-1]
-    elif draw < spec.p_ramp + spec.p_step:
-        lo, hi = rng.uniform(-amp, amp, 2)
+    elif draw < P_RAMP + P_STEP:
+        lo, hi = rng.uniform(-AMPLITUDE, AMPLITUDE, 2)
         split = int(rng.integers(0, n + 1))
         vals = np.where(np.arange(n) < split, lo, hi)
     else:
-        vals = rng.uniform(-amp, amp, n)
+        vals = rng.uniform(-AMPLITUDE, AMPLITUDE, n)
     return vals
-
-
-def sample_field(
-    rng: np.random.Generator, space: MeasureSpace, spec: FieldSamplerSpec
-) -> Field:
-    return make_field(space, sample_values(rng, space.n, spec))
 
 
 def sample_alpha(rng: np.random.Generator) -> float:
@@ -145,17 +115,13 @@ def sample_envelope_contraction(
     return envelope(list(zip(ys, vals)), span + 1.0)
 
 
-def sample_contraction(
-    rng: np.random.Generator, spec: ContractionSamplerSpec
-) -> PLFunction:
+def sample_contraction(rng: np.random.Generator) -> PLFunction:
     draw = rng.random()
     if draw < 0.5:
-        return sample_f_k(rng, spec.max_breakpoints, spec.breakpoint_range)
+        return sample_f_k(rng, MAX_BREAKPOINTS, BREAKPOINT_RANGE)
     if draw < 0.8:
-        return sample_g_composition(rng, spec.max_depth, spec.breakpoint_range)
-    return sample_envelope_contraction(
-        rng, spec.envelope_points, spec.breakpoint_range
-    )
+        return sample_g_composition(rng, MAX_DEPTH, BREAKPOINT_RANGE)
+    return sample_envelope_contraction(rng, ENVELOPE_POINTS, BREAKPOINT_RANGE)
 
 
 def pl_to_witness(phi: PLFunction) -> dict:

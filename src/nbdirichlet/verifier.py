@@ -16,17 +16,17 @@ display: fold1 handles single-breakpoint contractions, fold2 the
 two-breakpoint ones (one-sided when both kinks share a sign, straddle when
 they enclose the origin).
 
-Every check is one row of ``CHECKS``: its name, its group (which picks the
-tolerance and the public function that runs it), a sampler that draws one
-sample's parameters from the check's RNG stream, and a batched kernel. The
-sweep draws the samples in order, stacks a chunk of them (fields as (N, n)
-arrays, scalars as (N, 1) columns, contractions as one ``PLTable``) and
-calls the kernel once per chunk; the kernel returns the N violations, each
-row computed on its own, so the bits do not depend on the chunking.
-``replay`` calls the same kernel on a one-row batch. The kernel's keyword
-arguments name the witness keys, so the sweep, the witness and ``replay``
-all follow from the row. To add a check, write its batched kernel and add
-one row.
+Every check is one row of ``CHECKS``: its name, its group (which picks its
+tolerance in ``TOLERANCES`` and the public function that runs it), a sampler
+that draws one sample's parameters from the check's RNG stream, and a
+batched kernel. The sweep draws the samples in order, stacks a chunk of them
+(fields as (N, n) arrays, scalars as (N, 1) columns, contractions as one
+``PLTable``) and calls the kernel once per chunk; the kernel returns the N
+violations, each row computed on its own, so the bits do not depend on the
+chunking. ``replay`` calls the same kernel on a one-row batch. The kernel's
+keyword arguments name the witness keys, so the sweep, the witness and
+``replay`` all follow from the row. To add a check, write its batched kernel
+and add one row.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .lattice_ops import (
 )
 from .measure import MeasureSpace, make_field
 from .samplers import (
+    AMPLITUDE,
     SuiteConfig,
     check_rng,
     pl_from_witness,
@@ -81,8 +82,6 @@ class CheckResult:
     worst_violation: float
     witness: dict
     n_tested: int
-    seed: int
-    tolerance: float
 
     def report_entry(self) -> dict:
         return {
@@ -95,25 +94,23 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# parameter samplers: (rng, space, cfg, sample index) -> one sample's parameters
+# parameter samplers: (rng, points per field, sample index) -> one sample's
+# parameters
 
 
-def _draw_f(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
-    return {"f": sample_values(rng, space.n, cfg.fields)}
+def _draw_f(rng, n: int, idx: int) -> dict:
+    return {"f": sample_values(rng, n)}
 
 
-def _draw_fg(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
-    return {
-        "f": sample_values(rng, space.n, cfg.fields),
-        "g": sample_values(rng, space.n, cfg.fields),
-    }
+def _draw_fg(rng, n: int, idx: int) -> dict:
+    return {"f": sample_values(rng, n), "g": sample_values(rng, n)}
 
 
-def _draw_fga(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
-    return {**_draw_fg(rng, space, cfg, idx), "alpha": sample_alpha(rng)}
+def _draw_fga(rng, n: int, idx: int) -> dict:
+    return {**_draw_fg(rng, n, idx), "alpha": sample_alpha(rng)}
 
 
-def _draw_phi_f(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
+def _draw_phi_f(rng, n: int, idx: int) -> dict:
     # -id and id are always the first two contractions in the sample set, so
     # a symmetry violation surfaces here as well
     if idx == 0:
@@ -121,31 +118,30 @@ def _draw_phi_f(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
     elif idx == 1:
         phi = make_phi([])
     else:
-        phi = sample_contraction(rng, cfg.contractions)
-    return {"phi": phi, **_draw_f(rng, space, cfg, idx)}
+        phi = sample_contraction(rng)
+    return {"phi": phi, **_draw_f(rng, n, idx)}
 
 
-def _draw_x_f(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
+def _draw_x_f(rng, n: int, idx: int) -> dict:
     # the degenerate branch x = 0 is always exercised
-    x = 0.0 if idx == 0 else float(rng.uniform(0.0, 2.0 * cfg.fields.amplitude))
-    return {"x": x, **_draw_f(rng, space, cfg, idx)}
+    x = 0.0 if idx == 0 else float(rng.uniform(0.0, 2.0 * AMPLITUDE))
+    return {"x": x, **_draw_f(rng, n, idx)}
 
 
-def _draw_onesided(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
-    amp = cfg.fields.amplitude
-    x1 = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, amp))
-    x2 = x1 + float(rng.uniform(0.05, amp))
-    return {"x1": x1, "x2": x2, **_draw_f(rng, space, cfg, idx)}
+def _draw_onesided(rng, n: int, idx: int) -> dict:
+    x1 = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, AMPLITUDE))
+    x2 = x1 + float(rng.uniform(0.05, AMPLITUDE))
+    return {"x1": x1, "x2": x2, **_draw_f(rng, n, idx)}
 
 
 def _draw_straddle(lo: float, hi: float) -> Callable:
     """x1 < 0 < x2 with -x1/x2 drawn from [lo, hi]: below 1 is the stated
     assumption x2 > -x1, above 1 the mirrored configuration."""
 
-    def draw(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
-        x2 = float(rng.uniform(0.05, cfg.fields.amplitude))
+    def draw(rng, n: int, idx: int) -> dict:
+        x2 = float(rng.uniform(0.05, AMPLITUDE))
         x1 = -x2 * float(rng.uniform(lo, hi))
-        return {"x1": x1, "x2": x2, **_draw_f(rng, space, cfg, idx)}
+        return {"x1": x1, "x2": x2, **_draw_f(rng, n, idx)}
 
     return draw
 
@@ -153,8 +149,8 @@ def _draw_straddle(lo: float, hi: float) -> Callable:
 _FORCED_TS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
 
 
-def _draw_twist(rng, space: MeasureSpace, cfg: SuiteConfig, idx: int) -> dict:
-    params = _draw_fga(rng, space, cfg, idx)
+def _draw_twist(rng, n: int, idx: int) -> dict:
+    params = _draw_fga(rng, n, idx)
     if idx < len(_FORCED_TS):
         t, s = _FORCED_TS[idx]
     else:
@@ -335,8 +331,8 @@ class Check:
     """One row of the check table."""
 
     name: str
-    group: str  # "criteria" | "contraction" | "proof" | "identity"
-    sample: Callable  # (rng, space, cfg, idx) -> one sample's parameters
+    group: str  # a key of TOLERANCES
+    sample: Callable  # (rng, n, idx) -> one sample's parameters
     kernel: Callable  # (form, or space for identities, **stacked parameters) -> violations
 
     @property
@@ -377,6 +373,8 @@ CHECKS = (
     Check("identity_projection_oracle", "identity", _draw_fga,
           _viol_identity_projection_oracle),
 )
+# a check passes when its worst violation is at most its group's tolerance
+TOLERANCES = {"criteria": 1e-9, "contraction": 1e-9, "proof": 1e-9, "identity": 1e-12}
 _BY_NAME = {c.name: c for c in CHECKS}
 CRITERIA_NAMES = tuple(c.name for c in CHECKS if c.group == "criteria")
 PROOF_NAMES = tuple(c.name for c in CHECKS if c.group == "proof")
@@ -439,7 +437,7 @@ def _sweep(check: Check, target, cfg: SuiteConfig) -> CheckResult:
     worst, worst_params, finite = -math.inf, None, True
     for start in range(0, cfg.n_samples, rows):
         samples = [
-            check.sample(rng, space, cfg, idx)
+            check.sample(rng, space.n, idx)
             for idx in range(start, min(start + rows, cfg.n_samples))
         ]
         violations = _violations(check, target, samples)
@@ -450,10 +448,10 @@ def _sweep(check: Check, target, cfg: SuiteConfig) -> CheckResult:
         if bad.size or violations[i] > worst:
             worst, worst_params = float(violations[i]), samples[i]
             finite = not bad.size
-    tol = getattr(cfg, f"{check.group}_tol")
-    witness = _witness(check, target, worst_params)
-    passed = finite and bool(worst <= tol)
-    return CheckResult(check.name, passed, worst, witness, cfg.n_samples, cfg.seed, tol)
+    passed = finite and bool(worst <= TOLERANCES[check.group])
+    return CheckResult(
+        check.name, passed, worst, _witness(check, target, worst_params), cfg.n_samples
+    )
 
 
 def _run(group: str, target, cfg: SuiteConfig) -> list[CheckResult]:
@@ -547,15 +545,7 @@ def counterexample_demo() -> CheckResult:
     witness["energy_f"] = form.energy_of_values(params["f"])
     witness["energy_neg_f"] = form.energy_of_values(-params["f"])
     violation = _violations(check, form, [params])[0]
-    return CheckResult(
-        "counterexample_max_positive_part",
-        False,
-        float(violation),
-        witness,
-        1,
-        0,
-        0.0,
-    )
+    return CheckResult("counterexample_max_positive_part", False, float(violation), witness, 1)
 
 
 def replay(witness: dict) -> float:

@@ -23,10 +23,11 @@ from nbdirichlet.forms import eval_form, make_form
 from nbdirichlet.lattice_ops import h_alpha, project_band
 from nbdirichlet.measure import MeasureSpace, linf_norm, make_field
 from nbdirichlet.samplers import (
-    ContractionSamplerSpec,
     SuiteConfig,
     check_rng,
-    sample_contraction,
+    sample_envelope_contraction,
+    sample_f_k,
+    sample_g_composition,
 )
 from nbdirichlet.verifier import (
     check_criteria,
@@ -86,11 +87,17 @@ def test_criterion2_envelope_convergence():
     from nbdirichlet.contraction import envelope
 
     rng = check_rng(2, "envelope-acceptance")
-    spec = ContractionSamplerSpec(max_breakpoints=8, breakpoint_range=4.0)
     worst_excess = -np.inf
     worst_below = 0.0
     for _ in range(20):
-        phi = sample_contraction(rng, spec)
+        # the families of sample_contraction, with breakpoints in [-4, 4]
+        draw = rng.random()
+        if draw < 0.5:
+            phi = sample_f_k(rng, 8, 4.0)
+        elif draw < 0.8:
+            phi = sample_g_composition(rng, 3, 4.0)
+        else:
+            phi = sample_envelope_contraction(rng, 9, 4.0)
         for n in range(2, 9):
             step = 2.0 ** (-n)
             ys = np.arange(-4.0, 4.0 + step / 2, step)
@@ -191,7 +198,7 @@ def test_criterion6_proof_chain_displays():
 
 @cache
 def identity_results():
-    cfg = SuiteConfig(n_samples=1000, seed=7, identity_tol=1e-12)
+    cfg = SuiteConfig(n_samples=1000, seed=7)
     return {r.name: r for r in check_identities(cfg)}
 
 

@@ -176,6 +176,16 @@ TWO_NODES = {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]}
         ("verify", {**GRAPH_CONFIG, "suite": {"n_samples": 1e9}}),
         ("verify", {**GRAPH_CONFIG, "suite": {"n_samples": True}}),
         ("flow", {"form": TWO_NODES, "flow": {"max_inner_iters": 0}}),
+        # a section that is not a JSON object
+        ("verify", {**GRAPH_CONFIG, "suite": 5}),
+        ("verify", {**GRAPH_CONFIG, "forms": 5}),
+        ("flow", {"form": TWO_NODES, "flow": 5}),
+        # keys outside the section's schema
+        ("verify", {**GRAPH_CONFIG, "suite": {"amplitude": -2}}),
+        ("verify", {**GRAPH_CONFIG, "suite": {"n_samples": 60, "max_depth": 0}}),
+        ("flow", {"form": TWO_NODES, "flow": {"nstep": 2}}),
+        # a step count must be an integer
+        ("flow", {"form": TWO_NODES, "flow": {"n_steps": 2.7}}),
     ],
 )
 def test_typed_config_errors_exit_2(tmp_path, command, doc):

@@ -21,7 +21,7 @@ from nbdirichlet.contraction import (
 )
 from nbdirichlet.forms import make_form
 from nbdirichlet.measure import MeasureSpace
-from nbdirichlet.samplers import FieldSamplerSpec, SuiteConfig, check_rng, sample_field
+from nbdirichlet.samplers import SuiteConfig, check_rng, sample_values
 from nbdirichlet.verifier import CHECKS, _violations, replay
 
 FORM_CHECKS = [c for c in CHECKS if c.group != "identity"]
@@ -35,7 +35,7 @@ def bits(a) -> list:
 
 def draw(check, space, cfg, n):
     rng = check_rng(cfg.seed, check.name)
-    return [check.sample(rng, space, cfg, idx) for idx in range(n)]
+    return [check.sample(rng, space.n, idx) for idx in range(n)]
 
 
 def assert_rows_match(check, target, samples):
@@ -241,6 +241,5 @@ def test_table_evaluation_equals_plfunction_call():
 )
 def test_sample_field_first_draws(seed, first, second):
     rng = np.random.default_rng(seed)
-    space = MeasureSpace(np.ones(5))
-    assert sample_field(rng, space, FieldSamplerSpec()).values.tolist() == first
-    assert sample_field(rng, space, FieldSamplerSpec()).values.tolist() == second
+    assert sample_values(rng, 5).tolist() == first
+    assert sample_values(rng, 5).tolist() == second

@@ -381,8 +381,12 @@ def test_evolve_energy_slack_is_relative(monkeypatch):
     from nbdirichlet import flow
 
     def energies_rising_by(rise):
+        # the initial energy, then each step's from _certified_step
         values = iter([1e12 + k * rise for k in range(4)])
         monkeypatch.setattr(flow, "eval_form", lambda form, u: next(values))
+        monkeypatch.setattr(
+            flow, "_certified_step", lambda form, u, *args: (u, 0.0, next(values))
+        )
 
     form = two_node()
     u = make_field(form.space, [1.0, 0.0])

@@ -173,9 +173,8 @@ def test_decomposition_chain_consistency():
     # and lands on the same bound as applying the contraction directly
     form = graph_form()
     rng = check_rng(3, "chain")
-    cfg = SuiteConfig(n_samples=10, seed=3)
     for _ in range(40):
-        phi = sample_contraction(rng, cfg.contractions)
+        phi = sample_contraction(rng)
         if classify(phi).kind != "F":
             continue
         factors, residual = decompose(phi)
