@@ -24,6 +24,7 @@ from .errors import (
     InconsistentSamples,
     NoConvergence,
     NotIncreasing,
+    require_int,
 )
 from .flow import FlowConfig, evolve, trace_to_csv
 from .forms import make_form
@@ -68,12 +69,11 @@ _FORM_ERRORS = (BadSpec, BadWeight, EmptySpace)
 
 
 def _config_seed(raw: dict) -> int:
+    seed = raw.get("seed", 0)
     try:
-        seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed must be an integer: {exc}") from exc
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+        require_int("seed", seed, 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return seed
 
 

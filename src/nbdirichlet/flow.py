@@ -4,7 +4,10 @@ Each step solves v = argmin_w E(w) + ||w - u||^2_m / (2 tau) in the weighted
 L2 metric, by one of three solvers chosen from the form's structure:
 
 * twice-differentiable pieces (|z|^p, p >= 2) go through a damped Newton
-  iteration;
+  iteration, which halves its step until the merit sum_k g_k^2 / m_k,
+  g = grad F, falls below (1 - t/2) times its value for step fraction t, and
+  stops when max |g| is at most 1e-13 (1 + max |m u| / tau) or no halving
+  lowers the merit;
 * chains -- the pairs (1, 0), (2, 1), ..., (n-1, n-2), as on a 1-D grid --
   with a piecewise-linear piece (|z|, a(x)|z| or max(z, 0)) go through an
   exact O(n) dynamic program, ``_chain_prox``;
@@ -96,41 +99,27 @@ def _gradient(form: FormInstance, w: np.ndarray, u: np.ndarray, tau: float) -> n
     )
 
 
-# Newton iterations without a new smallest gradient after which the solve
-# counts as stalled: gradients in the max norm can rise for tens of
-# iterations on the way to convergence (75 seen for |v|^6 grids)
-_NEWTON_STALL = 200
-
-
 def _newton_prox(
     form: FormInstance, u: np.ndarray, tau: float, max_iters: int
 ) -> np.ndarray:
+    """Damped Newton on the merit phi(w) = sum_k g_k^2 / m_k, g = grad F(w),
+    2/tau times the step certificate. Along the Newton step phi' = -2 phi,
+    so a small enough t lowers phi unless g is at its rounding floor; there
+    w is returned and the certificate judges it."""
     m = form.space.weights
     n = m.size
     ii, jj, c = form.i_idx, form.j_idx, form.coeffs
     piece = form.piece
     scale = 1.0 + float(np.max(np.abs(m * u))) / tau
-
-    def finish(w: np.ndarray, why: str) -> np.ndarray:
-        if float(np.max(np.abs(_gradient(form, w, u, tau)))) <= 1e-10 * scale:
-            return w
-        raise NoConvergence(f"Newton prox did not reach its gradient tolerance {why}")
-
     w = u.copy()
-    best, since_best = np.inf, 0
+    grad = _gradient(form, w, u, tau)
+    phi = float(np.sum(grad * grad / m))
     for _ in range(max_iters):
-        grad = _gradient(form, w, u, tau)
         gnorm = float(np.max(np.abs(grad)))
         if not np.isfinite(gnorm):
             raise NoConvergence("Newton prox: the gradient is not finite")
         if gnorm <= 1e-13 * scale:
             return w
-        if gnorm < best:
-            best, since_best = gnorm, 0
-        else:
-            since_best += 1
-            if since_best == _NEWTON_STALL:
-                return finish(w, f"and made no progress in {_NEWTON_STALL} iterations")
         hz = c * piece.hess(w[ii] - w[jj])
         H = np.zeros((n, n))
         np.add.at(H, (ii, ii), hz)
@@ -144,22 +133,19 @@ def _newton_prox(
             raise NoConvergence(f"Newton prox: {exc}") from exc
         if not np.all(np.isfinite(step)):
             raise NoConvergence("Newton prox: the step is not finite")
-        if float(np.max(np.abs(step))) <= 1e-16 * (1.0 + float(np.max(np.abs(w)))):
-            return w  # at floating-point resolution
-        if gnorm <= 1e-6 * scale:
-            # terminal phase: objective differences are below fp noise, so a
-            # line search would stall; the SPD Hessian makes the pure step safe
-            w = w + step
-            continue
-        f0 = _objective(form, w, u, tau)
-        slope = float(grad @ step)
-        t = 1.0
-        for _ in range(60):
-            if _objective(form, w + t * step, u, tau) <= f0 + 1e-4 * t * slope:
+        for k in range(61):  # t = 1, 1/2, ..., 2^-60
+            t = 0.5**k
+            trial = w + t * step
+            g_t = _gradient(form, trial, u, tau)
+            phi_t = float(np.sum(g_t * g_t / m))
+            if phi_t < (1.0 - 0.5 * t) * phi:
                 break
-            t *= 0.5
-        w = w + t * step
-    return finish(w, f"in {max_iters} iterations")
+        else:
+            return w
+        w, grad, phi = trial, g_t, phi_t
+    raise NoConvergence(
+        f"Newton prox did not reach its gradient tolerance in {max_iters} iterations"
+    )
 
 
 def _admm_prox(
@@ -324,9 +310,9 @@ def prox_step(
     The step is certified by prox_certificate, an upper bound on
     F(v) - min F, which must be at most inner_tol * (1 + |F(v)| +
     |F(v) - certificate|). Raises NoConvergence if the inner solver exhausts
-    its budget, if Newton stalls above its gradient tolerance, or if the
-    certificate fails. max_inner_iters bounds the Newton and ADMM
-    iterations; the chain solver is direct and takes no budget.
+    its budget, if Newton meets a singular Hessian or a non-finite gradient
+    or step, or if the certificate fails. max_inner_iters bounds the Newton
+    and ADMM iterations; the chain solver is direct and takes no budget.
     """
     return _certified_step(form, u, tau, inner_tol, max_inner_iters)[0]
 
@@ -354,9 +340,9 @@ def _certified_step(
     else:
         w, duals = _admm_prox(form, u.values, tau, max_inner_iters)
         v = make_field(form.space, w)
-    certificate = prox_certificate(form, v, u, tau, duals)
     energy = form.energy_of_values(v.values)
     obj = energy + _proximity(form, v.values, u.values, tau)
+    certificate = prox_certificate(form, v, u, tau, duals, obj)
     tol = inner_tol * (1.0 + abs(obj) + abs(obj - certificate))
     if not certificate <= tol:
         raise NoConvergence(
@@ -371,6 +357,7 @@ def prox_certificate(
     u: Field,
     tau: float,
     duals: np.ndarray | None = None,
+    objective: float | None = None,
 ) -> float:
     """An upper bound on F(v) - min F for the step from u (see the module
     docstring): the gradient bound for a differentiable piece, the duality
@@ -378,7 +365,8 @@ def prox_certificate(
     they are projected onto their boxes first, so any values give a valid
     bound. On a chain they default to the prefix sums of m (v - u) / tau,
     or the box face where Dv is not zero; other pair graphs need them, and a
-    differentiable piece ignores them."""
+    differentiable piece ignores them. ``objective`` is F(v), if the caller
+    has already summed it; the gap sums it otherwise."""
     m = form.space.weights
     box = form.piece.box
     if box is None:
@@ -396,7 +384,9 @@ def prox_certificate(
     dual = math.fsum((lam * form.diffs(u.values)).tolist()) - 0.5 * tau * math.fsum(
         (t * t / m).tolist()
     )
-    return _objective(form, v.values, u.values, tau) - dual
+    if objective is None:
+        objective = _objective(form, v.values, u.values, tau)
+    return objective - dual
 
 
 def evolve(form: FormInstance, u0: Field, cfg: FlowConfig) -> FlowTrace:

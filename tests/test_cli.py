@@ -186,6 +186,10 @@ TWO_NODES = {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]}
         ("flow", {"form": TWO_NODES, "flow": {"nstep": 2}}),
         # a step count must be an integer
         ("flow", {"form": TWO_NODES, "flow": {"n_steps": 2.7}}),
+        # so must the seed: not a float, a bool or a numeric string
+        ("verify", {**GRAPH_CONFIG, "seed": 2.7}),
+        ("flow", {"form": TWO_NODES, "seed": True}),
+        ("verify", {**GRAPH_CONFIG, "seed": "3"}),
     ],
 )
 def test_typed_config_errors_exit_2(tmp_path, command, doc):

@@ -188,31 +188,53 @@ def test_newton_failures_are_typed():
 @pytest.mark.parametrize(
     "p, h",
     [
-        (2, 1e-8),  # the gradient's rounding noise stays above the tolerance
-        (4, 1e-10),  # the line search leaves the iterate where it is
+        (2, 1e-8),  # the gradient's rounding noise is above 1e-13 of its scale
+        (4, 1e-10),  # and the Hessian is singular to rounding on half the seeds
     ],
 )
 def test_newton_stall_ends_before_the_budget(monkeypatch, p, h):
+    # at the rounding floor no step lowers the merit, so the solve returns and
+    # the certificate decides: every datum ends in a certified step or a typed
+    # failure, long before the budget
     form = make_form(
         {"kind": "local_grid_1d", "nodes": 20, "h": h, "integrand": {"name": "abs_power", "p": p}}
     )
-    u = np.random.default_rng(0).uniform(-1, 1, 20)
     solve, solves = np.linalg.solve, []
-    monkeypatch.setattr(np.linalg, "solve", lambda H, b: solves.append(1) or solve(H, b))
-    with pytest.raises(NoConvergence, match="no progress in 200 iterations"):
-        flow._newton_prox(form, u, 1.0, 200_000)
-    assert len(solves) < 1000
+
+    def counted(H, b):
+        solves.append(1)
+        assert len(solves) <= 1000, "the Newton solve runs on towards its budget"
+        return solve(H, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    certified = []
+    for seed in range(12):
+        u = make_field(form.space, np.random.default_rng(seed).uniform(-1, 1, 20))
+        solves.clear()
+        try:
+            prox_step(form, u, 1.0)
+            certified.append(seed)
+        except NoConvergence:
+            pass
+    assert 0 in certified
 
 
-def test_newton_gradient_rises_on_the_way():
-    # the max-norm gradient rises after a pure Newton step (8.5e-8 to 9.7e-6
-    # of its scale, |v|^4) and for tens of iterations (|v|^6); neither is a stall
+def test_newton_gradient_rises_on_the_way(monkeypatch):
+    # where neighbours agree the Hessian of |v|^p, p > 2, vanishes, and a full
+    # Newton step can throw the gradient far off (from 9.5e-7 to 8e23 of its
+    # scale, |v|^6); the line search takes no step that raises the merit
+    # sum_k g_k^2 / m_k, read here off the right-hand sides -g of the solves
+    solve, rhs = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda H, b: rhs.append(b) or solve(H, b))
     for p, n, h, tau in ((4, 20, 1e-6, 1.0), (6, 60, 1e-8, 10.0)):
         form = make_form(
             {"kind": "local_grid_1d", "nodes": n, "h": h, "integrand": {"name": "abs_power", "p": p}}
         )
         u = np.random.default_rng(0).uniform(-1, 1, n)
+        rhs.clear()
         w = flow._newton_prox(form, u, tau, 200_000)
+        merits = [np.sum(b * b / form.space.weights) for b in rhs]
+        assert len(merits) > 1 and np.all(np.diff(merits) < 0)
         grad = form.space.weights * (w - u) / tau + form.diffs_adjoint(
             form.coeffs * form.piece.grad(form.diffs(w))
         )
