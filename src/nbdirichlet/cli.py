@@ -219,8 +219,6 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    if args.what != "counterexample":
-        raise ConfigError(f"unknown demo {args.what!r}")
     result = counterexample_demo()
     out = args.output or "counterexample_report.json"
     _write_report([result], 0, out)

@@ -74,14 +74,6 @@ class PLFunction:
         object.__setattr__(self, "anchor", float(self.anchor))
 
     @cached_property
-    def _bp_arr(self) -> np.ndarray:
-        return np.asarray(self.breakpoints, dtype=float)
-
-    @cached_property
-    def _slope_arr(self) -> np.ndarray:
-        return np.asarray(self.slopes, dtype=float)
-
-    @cached_property
     def table(self) -> "PLTable":
         """This function as a one-row ``PLTable``."""
         return pl_table([self])
@@ -95,7 +87,7 @@ class PLFunction:
     def slope_at(self, x):
         """Slope on the interval containing x (right interval at a kink), at
         a scalar or an array of points."""
-        return self._slope_arr[np.searchsorted(self._bp_arr, x, side="right")]
+        return self.table.slopes[0][np.searchsorted(self.table.bps[0], x, side="right")]
 
     def approx_equal(self, other: "PLFunction", tol: float = 1e-12) -> bool:
         if len(self.breakpoints) != len(other.breakpoints):
@@ -277,8 +269,6 @@ def make_phi(breakpoints) -> PLFunction:
     """The alternating contraction with the given kinks: slope (-1)^i on the
     i-th interval, value 0 at 0. make_phi([]) is the identity."""
     bps = [float(b) for b in breakpoints]
-    if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-        raise NotIncreasing("breakpoints must be strictly increasing")
     slopes = tuple(1.0 if i % 2 == 0 else -1.0 for i in range(len(bps) + 1))
     return PLFunction(tuple(bps), slopes, 0.0)
 

@@ -21,11 +21,11 @@ Every step carries a certificate: an upper bound on F(v) - min F, where
 F(w) = E(w) + ||w - u||^2_m / (2 tau) is the step's objective. F is
 1/tau-strongly convex in the m-metric, so for a differentiable piece
 (|z|^p, p > 1) the gradient g = grad F(v) gives F(v) - min F <=
-(tau/2) sum_k g_k^2 / m_k. A piecewise-linear piece is c_e * scale times the
-support function of an interval, so E(w) = max over lambda in the boxes
-c_e * scale * [lo, hi] of lambda^T D w, and every such lambda gives the dual
-lower bound D(lambda) = lambda^T D u - (tau/2) sum_k (D^T lambda)_k^2 / m_k
-on min F; the certificate is the duality gap F(v) - D(lambda). On a chain
+(tau/2) sum_k g_k^2 / m_k. A piecewise-linear piece is the support function
+of a box [lo, hi], so E(w) = max over lambda in the boxes c_e * [lo, hi] of
+lambda^T D w, and every such lambda gives the dual lower bound
+D(lambda) = lambda^T D u - (tau/2) sum_k (D^T lambda)_k^2 / m_k on min F;
+the certificate is the duality gap F(v) - D(lambda). On a chain
 the multipliers are prefix sums of m (v - u) / tau, exact at the minimizer;
 elsewhere they are ADMM's. On an edge whose difference is not zero both are
 the face of the box that its sign picks. A step passes when its certificate is at most
@@ -59,11 +59,11 @@ class FlowConfig:
         # stored as floats, so an integer gives the bits of the same float
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "inner_tol", float(self.inner_tol))
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         require_int("n_steps", self.n_steps, 1)
-        if not self.inner_tol > 0.0:
-            raise ValueError("inner_tol must be positive")
+        if not 0.0 < self.inner_tol < math.inf:
+            raise ValueError("inner_tol must be positive and finite")
         require_int("max_inner_iters", self.max_inner_iters, 1)
 
 
@@ -202,22 +202,20 @@ def _admm_prox(
 
 
 def _face_multipliers(form: FormInstance, z: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Edge multipliers of a piecewise-linear piece: the face c_e scale hi of
-    the box where z_e > 0, c_e scale lo where z_e < 0, and lam_e where
-    z_e = 0. The subdifferential at z_e != 0 is that face alone, and taking
-    it from the box avoids the cancellation in lam_e, a difference of
-    numbers as large as the data; a differentiable piece keeps lam."""
+    """Edge multipliers of a piecewise-linear piece: the face c_e hi of the
+    box where z_e > 0, c_e lo where z_e < 0, and lam_e where z_e = 0. The
+    subdifferential at z_e != 0 is that face alone, and taking it from the
+    box avoids the cancellation in lam_e, a difference of numbers as large
+    as the data; a differentiable piece keeps lam."""
     box = form.piece.box
     if box is None:
         return lam
-    w = form.coeffs * form.piece.scale
-    return np.where(z > 0.0, w * box[1], np.where(z < 0.0, w * box[0], lam))
+    return np.where(z > 0.0, form.coeffs * box[1], np.where(z < 0.0, form.coeffs * box[0], lam))
 
 
 def _is_chain(form: FormInstance) -> bool:
     """The pairs are (1, 0), (2, 1), ..., (n-1, n-2) in this order and the piece
-    is scale times the support function of an interval: the forms _chain_prox
-    solves."""
+    is the support function of a box: the forms _chain_prox solves."""
     n = form.space.n
     return (
         form.piece.box is not None
@@ -247,9 +245,9 @@ def _cross_from_left(
 def _chain_prox(form: FormInstance, u: np.ndarray, tau: float) -> np.ndarray:
     """Exact prox of a chain form (see _is_chain) by dynamic programming, O(n).
 
-    With w_k = coeffs[k] * scale and g/scale the support function of
-    [lo, hi], the step minimizes sum_k m_k (x_k - u_k)^2 / (2 tau) +
-    sum_k w_k sigma(x_{k+1} - x_k). The forward pass keeps the derivative of
+    With w_k = coeffs[k] and g the support function sigma of [lo, hi], the
+    step minimizes sum_k m_k (x_k - u_k)^2 / (2 tau) + sum_k w_k
+    sigma(x_{k+1} - x_k). The forward pass keeps the derivative of
     the message B_k(x_k), the minimum over x_0..x_{k-1} of the terms up to
     node k: increasing and piecewise linear. Passing edge k clips it to
     [w_k lo, w_k hi] at its crossings t-_k < t+_k of the two levels: the best
@@ -267,7 +265,7 @@ def _chain_prox(form: FormInstance, u: np.ndarray, tau: float) -> np.ndarray:
     data are shifted by u_0, so a constant datum comes back exactly.
     """
     lo, hi = form.piece.box
-    w = (form.coeffs * form.piece.scale).tolist()
+    w = form.coeffs.tolist()
     shift = u[0]
     slope = form.space.weights / tau
     slopes, icpts = slope.tolist(), (-slope * (u - shift)).tolist()
@@ -326,8 +324,8 @@ def _certified_step(
 ) -> tuple[Field, float, float]:
     """The step of prox_step, its certificate and its energy E(v), each
     computed once."""
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     if u.space is not form.space and u.space != form.space:
         raise SpaceMismatch("field does not live on the form's space")
     duals = None  # a chain's are read off v; differentiable pieces need none
@@ -378,8 +376,7 @@ def prox_certificate(
         duals = _face_multipliers(
             form, form.diffs(v.values), np.cumsum(m * (v.values - u.values) / tau)[:-1]
         )
-    w = form.coeffs * form.piece.scale
-    lam = np.clip(duals, w * box[0], w * box[1])
+    lam = np.clip(duals, form.coeffs * box[0], form.coeffs * box[1])
     t = form.diffs_adjoint(lam)
     dual = math.fsum((lam * form.diffs(u.values)).tolist()) - 0.5 * tau * math.fsum(
         (t * t / m).tolist()

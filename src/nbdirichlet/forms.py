@@ -2,8 +2,9 @@
 
 Every form is one ``FormInstance``: E(u) = sum_e c_e * g(u_i - u_j) over a
 finite family of ordered index pairs with nonnegative coefficients, and a
-convex scalar piece g with g(0) = 0 from a closed catalog. ``make_form``
-builds it from a JSON-style descriptor of one of three kinds:
+convex scalar piece g with g(0) = 0: scale*|z|^p with p > 1, or the support
+function of a box (see ``ScalarPiece``). ``make_form`` builds it from a
+JSON-style descriptor of one of three kinds:
 
 * ``graph_quadratic`` -- unordered weighted edges, g(z) = z^2/2 (one half per edge);
 * ``nonlocal_psi``    -- a per-ordered-pair kernel matrix with psi(z) = |z|^p or max(z, 0);
@@ -30,58 +31,55 @@ from .measure import Field, MeasureSpace
 
 @dataclass(frozen=True)
 class ScalarPiece:
-    """Convex scalar term g(z) = scale*|z|^p (p >= 1) or scale*max(z, 0)."""
+    """Convex scalar term g with g(0) = 0: ``ScalarPiece(p, scale)`` is
+    scale*|z|^p with a finite p > 1, ``ScalarPiece(box=(lo, hi))`` the support
+    function max(lo*z, hi*z) of [lo, hi], lo <= 0 <= hi, lo < hi, scale 1:
+    |z| is (-1, 1), max(z, 0) is (0, 1). It is even, and makes a form
+    symmetric, when lo = -hi; on a grid only then."""
 
-    kind: str  # "power" | "positive_part"
-    p: float = 1.0
+    p: float | None = None
     scale: float = 1.0
+    box: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("power", "positive_part"):
-            raise BadSpec(f"unknown scalar piece kind {self.kind!r}")
-        if self.kind == "power" and not self.p >= 1.0:
-            raise BadSpec("power pieces need exponent p >= 1")
+        if self.box is not None:
+            lo, hi = (float(b) for b in self.box)
+            if self.p is not None or self.scale != 1.0:
+                raise BadSpec("a box piece takes no exponent and scale 1")
+            if not (-math.inf < lo <= 0.0 <= hi < math.inf and lo < hi):
+                raise BadSpec("a piece's box [lo, hi] needs finite lo <= 0 <= hi, lo < hi")
+            object.__setattr__(self, "box", (lo, hi))
+        elif self.p is None or not 1.0 < self.p < math.inf:
+            raise BadSpec("power pieces need a finite exponent p > 1")
         if not self.scale > 0.0:
             raise BadSpec("piece scale must be positive")
 
     @property
     def smooth(self) -> bool:
         """Twice continuously differentiable (safe for Newton steps)."""
-        return self.kind == "power" and self.p >= 2.0
+        return self.box is None and self.p >= 2.0
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        if self.kind == "power":
-            return self.scale * np.abs(z) ** self.p
-        return self.scale * np.maximum(z, 0.0)
+        if self.box is not None:
+            lo, hi = self.box
+            # a zero end gives the literal 0, not 0 * z, which is NaN at z = +-inf
+            return np.maximum(lo * z if lo else 0.0, hi * z if hi else 0.0)
+        return self.scale * np.abs(z) ** self.p
 
     def grad(self, z: np.ndarray) -> np.ndarray:
         """g'(z) for |z|^p with p > 1, differentiable though C^2 only from p = 2."""
-        assert self.kind == "power" and self.p > 1.0
+        assert self.box is None
         return self.scale * self.p * np.sign(z) * np.abs(z) ** (self.p - 1.0)
 
     def hess(self, z: np.ndarray) -> np.ndarray:
         assert self.smooth
         return self.scale * self.p * (self.p - 1.0) * np.abs(z) ** (self.p - 2.0)
 
-    @property
-    def box(self) -> tuple[float, float] | None:
-        """The interval [lo, hi] whose support function sup_{l in [lo, hi]} l*z
-        is g/scale: (-1, 1) for |z|, (0, 1) for max(z, 0); None for the pieces
-        that are not piecewise linear."""
-        if self.kind == "positive_part":
-            return (0.0, 1.0)
-        if self.p == 1.0:
-            return (-1.0, 1.0)
-        return None
-
     def prox(self, y: np.ndarray, coeff: np.ndarray, rho: float) -> np.ndarray:
         """argmin_t coeff*g(t) + rho/2 (t - y)^2, componentwise."""
         kappa = coeff * self.scale / rho
-        box = self.box
-        if box is not None:  # Moreau: y minus its projection onto kappa*[lo, hi]
-            return y - np.clip(y, kappa * box[0], kappa * box[1])
-        if self.p == 2.0:
-            return y / (1.0 + 2.0 * kappa)
+        if self.box is not None:  # Moreau: y minus its projection onto kappa*[lo, hi]
+            return y - np.clip(y, kappa * self.box[0], kappa * self.box[1])
         return np.sign(y) * _power_prox_magnitude(np.abs(y), kappa * self.p, self.p)
 
 
@@ -119,6 +117,14 @@ def _power_prox_magnitude(a: np.ndarray, kp: np.ndarray, p: float) -> np.ndarray
                 break
     out[idx] = t
     return out
+
+
+def _sum_terms(terms: list) -> float:
+    """math.fsum of nonnegative terms, or +inf (NaN if a term is) past DBL_MAX."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.nan if any(map(math.isnan, terms)) else math.inf
 
 
 class FormInstance:
@@ -166,11 +172,12 @@ class FormInstance:
     def energy_of_values(self, values: np.ndarray):
         """E at a field's values (n,), as a float, or at each row of (N, n)
         values, as an (N,) array. Each energy is the exactly rounded sum of
-        its terms, so a row's energy does not depend on the other rows."""
+        its terms, so a row's energy does not depend on the other rows; a sum
+        past the largest float is +inf."""
         terms = self.coeffs * self.piece.value(self.diffs(values))
         if terms.ndim == 1:
-            return math.fsum(terms.tolist())
-        return np.array([math.fsum(row) for row in terms.tolist()])
+            return _sum_terms(terms.tolist())
+        return np.array([_sum_terms(row) for row in terms.tolist()])
 
     def __call__(self, u: Field) -> float:
         return eval_form(self, u)
@@ -195,6 +202,17 @@ class FormInstance:
         return L
 
 
+def _power_piece(p: float, h: float | None = None) -> ScalarPiece:
+    """The piece of a descriptor's exponent p, finite and at least 1: |z|^p,
+    or on a grid of spacing h, h * |z/h|^p / p == (h^(1-p)/p) |z|^p with z the
+    raw difference. At p = 1 both are |z|, the box (-1, 1)."""
+    if not 1.0 <= p < math.inf:
+        raise BadSpec(f"exponent p must be finite and at least 1 (p = 1 is |z|), got {p}")
+    if p == 1.0:
+        return ScalarPiece(box=(-1.0, 1.0))
+    return ScalarPiece(p, 1.0 if h is None else h ** (1.0 - p) / p)
+
+
 def _graph_quadratic(spec: dict) -> FormInstance:
     """E(u) = 1/2 sum over unordered edges w (u_i - u_j)^2."""
     n = spec.get("nodes")
@@ -216,7 +234,7 @@ def _graph_quadratic(spec: dict) -> FormInstance:
     ii = np.array([e[0] for e in edges], dtype=int)
     jj = np.array([e[1] for e in edges], dtype=int)
     ww = np.array([e[2] for e in edges], dtype=float)
-    return FormInstance(space, ii, jj, ww, ScalarPiece("power", 2.0, 0.5), descriptor)
+    return FormInstance(space, ii, jj, ww, ScalarPiece(2.0, 0.5), descriptor)
 
 
 def _nonlocal_psi(spec: dict) -> FormInstance:
@@ -230,10 +248,10 @@ def _nonlocal_psi(spec: dict) -> FormInstance:
         raise BadSpec("psi must be a mapping with a 'name'")
     name = psi_spec.get("name")
     if name == "power":
-        piece = ScalarPiece("power", float(psi_spec.get("p", 2.0)))
-        psi = {"name": name, "p": piece.p}
+        psi = {"name": name, "p": float(psi_spec.get("p", 2.0))}
+        piece = _power_piece(psi["p"])
     elif name == "positive_part":
-        piece = ScalarPiece("positive_part")
+        piece = ScalarPiece(box=(0.0, 1.0))
         psi = {"name": name}
     else:
         raise BadSpec(f"unknown psi {name!r}")
@@ -274,20 +292,16 @@ def _local_grid_1d(spec: dict) -> FormInstance:
     n_edges = nodes - 1
     coeffs = np.ones(n_edges)
     if name == "abs_power":
-        p = float(integrand.get("p", 2.0))
-        if not p >= 1.0:
-            raise BadSpec("abs_power integrand needs p >= 1")
-        # h * |z/h|^p / p == (h^(1-p)/p) |z|^p with z the raw difference
-        piece = ScalarPiece("power", p, h ** (1.0 - p) / p)
+        piece = _power_piece(float(integrand.get("p", 2.0)), h)
     elif name == "max_positive_part":
         # h * max(z/h, 0) == max(z, 0)
-        piece = ScalarPiece("positive_part")
+        piece = ScalarPiece(box=(0.0, 1.0))
     elif name == "finsler_weighted":
         a = np.array(integrand.get("weights", coeffs), dtype=float)
         if a.shape != (n_edges,) or not np.all(np.isfinite(a)) or np.any(a <= 0):
             raise BadSpec("finsler_weighted needs one positive weight per edge")
         # h * a |z/h| == a |z|
-        piece = ScalarPiece("power", 1.0)
+        piece = ScalarPiece(box=(-1.0, 1.0))
         coeffs = a
         integrand["weights"] = a.tolist()
     else:
@@ -317,7 +331,7 @@ def make_form(spec: dict) -> FormInstance:
         return builder(spec)
     except (BadSpec, BadWeight, EmptySpace):
         raise
-    except (TypeError, ValueError) as exc:  # int(), float(), unpacking of bad values
+    except (TypeError, ValueError, OverflowError) as exc:  # int(), float(), h**(1-p), ...
         raise BadSpec(f"malformed {spec['kind']} descriptor: {exc}") from exc
 
 

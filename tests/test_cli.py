@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -151,6 +152,7 @@ def test_verify_config_errors(tmp_path):
 
 
 TWO_NODES = {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]}
+ABS_GRID = {"kind": "local_grid_1d", "nodes": 5, "h": 0.25, "integrand": {"name": "abs_power", "p": 1}}
 
 
 @pytest.mark.parametrize(
@@ -190,6 +192,11 @@ TWO_NODES = {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]}
         ("verify", {**GRAPH_CONFIG, "seed": 2.7}),
         ("flow", {"form": TWO_NODES, "seed": True}),
         ("verify", {**GRAPH_CONFIG, "seed": "3"}),
+        # JSON Infinity is not a step, a tolerance or an exponent
+        ("flow", {"form": ABS_GRID, "flow": {"tau": math.inf}}),
+        ("flow", {"form": TWO_NODES, "flow": {"inner_tol": math.inf}}),
+        ("verify", {"forms": [{"kind": "nonlocal_psi", "kernel": [[0, 1], [1, 0]],
+                               "psi": {"name": "power", "p": math.inf}}]}),
     ],
 )
 def test_typed_config_errors_exit_2(tmp_path, command, doc):
@@ -232,6 +239,18 @@ def test_flow_that_does_not_converge_exits_1(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     assert run(["flow", cfg, "--output", str(out)]) == 1
     assert "error: flow stopped: step 0: Newton prox" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_whose_energy_overflows_exits_1(tmp_path, capsys):
+    # each term 4 * 6^395 of E(u0) is finite and their sum is +inf
+    kernel = {"kind": "nonlocal_psi", "kernel": [[0, 4, 4], [4, 0, 4], [4, 4, 0]],
+              "psi": {"name": "power", "p": 395}}
+    cfg = write_config(tmp_path, "flow.json", {"form": kernel, "initial": [0, 6, 0]})
+    out = tmp_path / "trace.csv"
+    assert run(["flow", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: flow stopped: step 0: " in err and "Traceback" not in err
     assert not out.exists()
 
 

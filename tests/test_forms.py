@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,15 @@ def test_make_form_guards():
         make_form({"kind": "local_grid_1d", "nodes": 9, "h": 0.1, "integrand": {"name": "abs_power", "p": 0.5}})
     with pytest.raises(BadSpec):
         make_form({"kind": "local_grid_1d", "nodes": 1, "h": 0.1, "integrand": {"name": "abs_power"}})
+    # the exponent is checked before the grid's scale h^(1-p)/p is computed
+    for p in (0.5, -1000.0):
+        with pytest.raises(BadSpec, match="at least 1"):
+            make_form({"kind": "local_grid_1d", "nodes": 9, "h": 10.0, "integrand": {"name": "abs_power", "p": p}})
+    # an infinite exponent is no piece
+    with pytest.raises(BadSpec):
+        make_form({"kind": "nonlocal_psi", "kernel": [[0, 1], [1, 0]], "psi": {"name": "power", "p": np.inf}})
+    with pytest.raises(BadSpec):
+        make_form({"kind": "local_grid_1d", "nodes": 9, "h": 0.1, "integrand": {"name": "abs_power", "p": np.inf}})
 
 
 def test_eval_form_examples():
@@ -214,7 +225,7 @@ def test_power_prox_matches_scalar_root_finder(p):
     y[:50] = 0.0
     kappa[25:75] = 0.0
     scale, rho = 0.7, 1.3
-    piece = ScalarPiece("power", p, scale)
+    piece = ScalarPiece(p, scale)
     coeff = kappa * rho / scale
     got = piece.prox(y, coeff, rho)
     ki = coeff * scale / rho
@@ -236,10 +247,104 @@ def test_power_prox_matches_scalar_root_finder(p):
 def test_power_grad_matches_finite_differences(p):
     # |z|^p is differentiable for every p > 1, though C^2 only from p = 2;
     # the flow's gradient certificate needs the derivative at p = 1.5
-    piece = ScalarPiece("power", p, 0.7)
+    piece = ScalarPiece(p, 0.7)
     z = np.random.default_rng(8).uniform(-2.0, 2.0, 200)
     z = z[np.abs(z) > 0.1]
     h = 1e-6
     fd = (piece.value(z + h) - piece.value(z - h)) / (2.0 * h)
     assert np.all(np.abs(piece.grad(z) - fd) <= 1e-7 * np.abs(fd))
     assert np.array_equal(piece.grad(np.zeros(3)), np.zeros(3))
+
+
+def test_support_pieces_match_the_old_formulas():
+    # |z| and max(z, 0) as the support functions of [-1, 1] and [0, 1]
+    tiny = np.finfo(float).tiny
+    rng = np.random.default_rng(9)
+    z = np.concatenate([
+        [0.0, -0.0, tiny, -tiny, tiny / 8, -tiny / 8, 1e300, -1e300, 1.0, -1.0],
+        [np.inf, -np.inf, np.nan],
+        rng.uniform(-10.0, 10.0, 500),
+        rng.standard_normal(100) * 1e-310,
+    ])
+    for box, old in (((-1.0, 1.0), np.abs(z)), ((0.0, 1.0), np.maximum(z, 0.0))):
+        got = ScalarPiece(box=box).value(z)
+        assert np.array_equal(np.isnan(got), np.isnan(old))
+        assert np.all((got == old) | np.isnan(old))
+        y = z[np.isfinite(z)]
+        coeff = rng.uniform(0.0, 3.0, y.size)
+        kappa = coeff / 1.7
+        ref = y - np.clip(y, kappa * box[0], kappa * box[1])
+        assert np.array_equal(ScalarPiece(box=box).prox(y, coeff, 1.7), ref)
+
+
+def _grid(integrand, h=0.25):
+    return {"kind": "local_grid_1d", "nodes": 5, "h": h, "integrand": integrand}
+
+
+def _kernel(psi):
+    return {"kind": "nonlocal_psi", "kernel": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "psi": psi}
+
+
+@pytest.mark.parametrize(
+    "desc, piece",
+    [
+        (_grid({"name": "abs_power", "p": 1}), {"box": (-1.0, 1.0)}),
+        (_grid({"name": "finsler_weighted", "weights": [1, 2, 3, 4]}), {"box": (-1.0, 1.0)}),
+        (_kernel({"name": "power", "p": 1}), {"box": (-1.0, 1.0)}),
+        (_grid({"name": "max_positive_part"}), {"box": (0.0, 1.0)}),
+        (_kernel({"name": "positive_part"}), {"box": (0.0, 1.0)}),
+        (_grid({"name": "abs_power", "p": 3}), {"p": 3.0, "scale": 0.25**-2.0 / 3.0}),
+        (_grid({"name": "abs_power", "p": 1.5}, h=0.1), {"p": 1.5, "scale": 0.1**-0.5 / 1.5}),
+        (_grid({"name": "abs_power"}), {"p": 2.0, "scale": 0.25**-1.0 / 2.0}),
+        ({"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]}, {"p": 2.0, "scale": 0.5}),
+        (_kernel({"name": "power", "p": 4}), {"p": 4.0, "scale": 1.0}),
+        (_kernel({"name": "power", "p": 1.5}), {"p": 1.5, "scale": 1.0}),
+    ],
+)
+def test_descriptors_map_to_their_pieces(desc, piece):
+    got = make_form(desc).piece
+    assert got == ScalarPiece(**piece)
+    # a piece is rebuilt from its own fields
+    assert dataclasses.replace(got) == got == eval(repr(got), {"ScalarPiece": ScalarPiece})
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"p": 1.0},
+        {"p": 0.5, "scale": 2.0},
+        {"p": np.nan},
+        {"p": np.inf},
+        {},
+        {"p": 3.0, "scale": 0.0},
+        {"box": (0.5, 1.0)},
+        {"box": (-1.0, -0.5)},
+        {"box": (-np.inf, 1.0)},
+        {"box": (0.0, 0.0)},
+        {"p": 2.0, "box": (-1.0, 1.0)},
+        {"scale": 2.0, "box": (0.0, 1.0)},
+    ],
+)
+def test_bad_pieces_raise_badspec(kwargs):
+    with pytest.raises(BadSpec):
+        ScalarPiece(**kwargs)
+
+
+def test_energy_sum_past_the_largest_float_is_inf():
+    # each term 4 * 6^395 is finite; their sum is not, and fsum raises on it
+    form = make_form(
+        {"kind": "nonlocal_psi", "kernel": [[0, 4, 4], [4, 0, 4], [4, 4, 0]],
+         "psi": {"name": "power", "p": 395}}
+    )
+    u = np.array([0.0, 6.0, 0.0])
+    assert np.all(np.isfinite(form.coeffs * form.piece.value(form.diffs(u))))
+    assert form.energy_of_values(u) == np.inf
+    stack = form.energy_of_values(np.stack([u, np.array([0.0, 1.0, 0.0])]))
+    assert stack[0] == np.inf and stack[1] == 16.0
+    assert np.isnan(form.energy_of_values(np.array([np.nan, 6.0, 0.0])))
+    # a difference that overflows to -inf has the max(z, 0) term 0, not 0 * inf = NaN
+    form = make_form(_grid({"name": "max_positive_part"}, h=1.0) | {"nodes": 3})
+    u = np.array([1.7e308, -1.7e308, 0.0])
+    with np.errstate(over="ignore"):
+        assert form.energy_of_values(u) == 1.7e308
+        assert np.array_equal(form.energy_of_values(np.stack([u, -u])), [1.7e308, np.inf])

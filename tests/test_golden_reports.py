@@ -1,5 +1,6 @@
 """Byte-identity of shipped reports: sha256 digests of the reports that the
-CLI and the sweep script write for fixed configs and seeds.
+CLI and the sweep script write for fixed configs and seeds, and of the |v|
+grid's trace from the flow experiment script.
 
 A change to the sampling order, to a kernel's arithmetic or to the report
 format changes a digest. The forms covered here need no ``pow`` beyond
@@ -66,3 +67,19 @@ def test_verification_sweep_digests(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     got = {label: digest(tmp_path / f"{label}.json") for label in SWEEP_DIGESTS}
     assert got == SWEEP_DIGESTS
+
+
+def test_flow_experiment_grid_tv_digest(tmp_path):
+    # the |v| grid's trace: the chain prox and its duality gap, no pow, no LAPACK
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_flow_experiment.py"),
+         "--seed", "0", "--steps", "20", "--outdir", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert digest(tmp_path / "grid_tv.csv") == (
+        "3c378ad1d06942f31580f538fcf9e93c647927ef7d42adc7cb4513b1c400a3d9"
+    )
