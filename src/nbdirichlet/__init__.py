@@ -41,15 +41,12 @@ from .flow import (
 )
 from .forms import FormInstance, ScalarPiece, eval_form, make_form
 from .lattice_ops import (
-    ConstraintSet,
     h_alpha,
-    inf,
     phi_alpha,
     project_band,
     project_oracle,
     project_order,
-    sup,
-    twist_check,
+    twist_residuals,
 )
 from .measure import (
     Field,

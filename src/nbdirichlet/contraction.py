@@ -374,16 +374,14 @@ def _peel(bps: list[float]) -> tuple[tuple[float, float], list[float]]:
     return (xi, xi1), new
 
 
-def decompose(
-    phi: PLFunction, validate: bool = True
-) -> tuple[list[PLFunction], PLFunction]:
+def decompose(phi: PLFunction) -> tuple[list[PLFunction], PLFunction]:
     """Factor an F_k element into floor(k/2) pieces of F_2 and a residual.
 
     Returns (factors, residual) with residual in F_0 u F_1 and
     phi = residual o factors[0] o ... o factors[-1] pointwise; factors[-1]
     (the first factor the recursion emits, the minimal-gap pair) is applied
-    first. With validate=True the factorisation is checked against the
-    composition oracle on a dense grid.
+    first. The factorisation is checked against the composition oracle on
+    a dense grid.
     """
     tag = classify(phi)
     if tag.kind != "F":
@@ -401,19 +399,18 @@ def decompose(
     else:
         residual = identity_pl()
     factors = emitted[::-1]
-    if validate:
-        rebuilt = recompose(factors, residual)
-        if phi.breakpoints:
-            span = max(phi.breakpoints[-1] - phi.breakpoints[0], 1.0)
-            lo, hi = phi.breakpoints[0] - span, phi.breakpoints[-1] + span
-        else:
-            lo, hi = -1.0, 1.0
-        grid = np.linspace(lo, hi, 257)
-        err = float(np.max(np.abs(rebuilt(grid) - phi(grid))))
-        if err > 1e-9 * (1.0 + max(abs(lo), abs(hi))):
-            raise NotAlternating(
-                f"factorisation failed oracle validation (max error {err:.3e})"
-            )
+    rebuilt = recompose(factors, residual)
+    if phi.breakpoints:
+        span = max(phi.breakpoints[-1] - phi.breakpoints[0], 1.0)
+        lo, hi = phi.breakpoints[0] - span, phi.breakpoints[-1] + span
+    else:
+        lo, hi = -1.0, 1.0
+    grid = np.linspace(lo, hi, 257)
+    err = float(np.max(np.abs(rebuilt(grid) - phi(grid))))
+    if err > 1e-9 * (1.0 + max(abs(lo), abs(hi))):
+        raise NotAlternating(
+            f"factorisation failed oracle validation (max error {err:.3e})"
+        )
     return factors, residual
 
 

@@ -330,14 +330,16 @@ def _certified_step(
         raise SpaceMismatch("field does not live on the form's space")
     duals = None  # a chain's are read off v; differentiable pieces need none
     if form.n_terms == 0:
-        v, duals = u, np.zeros(0)  # no pairs, so an empty gap on any pair graph
+        w, duals = u.values, np.zeros(0)  # no pairs, so an empty gap on any pair graph
     elif form.smooth:
-        v = make_field(form.space, _newton_prox(form, u.values, tau, max_inner_iters))
+        w = _newton_prox(form, u.values, tau, max_inner_iters)
     elif _is_chain(form):
-        v = make_field(form.space, _chain_prox(form, u.values, tau))
+        w = _chain_prox(form, u.values, tau)
     else:
         w, duals = _admm_prox(form, u.values, tau, max_inner_iters)
-        v = make_field(form.space, w)
+    if not np.all(np.isfinite(w)):
+        raise NoConvergence("the prox step's state is not finite")
+    v = make_field(form.space, w)
     energy = form.energy_of_values(v.values)
     obj = energy + _proximity(form, v.values, u.values, tau)
     certificate = prox_certificate(form, v, u, tau, duals, obj)

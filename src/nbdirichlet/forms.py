@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, BadWeight, EmptySpace, SpaceMismatch
+from .errors import BadSpec, BadWeight, EmptySpace, SpaceMismatch, require_int
 from .measure import Field, MeasureSpace
 
 
@@ -218,13 +218,20 @@ def _graph_quadratic(spec: dict) -> FormInstance:
     n = spec.get("nodes")
     if n is None:
         raise BadSpec("graph_quadratic descriptor needs 'nodes'")
-    space = MeasureSpace(spec.get("node_weights", np.ones(int(n))))
-    edges = [(int(i), int(j), float(w)) for i, j, w in spec.get("edges", [])]
-    for i, j, w in edges:
-        if not (0 <= i < space.n and 0 <= j < space.n and i != j):
+    require_int("nodes", n, 1)
+    space = MeasureSpace(spec.get("node_weights", np.ones(n)))
+    if space.n != n:
+        raise BadSpec(f"node_weights has {space.n} entries for {n} nodes")
+    edges = []
+    for i, j, w in spec.get("edges", []):
+        require_int("an edge endpoint", i, 0)
+        require_int("an edge endpoint", j, 0)
+        i, j, w = int(i), int(j), float(w)
+        if not (i < n and j < n and i != j):
             raise BadSpec(f"edge ({i}, {j}) is not a pair of distinct nodes")
         if not (np.isfinite(w) and w >= 0.0):
             raise BadSpec("edge weights must be finite and nonnegative")
+        edges.append((i, j, w))
     descriptor = {
         "kind": "graph_quadratic",
         "nodes": space.n,
@@ -281,10 +288,9 @@ def _local_grid_1d(spec: dict) -> FormInstance:
     """
     if "nodes" not in spec or "h" not in spec:
         raise BadSpec("local_grid_1d descriptor needs 'nodes' and 'h'")
+    require_int("a 1D grid's nodes", spec["nodes"], 2)
     nodes = int(spec["nodes"])
     h = float(spec["h"])
-    if nodes < 2:
-        raise BadSpec("a 1D grid needs at least 2 nodes")
     if not (np.isfinite(h) and h > 0.0):
         raise BadSpec("grid spacing h must be positive")
     integrand = dict(spec.get("integrand", {}))

@@ -51,11 +51,11 @@ from .contraction import (
 from .errors import PreconditionFailed
 from .forms import FormInstance, make_form
 from .lattice_ops import (
-    h_alpha_values,
+    h_alpha,
     phi_alpha,
-    project_band_values,
-    project_oracle_values,
-    project_order_values,
+    project_band,
+    project_oracle,
+    project_order,
     twist_residuals,
 )
 from .measure import MeasureSpace, make_field
@@ -290,9 +290,9 @@ def _viol_fold2_straddle_clamp_split(form, f, x1, x2):
 
 
 def _viol_identity_halfsum(space: MeasureSpace, f, g, alpha):
-    p1 = project_band_values(f, g, alpha)[0]
-    p2 = project_band_values(g, f, alpha)[1]
-    h = h_alpha_values(f, g, alpha)
+    p1 = project_band(f, g, alpha)[0]
+    p2 = project_band(g, f, alpha)[1]
+    h = h_alpha(f, g, alpha)
     return np.max(np.abs(h - (0.5 * p1 + 0.5 * p2)), axis=1)
 
 
@@ -301,11 +301,11 @@ def _viol_identity_twist(space: MeasureSpace, f, g, alpha, t, s):
 
 
 def _viol_identity_midpoint(space: MeasureSpace, f, g, alpha):
-    h = h_alpha_values(f, g, alpha)
-    k = h_alpha_values(g, f, alpha)
+    h = h_alpha(f, g, alpha)
+    k = h_alpha(g, f, alpha)
     u_half = 0.5 * (f + h)
     v_half = 0.5 * (g + k)
-    p1, p2 = project_band_values(f, g, alpha)
+    p1, p2 = project_band(f, g, alpha)
     return _pymax(
         np.max(np.abs(u_half - p1), axis=1), np.max(np.abs(v_half - p2), axis=1)
     )
@@ -314,8 +314,8 @@ def _viol_identity_midpoint(space: MeasureSpace, f, g, alpha):
 def _viol_identity_projection_oracle(space: MeasureSpace, f, g, alpha):
     worst = np.zeros(f.shape[0])
     for closed, oracle in (
-        (project_order_values(f, g), project_oracle_values("order", f, g)),
-        (project_band_values(f, g, alpha), project_oracle_values("band", f, g, alpha)),
+        (project_order(f, g), project_oracle("order", f, g)),
+        (project_band(f, g, alpha), project_oracle("band", f, g, alpha)),
     ):
         for c, o in zip(closed, oracle):
             worst = _pymax(worst, np.max(np.abs(c - o), axis=1))

@@ -21,7 +21,7 @@ from nbdirichlet.contraction import make_phi, recompose, decompose, classify
 from nbdirichlet.flow import FlowConfig, evolve, prox_step
 from nbdirichlet.forms import eval_form, make_form
 from nbdirichlet.lattice_ops import h_alpha, project_band
-from nbdirichlet.measure import MeasureSpace, linf_norm, make_field
+from nbdirichlet.measure import linf_norm, make_field
 from nbdirichlet.samplers import (
     SuiteConfig,
     check_rng,
@@ -71,7 +71,7 @@ def test_criterion1_decomposition_roundtrip():
         while np.any(np.diff(bps) <= 0.0):
             bps = np.sort(rng.uniform(-10.0, 10.0, k))
         phi = make_phi(bps)
-        factors, residual = decompose(phi, validate=False)
+        factors, residual = decompose(phi)
         assert len(factors) == k // 2
         assert all(classify(f).kind == "F" and classify(f).k == 2 for f in factors)
         err = float(np.max(np.abs(recompose(factors, residual)(grid) - phi(grid))))
@@ -230,11 +230,9 @@ def test_criterion7_halfsum_identity():
     f, g, alpha = np.asarray(w["f"]), np.asarray(w["g"]), w["alpha"]
     gap = 0.5 * float(np.max(np.maximum(np.abs(f - g) - alpha, 0.0)))
 
-    space = MeasureSpace(w["weights"])
-    ff, gg = make_field(space, f), make_field(space, g)
-    h = h_alpha(ff, gg, alpha).values
-    p1 = project_band(ff, gg, alpha)[0].values
-    p2 = project_band(gg, ff, alpha)[1].values
+    h = h_alpha(f, g, alpha)
+    p1 = project_band(f, g, alpha)[0]
+    p2 = project_band(g, f, alpha)[1]
     midpoint_err = float(np.max(np.abs(0.5 * p1 + 0.5 * p2 - 0.5 * (f + h))))
     gap_err = abs(res.worst_violation - gap)
     replayed = replay(w)

@@ -197,6 +197,12 @@ ABS_GRID = {"kind": "local_grid_1d", "nodes": 5, "h": 0.25, "integrand": {"name"
         ("flow", {"form": TWO_NODES, "flow": {"inner_tol": math.inf}}),
         ("verify", {"forms": [{"kind": "nonlocal_psi", "kernel": [[0, 1], [1, 0]],
                                "psi": {"name": "power", "p": math.inf}}]}),
+        # descriptor integers follow the same rule, and node_weights fit nodes
+        ("verify", {"forms": [{**ABS_GRID, "nodes": 10.9}]}),
+        ("verify", {"forms": [{**ABS_GRID, "nodes": "7"}]}),
+        ("verify", {"forms": [{**TWO_NODES, "edges": [[0.9, 1.2, 1.0]]}]}),
+        ("verify", {"forms": [{"kind": "graph_quadratic", "nodes": True}]}),
+        ("verify", {"forms": [{**TWO_NODES, "nodes": 5, "node_weights": [1.0, 2.0]}]}),
     ],
 )
 def test_typed_config_errors_exit_2(tmp_path, command, doc):
@@ -247,6 +253,18 @@ def test_flow_whose_energy_overflows_exits_1(tmp_path, capsys):
     kernel = {"kind": "nonlocal_psi", "kernel": [[0, 4, 4], [4, 0, 4], [4, 4, 0]],
               "psi": {"name": "power", "p": 395}}
     cfg = write_config(tmp_path, "flow.json", {"form": kernel, "initial": [0, 6, 0]})
+    out = tmp_path / "trace.csv"
+    assert run(["flow", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: flow stopped: step 0: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_flow_with_a_nonfinite_state_exits_1(tmp_path, capsys):
+    # the differences overflow, so the chain prox returns a non-finite state
+    grid = {"kind": "local_grid_1d", "nodes": 3, "h": 1.0,
+            "integrand": {"name": "max_positive_part"}}
+    cfg = write_config(tmp_path, "flow.json", {"form": grid, "initial": [1.7e308, -1.7e308, 0.0]})
     out = tmp_path / "trace.csv"
     assert run(["flow", cfg, "--output", str(out)]) == 1
     err = capsys.readouterr().err
