@@ -74,5 +74,62 @@ from .verifier import (
     verify_form,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ContractionClass",
+    "PLFunction",
+    "classify",
+    "compose",
+    "decompose",
+    "envelope",
+    "identity_pl",
+    "is_normal_contraction",
+    "make_phi",
+    "negate",
+    "recompose",
+    "BadSpec",
+    "BadWeight",
+    "EmptySpace",
+    "InconsistentSamples",
+    "NoConvergence",
+    "NotAlternating",
+    "NotIncreasing",
+    "PreconditionFailed",
+    "SpaceMismatch",
+    "FlowConfig",
+    "FlowTrace",
+    "evolve",
+    "exact_graph_resolvent",
+    "prox_certificate",
+    "prox_step",
+    "trace_to_csv",
+    "FormInstance",
+    "ScalarPiece",
+    "eval_form",
+    "make_form",
+    "h_alpha",
+    "phi_alpha",
+    "project_band",
+    "project_oracle",
+    "project_order",
+    "twist_residuals",
+    "Field",
+    "MeasureSpace",
+    "l2_norm",
+    "leq",
+    "linf_norm",
+    "make_field",
+    "make_space",
+    "SuiteConfig",
+    "check_rng",
+    "sample_alpha",
+    "sample_contraction",
+    "CheckResult",
+    "check_criteria",
+    "check_identities",
+    "check_normal_contraction",
+    "counterexample_demo",
+    "replay",
+    "run_proof_chain",
+    "verify_form",
+]
 __version__ = "0.1.0"

@@ -75,11 +75,12 @@ class ScalarPiece:
         assert self.smooth
         return self.scale * self.p * (self.p - 1.0) * np.abs(z) ** (self.p - 2.0)
 
-    def prox(self, y: np.ndarray, coeff: np.ndarray, rho: float) -> np.ndarray:
-        """argmin_t coeff*g(t) + rho/2 (t - y)^2, componentwise."""
-        kappa = coeff * self.scale / rho
+    def prox(self, y: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+        """argmin_t (kappa/scale)*g(t) + (t - y)^2/2, componentwise: the prox
+        of coeff*g + rho/2 (t - y)^2 at kappa = coeff*scale/rho."""
         if self.box is not None:  # Moreau: y minus its projection onto kappa*[lo, hi]
-            return y - np.clip(y, kappa * self.box[0], kappa * self.box[1])
+            # y minus np.clip(y, ...), bit for bit, without np.clip's Python wrappers
+            return y - np.minimum(np.maximum(y, kappa * self.box[0]), kappa * self.box[1])
         return np.sign(y) * _power_prox_magnitude(np.abs(y), kappa * self.p, self.p)
 
 

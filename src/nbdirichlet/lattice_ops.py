@@ -15,11 +15,12 @@ import numpy as np
 
 def _check_alpha(alpha):
     """A finite nonnegative radius, or an array of them (returned as given
-    in shape, as floats)."""
-    a = float(alpha) if np.ndim(alpha) == 0 else np.asarray(alpha, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(a >= 0.0)):
+    in shape, as floats); anything else, None and strings included, is a
+    ValueError."""
+    a = np.asarray(alpha)
+    if a.dtype.kind not in "iuf" or not (np.all(np.isfinite(a)) and np.all(a >= 0.0)):
         raise ValueError("alpha must be a finite nonnegative number")
-    return a
+    return float(a) if a.ndim == 0 else np.asarray(a, dtype=float)
 
 
 def h_alpha(f, g, alpha):

@@ -248,6 +248,7 @@ def test_flow_that_does_not_converge_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_flow_whose_energy_overflows_exits_1(tmp_path, capsys):
     # each term 4 * 6^395 of E(u0) is finite and their sum is +inf
     kernel = {"kind": "nonlocal_psi", "kernel": [[0, 4, 4], [4, 0, 4], [4, 4, 0]],
@@ -260,6 +261,7 @@ def test_flow_whose_energy_overflows_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_flow_with_a_nonfinite_state_exits_1(tmp_path, capsys):
     # the differences overflow, so the chain prox returns a non-finite state
     grid = {"kind": "local_grid_1d", "nodes": 3, "h": 1.0,

@@ -501,3 +501,91 @@ def test_chain_prox_agrees_with_admm(integrand, n):
             assert np.max(np.abs(x - y)) <= 1e-10 * (1.0 + np.max(np.abs(u)))
         c = np.full(n, float(rng.normal()))
         assert np.array_equal(flow._chain_prox(form, c, tau), c)
+
+
+def _reference_admm_prox(form, u, tau, max_iters):
+    """_admm_prox as it was before its loop was cut down, with the prox of
+    ScalarPiece inlined as it was: kappa and its box bounds at every
+    iteration, np.clip, and the dual residual s at every iteration."""
+    from scipy.sparse import csc_matrix, diags
+    from scipy.sparse.linalg import splu
+
+    from nbdirichlet.forms import _power_prox_magnitude
+
+    m = form.space.weights
+    n = m.size
+    ii, jj, c = form.i_idx, form.j_idx, form.coeffs
+    piece = form.piece
+
+    def prox(y, coeff, rho):
+        kappa = coeff * piece.scale / rho
+        if piece.box is not None:
+            return y - np.clip(y, kappa * piece.box[0], kappa * piece.box[1])
+        return np.sign(y) * _power_prox_magnitude(np.abs(y), kappa * piece.p, piece.p)
+
+    ones = np.ones(c.size)
+    DtD = csc_matrix(
+        (np.concatenate([ones, ones, -ones, -ones]),
+         (np.concatenate([ii, jj, ii, jj]), np.concatenate([ii, jj, jj, ii]))),
+        shape=(n, n),
+    )
+    base = diags(m / tau, format="csc")
+
+    def factor(rho):
+        return splu(base + rho * DtD, permc_spec="MMD_AT_PLUS_A")
+
+    rho = max(float(np.median(c * piece.scale)), 1e-3)
+    lu = factor(rho)
+    rhs0 = m * u / tau
+    w = u.copy()
+    z = form.diffs(w)
+    lam = np.zeros(c.size)
+    eps = 1e-13 * (1.0 + float(np.max(np.abs(z))))
+    it = 0
+    while it < max_iters:
+        it += 1
+        w = lu.solve(rhs0 + rho * form.diffs_adjoint(z - lam))
+        dw = form.diffs(w)
+        y = dw + lam
+        z_new = prox(y, c, rho)
+        s = rho * float(np.max(np.abs(form.diffs_adjoint(z_new - z))))
+        z = z_new
+        lam = y - z
+        r = float(np.max(np.abs(dw - z)))
+        if r <= eps and s <= eps:
+            return w, flow._face_multipliers(form, z, rho * lam)
+        if it % 64 == 0:
+            if r > 10.0 * s and rho < 1e8:
+                rho *= 2.0
+                lam /= 2.0
+                lu = factor(rho)
+            elif s > 10.0 * r and rho > 1e-8:
+                rho /= 2.0
+                lam *= 2.0
+                lu = factor(rho)
+    raise NoConvergence(f"ADMM prox did not converge in {max_iters} iterations")
+
+
+ADMM_FORMS = {
+    "nonlocal |z|": lambda: _kernel_form({"name": "power", "p": 1}, 12, 40),
+    "nonlocal max(z, 0)": lambda: _kernel_form({"name": "positive_part"}, 12, 41),
+    "grid |v|^1.5": lambda: _grid_form({"name": "abs_power", "p": 1.5}, 30),
+    "chain |v|, 50 nodes": lambda: _grid_form({"name": "abs_power", "p": 1}, 50),
+}
+
+
+@pytest.mark.parametrize("label", list(ADMM_FORMS))
+def test_admm_iterates_match_the_reference(label):
+    # each iteration computes only what its iterates need, so the state and
+    # the multipliers must be the reference's, and so must the budget's end
+    form = ADMM_FORMS[label]()
+    rng = np.random.default_rng(42)
+    for tau in (1e-6, 1e-3, 1.0, 1e2):
+        u = rng.uniform(-1.0, 1.0, form.space.n)
+        w_ref, lam_ref = _reference_admm_prox(form, u, tau, 200_000)
+        w, lam = flow._admm_prox(form, u, tau, 200_000)
+        assert np.array_equal(w, w_ref), (label, tau)
+        assert np.array_equal(lam, lam_ref), (label, tau)
+        for solver in (_reference_admm_prox, flow._admm_prox):
+            with pytest.raises(NoConvergence, match="in 5 iterations"):
+                solver(form, u, tau, 5)

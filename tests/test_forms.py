@@ -227,8 +227,8 @@ def test_power_prox_matches_scalar_root_finder(p):
     scale, rho = 0.7, 1.3
     piece = ScalarPiece(p, scale)
     coeff = kappa * rho / scale
-    got = piece.prox(y, coeff, rho)
     ki = coeff * scale / rho
+    got = piece.prox(y, ki)
     ref = np.empty(size)
     for k in range(size):
         a = abs(y[k])
@@ -239,7 +239,7 @@ def test_power_prox_matches_scalar_root_finder(p):
             ref[k] = brentq(fn, 0.0, a, xtol=1e-15, rtol=1e-15)
     ref *= np.sign(y)
     assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(y)))
-    assert np.array_equal(piece.prox(-y, coeff, rho), -got)
+    assert np.array_equal(piece.prox(-y, ki), -got)
     assert np.all(got[:50] == 0.0)
 
 
@@ -274,7 +274,7 @@ def test_support_pieces_match_the_old_formulas():
         coeff = rng.uniform(0.0, 3.0, y.size)
         kappa = coeff / 1.7
         ref = y - np.clip(y, kappa * box[0], kappa * box[1])
-        assert np.array_equal(ScalarPiece(box=box).prox(y, coeff, 1.7), ref)
+        assert np.array_equal(ScalarPiece(box=box).prox(y, kappa), ref)
 
 
 def _grid(integrand, h=0.25):

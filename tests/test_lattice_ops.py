@@ -88,9 +88,12 @@ def test_oracle_examples():
 
 @pytest.mark.parametrize(
     "kind, alpha",
-    [("cone", None), ("Band", 1.0), ("order", 0.0)],
+    [("cone", None), ("Band", 1.0), ("order", 0.0), ("band", None), ("band", "1.0"),
+     ("band", [1.0, None])],
 )
 def test_oracle_rejects_unknown_kind_and_order_alpha(kind, alpha):
+    # a band without a radius, or with one that is not a number, is the same
+    # ValueError as a negative radius
     with pytest.raises(ValueError):
         project_oracle(kind, np.array([2.0]), np.array([0.0]), alpha)
 
