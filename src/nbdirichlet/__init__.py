@@ -6,6 +6,8 @@ and projection operators, implicit-Euler gradient flows, and a seeded
 property-testing harness for the order/contraction criteria.
 """
 
+from types import ModuleType as _ModuleType
+
 from .contraction import (
     ContractionClass,
     PLFunction,
@@ -75,61 +77,7 @@ from .verifier import (
 )
 
 __all__ = [
-    "ContractionClass",
-    "PLFunction",
-    "classify",
-    "compose",
-    "decompose",
-    "envelope",
-    "identity_pl",
-    "is_normal_contraction",
-    "make_phi",
-    "negate",
-    "recompose",
-    "BadSpec",
-    "BadWeight",
-    "EmptySpace",
-    "InconsistentSamples",
-    "NoConvergence",
-    "NotAlternating",
-    "NotIncreasing",
-    "PreconditionFailed",
-    "SpaceMismatch",
-    "FlowConfig",
-    "FlowTrace",
-    "evolve",
-    "exact_graph_resolvent",
-    "prox_certificate",
-    "prox_step",
-    "trace_to_csv",
-    "FormInstance",
-    "ScalarPiece",
-    "eval_form",
-    "make_form",
-    "h_alpha",
-    "phi_alpha",
-    "project_band",
-    "project_oracle",
-    "project_order",
-    "twist_residuals",
-    "Field",
-    "MeasureSpace",
-    "l2_norm",
-    "leq",
-    "linf_norm",
-    "make_field",
-    "make_space",
-    "SuiteConfig",
-    "check_rng",
-    "sample_alpha",
-    "sample_contraction",
-    "CheckResult",
-    "check_criteria",
-    "check_identities",
-    "check_normal_contraction",
-    "counterexample_demo",
-    "replay",
-    "run_proof_chain",
-    "verify_form",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]
 __version__ = "0.1.0"

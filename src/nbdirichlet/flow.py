@@ -122,7 +122,7 @@ def _newton_prox(
             raise NoConvergence("Newton prox: the gradient is not finite")
         if gnorm <= 1e-13 * scale:
             return w
-        hz = c * piece.hess(w[ii] - w[jj])
+        hz = c * piece.hess(form.diffs(w))
         H = np.zeros((n, n))
         np.add.at(H, (ii, ii), hz)
         np.add.at(H, (jj, jj), hz)
@@ -187,7 +187,7 @@ def _admm_prox(
     eps = 1e-13 * (1.0 + float(np.max(np.abs(z))))
     for it in range(1, max_iters + 1):
         w = lu.solve(rhs0 + rho * form.diffs_adjoint(z - lam))
-        dw = w[ii] - w[jj]  # form.diffs(w), without np.take's wrapper
+        dw = form.diffs(w)
         y = dw + lam
         z_old, z = z, piece.prox(y, kappa)
         lam = y - z

@@ -89,11 +89,11 @@ def test_oracle_examples():
 @pytest.mark.parametrize(
     "kind, alpha",
     [("cone", None), ("Band", 1.0), ("order", 0.0), ("band", None), ("band", "1.0"),
-     ("band", [1.0, None])],
+     ("band", [1.0, None]), ("band", True)],
 )
 def test_oracle_rejects_unknown_kind_and_order_alpha(kind, alpha):
     # a band without a radius, or with one that is not a number, is the same
-    # ValueError as a negative radius
+    # ValueError as a negative radius; so is a bool
     with pytest.raises(ValueError):
         project_oracle(kind, np.array([2.0]), np.array([0.0]), alpha)
 
