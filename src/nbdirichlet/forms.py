@@ -162,7 +162,7 @@ class FormInstance:
     def diffs(self, values: np.ndarray) -> np.ndarray:
         """D u: the difference u_i - u_j of every pair, in pair order; for
         each row of an (N, n) stack of fields, an (N, n_terms) stack."""
-        return values[..., self.i_idx] - values[..., self.j_idx]
+        return values.take(self.i_idx, axis=-1) - values.take(self.j_idx, axis=-1)
 
     def diffs_adjoint(self, y: np.ndarray) -> np.ndarray:
         """D^T y, the transpose of ``diffs``: node k collects +y_e from the
