@@ -15,7 +15,6 @@ from .contraction import (
     compose,
     decompose,
     envelope,
-    identity_pl,
     is_normal_contraction,
     make_phi,
     negate,

@@ -256,10 +256,6 @@ class ContractionClass:
         return f"F({self.k})" if self.kind == "F" else self.kind
 
 
-def identity_pl() -> PLFunction:
-    return PLFunction((), (1.0,), 0.0)
-
-
 def negate(phi: PLFunction) -> PLFunction:
     """-phi; used to realize G = {id, -id} o (F0 u F1 u F2)."""
     return PLFunction(phi.breakpoints, tuple(-s for s in phi.slopes), -phi.anchor)
@@ -388,16 +384,10 @@ def decompose(phi: PLFunction) -> tuple[list[PLFunction], PLFunction]:
         raise NotAlternating(f"decompose needs an F_k input, got {tag}")
     bps = list(phi.breakpoints)
     emitted: list[PLFunction] = []
-    while len(bps) >= 3:
+    while len(bps) >= 2:
         pair, bps = _peel(bps)
         emitted.append(make_phi(pair))
-    if len(bps) == 2:
-        emitted.append(make_phi(bps))
-        residual = identity_pl()
-    elif len(bps) == 1:
-        residual = make_phi(bps)
-    else:
-        residual = identity_pl()
+    residual = make_phi(bps)
     factors = emitted[::-1]
     rebuilt = recompose(factors, residual)
     if phi.breakpoints:
@@ -417,10 +407,14 @@ def decompose(phi: PLFunction) -> tuple[list[PLFunction], PLFunction]:
 def envelope(samples, radius: float) -> PLFunction:
     """Lower 1-Lipschitz envelope x -> min_i value_i + |x - y_i| on [-R, R].
 
-    ``samples`` is an iterable of (y, value) pairs with distinct y containing
-    the origin sample (0, 0) and satisfying |value_i - value_j| <= |y_i - y_j|.
-    Outside [-R, R] the result continues with slope -1 on the left and +1 on
-    the right, matching the envelope's own behaviour at infinity.
+    ``samples`` is an iterable of finite (y, value) pairs with distinct y,
+    containing the origin sample (0, 0) and consistent up to a rounding
+    slack: |value_i - value_j| <= |y_i - y_j|. Consistency leaves only the
+    neighbours' cones on a gap (y_i, y_i+1), so the envelope is a zigzag of
+    slopes +1 and -1: it equals value_i at y_i and rises from there until it
+    meets the fall to y_i+1 at c_i = ((value_i+1 + y_i+1) - (value_i - y_i)) / 2
+    (a gap that c_i lies outside has one slope). The slope is -1 left of the
+    first sample and +1 right of the last, also outside [-R, R].
     """
     pts = sorted((float(y), float(v)) for y, v in samples)
     if not pts:
@@ -430,6 +424,8 @@ def envelope(samples, radius: float) -> PLFunction:
         raise ValueError("radius must be positive and finite")
     ys = np.array([p[0] for p in pts])
     vs = np.array([p[1] for p in pts])
+    if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(vs))):
+        raise InconsistentSamples("sample positions and values must be finite")
     if np.any(np.diff(ys) <= 0.0):
         raise InconsistentSamples("sample positions must be distinct")
     scale = 1.0 + float(np.max(np.abs(ys)))
@@ -440,41 +436,18 @@ def envelope(samples, radius: float) -> PLFunction:
     if at_zero.size != 1 or vs[at_zero[0]] != 0.0:
         raise InconsistentSamples("samples must contain the origin pair (0, 0)")
 
-    # prefix/suffix minima give e(x) = min(x + L(x), -x + Rm(x))
-    left = np.minimum.accumulate(vs - ys)           # min over y_i <= x of v - y
-    right = np.minimum.accumulate((vs + ys)[::-1])[::-1]  # min over y_i >= x
-
-    def env(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(ys, x, side="right") - 1
-        up = np.where(idx >= 0, x + left[np.clip(idx, 0, None)], np.inf)
-        down = np.where(
-            idx + 1 < ys.size, -x + right[np.clip(idx + 1, None, ys.size - 1)], np.inf
-        )
-        return np.minimum(up, down)
-
-    candidates = [y for y in ys if -R < y < R]
-    for i in range(ys.size - 1):  # one descending->ascending switch per gap
-        cross = 0.5 * (right[i + 1] - left[i])
-        if ys[i] < cross < ys[i + 1] and -R < cross < R:
-            candidates.append(float(cross))
-    # arms may also cross beyond the outermost samples
-    lo_cross = 0.5 * (right[0] - left[0])
-    if lo_cross < ys[0] and -R < lo_cross < R:
-        candidates.append(float(lo_cross))
-    hi_cross = 0.5 * (right[-1] - left[-1])
-    if hi_cross > ys[-1] and -R < hi_cross < R:
-        candidates.append(float(hi_cross))
-
-    grid = _dedupe_sorted(sorted([-R, *sorted(candidates), R]))
-    vals = env(np.asarray(grid))
-    # the envelope of unit cones is 1-Lipschitz; clipping removes the rounding
-    # that near-coincident grid points put into a difference quotient
-    inner_slopes = [
-        min(1.0, max(-1.0, _snap_slope((v2 - v1) / (b2 - b1))))
-        for (b1, v1), (b2, v2) in zip(zip(grid, vals), zip(grid[1:], vals[1:]))
-    ]
-    slopes = [-1.0, *inner_slopes, 1.0]
-    # anchor 0 pins value 0 at the origin sample; the kink at y=0 keeps the
-    # slope integration aligned with env at every grid point
-    return PLFunction(tuple(grid), tuple(slopes), 0.0)
+    # prefix/suffix minima: on (y_i, y_i+1) the envelope is
+    # min(x + left[i], -x + right[i + 1])
+    left = np.minimum.accumulate(vs - ys)
+    right = np.minimum.accumulate((vs + ys)[::-1])[::-1]
+    cross = np.append(0.5 * (right[1:] - left[:-1]), np.inf)  # none after the last
+    rises = cross > ys  # slope +1 right of the sample
+    turns = rises & (cross < np.append(ys[1:], np.inf))  # slope -1 right of the crossing
+    kinks = np.concatenate([ys, cross[turns]])
+    after = np.concatenate([np.where(rises, 1.0, -1.0), -np.ones(np.count_nonzero(turns))])
+    order = np.argsort(kinks)
+    kinks, after = kinks[order], after[order]
+    lo, hi = np.searchsorted(kinks, -R, side="right"), np.searchsorted(kinks, R)
+    first = after[lo - 1] if lo else -1.0  # the slope just right of -R
+    # anchor 0 pins value 0 at the origin sample
+    return PLFunction((-R, *kinks[lo:hi], R), (-1.0, first, *after[lo:hi], 1.0), 0.0)

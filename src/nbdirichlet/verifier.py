@@ -35,6 +35,7 @@ import inspect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -335,7 +336,7 @@ class Check:
     sample: Callable  # (rng, n, idx) -> one sample's parameters
     kernel: Callable  # (form, or space for identities, **stacked parameters) -> violations
 
-    @property
+    @cached_property
     def keys(self) -> tuple[str, ...]:
         """Witness keys of the sampled parameters: the kernel's arguments
         after the form or space."""

@@ -57,6 +57,9 @@ def test_envelope_command(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([[0.0, 0.0], [1.0, 9.0]]))
     assert run(["envelope", "--samples", str(bad), "--radius", "1.0"]) == 2
+    for sample in ([math.nan, 0.0], [1.0, math.nan], [math.inf, 0.0]):
+        bad.write_text(json.dumps([[0.0, 0.0], sample]))  # NaN and Infinity literals
+        assert run(["envelope", "--samples", str(bad), "--radius", "2.0"]) == 2
 
 
 def test_demo_counterexample(tmp_path, capsys):

@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 
 from nbdirichlet.contraction import (
     PLFunction,
+    _peel,
     classify,
     compose,
     decompose,
     envelope,
-    identity_pl,
     is_normal_contraction,
     make_phi,
     negate,
     recompose,
 )
 from nbdirichlet.errors import InconsistentSamples, NotAlternating, NotIncreasing
+from nbdirichlet.samplers import sample_envelope_contraction
 
 GRID = np.linspace(-20.0, 20.0, 2001)
 
@@ -81,7 +82,7 @@ def test_slope_magnitude_guard():
 
 def test_compose_identity_laws():
     rng = np.random.default_rng(0)
-    ident = identity_pl()
+    ident = make_phi([])
     for _ in range(20):
         phi = random_phi(rng)
         left = compose(ident, phi)
@@ -132,7 +133,7 @@ def test_eval_exact_at_anchor():
 
 def test_classify_examples():
     assert str(classify(make_phi([]))) == "F(0)"
-    assert classify(negate(identity_pl())).kind == "G"
+    assert classify(negate(make_phi([]))).kind == "G"
     assert str(classify(make_phi([3]))) == "F(1)"
     assert classify(PLFunction((), (0.5,), 0.0)).kind == "GeneralNormal"
     assert classify(PLFunction((), (1.0,), 1.0)).kind == "NotNormal"
@@ -157,14 +158,14 @@ def test_is_normal_contraction_examples():
 
 def test_decompose_base_cases():
     factors, residual = decompose(make_phi([-2.0, 1.0]))
-    assert len(factors) == 1 and residual.approx_equal(identity_pl())
+    assert len(factors) == 1 and residual.approx_equal(make_phi([]))
     assert factors[0].approx_equal(make_phi([-2.0, 1.0]))
 
     factors, residual = decompose(make_phi([0.5]))
     assert factors == [] and residual.approx_equal(make_phi([0.5]))
 
     factors, residual = decompose(make_phi([]))
-    assert factors == [] and residual.approx_equal(identity_pl())
+    assert factors == [] and residual.approx_equal(make_phi([]))
 
 
 def test_decompose_spec_example():
@@ -178,7 +179,7 @@ def test_decompose_spec_example():
 
 def test_decompose_rejects_non_alternating():
     with pytest.raises(NotAlternating):
-        decompose(negate(identity_pl()))
+        decompose(negate(make_phi([])))
     with pytest.raises(NotAlternating):
         decompose(PLFunction((0.0,), (0.0, 1.0), 0.0))
 
@@ -212,6 +213,31 @@ def test_decompose_with_exactly_equal_gaps():
         assert np.max(np.abs(rebuilt(GRID) - phi(GRID))) <= 1e-9
 
 
+def peel_with_tail(phi):
+    """Reference factorisation: peel while three or more kinks remain, then
+    split the last one or two off by hand."""
+    bps = list(phi.breakpoints)
+    emitted = []
+    while len(bps) >= 3:
+        pair, bps = _peel(bps)
+        emitted.append(make_phi(pair))
+    if len(bps) == 2:
+        emitted.append(make_phi(bps))
+        residual = make_phi([])
+    else:
+        residual = make_phi(bps)
+    return emitted[::-1], residual
+
+
+def test_decompose_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for k in range(11):
+        for _ in range(20):
+            # grid points give equal gaps and kinks at 0 too
+            phi = make_phi(np.sort(rng.choice(np.linspace(-10.0, 10.0, 81), k, replace=False)))
+            assert repr(decompose(phi)) == repr(peel_with_tail(phi))
+
+
 def test_envelope_examples():
     e = envelope([(0.0, 0.0)], 1.0)
     xs = np.linspace(-3, 3, 601)
@@ -236,6 +262,65 @@ def test_envelope_preconditions():
         envelope([(0.0, 0.0), (0.0, 0.0)], 1.0)  # duplicate positions
     with pytest.raises(ValueError):
         envelope([(0.0, 0.0)], 0.0)
+    # NaN compares false, so neither the distinctness nor the consistency
+    # test alone catches a non-finite sample
+    for bad in ((np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0), (-np.inf, 0.0), (1.0, np.inf)):
+        with pytest.raises(InconsistentSamples):
+            envelope([(0.0, 0.0), bad], 2.0)
+
+
+def brute_envelope(samples, xs):
+    ys, vs = np.array(samples).T
+    return np.min(vs[:, None] + np.abs(xs[None, :] - ys[:, None]), axis=0)
+
+
+def random_samples(rng):
+    """A 1-Lipschitz sample set through (0, 0), partly outside [-R, R], with
+    some gaps of slope exactly +1 or -1 (no crossing inside them)."""
+    R = rng.uniform(0.5, 5.0)
+    ys = np.unique(np.concatenate([rng.uniform(-2.0 * R, 2.0 * R, rng.integers(1, 10)), [0.0]]))
+    slopes = np.where(rng.random(ys.size) < 0.3, rng.choice([-1.0, 1.0], ys.size),
+                      rng.uniform(-1.0, 1.0, ys.size))
+    vs = np.zeros(ys.size)
+    i0 = int(np.flatnonzero(ys == 0.0)[0])
+    for i in range(i0 + 1, ys.size):
+        vs[i] = vs[i - 1] + slopes[i] * (ys[i] - ys[i - 1])
+    for i in range(i0 - 1, -1, -1):
+        vs[i] = vs[i + 1] - slopes[i] * (ys[i + 1] - ys[i])
+    return list(zip(ys, vs)), R
+
+
+def assert_min_of_cones(samples, R):
+    e = envelope(samples, R)
+    ys = np.array([y for y, _ in samples])
+    xs = np.concatenate([np.linspace(-R, R, 4001), ys[np.abs(ys) <= R]])
+    tol = 1e-12 * (1.0 + R + max(abs(v) for _, v in samples))
+    assert np.max(np.abs(e(xs) - brute_envelope(samples, xs))) <= tol
+    assert set(e.slopes) <= {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("samples, R", [
+    ([(0.0, 0.0)], 2.0),  # a single sample
+    ([(-7.0, -3.0), (-1.0, 0.5), (0.0, 0.0), (2.0, 2.0), (9.0, 1.0)], 3.0),  # outside [-R, R]
+    ([(-2.0, 2.0), (0.0, 0.0), (1.5, -1.5)], 1.0),  # |dv| = dy on every gap
+    ([(-1.0, -1.0 - 1e-13), (0.0, 0.0), (1.0, 1.0 + 1e-13)], 1.5),  # inside the slack
+])
+def test_envelope_is_the_minimum_of_cones(samples, R):
+    assert_min_of_cones(samples, R)
+
+
+def test_random_envelopes_are_the_minimum_of_cones():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        assert_min_of_cones(*random_samples(rng))
+
+
+@pytest.mark.parametrize("seed", [35, 75, 84])
+def test_sampled_envelope_slopes_are_exactly_unit(seed):
+    # a kink of these envelopes lies within 1e-4 of its neighbour, where a
+    # slope taken as a difference quotient of values comes out near 1 - 1e-12
+    e = sample_envelope_contraction(np.random.default_rng(seed), 9, 5.0)
+    assert all(abs(s) == 1.0 for s in e.slopes)
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=2, max_value=9))

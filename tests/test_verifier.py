@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from nbdirichlet.verifier import (
     counterexample_demo,
     replay,
     run_proof_chain,
+    verify_form,
 )
 
 CFG = SuiteConfig(n_samples=150, seed=0)
@@ -189,6 +192,18 @@ def test_decomposition_chain_consistency():
         assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
         direct = eval_form(form, make_field(form.space, phi(f.values)))
         assert direct == pytest.approx(energies[-1], abs=1e-9)
+
+
+def test_check_keys_are_read_once(monkeypatch):
+    # a check's witness keys come from its kernel's signature
+    form = graph_form()
+    cfg = SuiteConfig(n_samples=5, seed=0)
+    verify_form(form, cfg)
+    calls = []
+    signature = inspect.signature
+    monkeypatch.setattr(inspect, "signature", lambda fn, **kw: calls.append(fn) or signature(fn, **kw))
+    verify_form(form, cfg)
+    assert calls == []
 
 
 def test_non_finite_samples_fail_and_replay():
