@@ -43,12 +43,27 @@ def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no spaces, floats at 17 significant
     digits (non-finite ones as NaN/Infinity, as json.dumps writes them).
     Guarantees byte-identical reports for identical inputs."""
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        inner = ",".join(f"{json.dumps(k)}:{canonical_json(v)}" for k, v in items)
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
+    return _canonical(obj, {})
+
+
+def _canonical(obj, memo: dict) -> str:
+    """canonical_json of obj; memo maps the id of each dict, list or tuple
+    encoded so far to its text, so an object shared by many parts of a
+    document (a report's form descriptor) is encoded once. The ids stay
+    valid because every object in memo is reachable from the document."""
+    if type(obj) is float:  # the common leaf first
+        return format(obj, ".17g") if math.isfinite(obj) else json.dumps(obj)
+    if isinstance(obj, (dict, list, tuple)):
+        text = memo.get(id(obj))
+        if text is None:
+            if isinstance(obj, dict):
+                items = sorted(obj.items())
+                inner = ",".join(f"{json.dumps(k)}:{_canonical(v, memo)}" for k, v in items)
+                text = "{" + inner + "}"
+            else:
+                text = "[" + ",".join(_canonical(v, memo) for v in obj) + "]"
+            memo[id(obj)] = text
+        return text
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -108,14 +123,32 @@ def _load_config(path: str) -> dict:
     return raw
 
 
+def _output_path(args, raw: dict, default: str) -> str:
+    """Where a command writes: --output, else the config's "output", which
+    must be a path string, else the default."""
+    if args.output:
+        return args.output
+    out = raw.get("output", default)
+    if not isinstance(out, str):
+        raise ConfigError(f"'output' must be a path string, got {out!r}")
+    return out
+
+
+def _cannot_write(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {path}: {exc}")
+
+
 def _write_report(results: list[CheckResult], seed: int, path: str) -> None:
     doc = {
         "version": REPORT_VERSION,
         "seed": seed,
         "checks": [r.report_entry() for r in results],
     }
-    with open(path, "w") as fh:
-        fh.write(canonical_json(doc) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(canonical_json(doc) + "\n")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
 
 
 def _report_exit(results: list[CheckResult], path: str) -> int:
@@ -134,7 +167,7 @@ def _cmd_verify(args) -> int:
         raise ConfigError("config needs a nonempty 'forms' list")
     seed = _config_seed(raw)
     cfg = _section(raw, "suite", SuiteConfig, seed=seed)
-    out = args.output or raw.get("output", "report.json")
+    out = _output_path(args, raw, "report.json")
     results: list[CheckResult] = []
     first_space = None
     for idx, desc in enumerate(forms):
@@ -195,6 +228,7 @@ def _cmd_flow(args) -> int:
         raise ConfigError(str(exc)) from exc
     seed = _config_seed(raw)
     cfg = _section(raw, "flow", FlowConfig)
+    out = _output_path(args, raw, "trace.csv")
     initial = raw.get("initial")
     if initial is None:
         rng = np.random.default_rng(seed)
@@ -209,8 +243,10 @@ def _cmd_flow(args) -> int:
     except NoConvergence as exc:
         print(f"error: flow stopped: {exc}", file=sys.stderr)
         return 1
-    out = args.output or raw.get("output", "trace.csv")
-    trace_to_csv(trace, out)
+    try:
+        trace_to_csv(trace, out)
+    except OSError as exc:
+        raise _cannot_write(out, exc) from exc
     print(
         f"flow: {cfg.n_steps} steps, energy {trace.energies[0]:.6g} -> "
         f"{trace.energies[-1]:.6g}; trace at {out}"
@@ -220,7 +256,7 @@ def _cmd_flow(args) -> int:
 
 def _cmd_demo(args) -> int:
     result = counterexample_demo()
-    out = args.output or "counterexample_report.json"
+    out = _output_path(args, {}, "counterexample_report.json")
     _write_report([result], 0, out)
     w = result.witness
     print(

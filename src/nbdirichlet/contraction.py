@@ -15,8 +15,11 @@ contraction families of the verifier's proof chain have closed-form tables.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -50,7 +53,7 @@ class PLFunction:
     def __post_init__(self):
         bps = tuple(float(b) for b in self.breakpoints)
         slopes = tuple(float(s) for s in self.slopes)
-        if not np.all(np.isfinite(bps)):
+        if not all(map(math.isfinite, bps)):
             raise NotIncreasing("breakpoints must be finite")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise NotIncreasing("breakpoints must be strictly increasing")
@@ -59,7 +62,7 @@ class PLFunction:
         if any(abs(s) > 1.0 + _SLOPE_TOL for s in slopes):
             raise ValueError("slope magnitude exceeds 1: not a contraction carrier")
         slopes = tuple(min(1.0, max(-1.0, s)) for s in slopes)
-        if not np.isfinite(self.anchor):
+        if not math.isfinite(self.anchor):
             raise ValueError("anchor value must be finite")
         # canonical form: drop breakpoints between equal adjacent slopes
         keep_bps: list[float] = []
@@ -84,10 +87,31 @@ class PLFunction:
         out = pl_eval(self.table, arr.reshape(1, -1))
         return float(out[0, 0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
-    def slope_at(self, x):
-        """Slope on the interval containing x (right interval at a kink), at
-        a scalar or an array of points."""
-        return self.table.slopes[0][np.searchsorted(self.table.bps[0], x, side="right")]
+    @cached_property
+    def _rel(self) -> tuple[list[float], float]:
+        """The table's rel row and rel0, in Python floats: 0, then the running
+        sum of slopes[i] * (breakpoints[i] - breakpoints[i - 1]) as np.cumsum
+        adds it, and the relative value at 0."""
+        b, s = self.breakpoints, self.slopes
+        rel = [0.0, *accumulate(s[i] * (b[i] - b[i - 1]) for i in range(1, len(b)))]
+        return rel, self._rel_at(rel, 0.0)
+
+    def _rel_at(self, rel: list[float], x: float) -> float:
+        b, s = self.breakpoints, self.slopes
+        if not b:
+            return s[0] * x
+        idx = bisect_right(b, x)
+        j = max(idx - 1, 0)
+        return rel[j] + s[idx] * (x - b[j])
+
+    def _at(self, x: float) -> float:
+        """The value at a finite float x, with pl_eval's arithmetic bit for bit."""
+        rel, rel0 = self._rel
+        return self.anchor + (self._rel_at(rel, x) - rel0)
+
+    def slope_at(self, x: float) -> float:
+        """Slope on the interval containing x (right interval at a kink)."""
+        return self.slopes[bisect_right(self.breakpoints, x)]
 
     def approx_equal(self, other: "PLFunction", tol: float = 1e-12) -> bool:
         if len(self.breakpoints) != len(other.breakpoints):
@@ -306,18 +330,18 @@ def compose(outer: PLFunction, inner: PLFunction) -> PLFunction:
     candidates = list(in_bps)
     out_bps = outer.breakpoints
     if out_bps:
-        bounds = [-np.inf, *in_bps, np.inf]
+        bounds = [-math.inf, *in_bps, math.inf]
         # inner at its kinks; at 0 when it has none (one affine piece)
-        at = inner(np.asarray(in_bps or [0.0])).tolist()
+        at = [inner._at(x) for x in in_bps or [0.0]]
         for p, s in enumerate(inner.slopes):
             if s == 0.0:
                 continue
             lo_x, hi_x = bounds[p], bounds[p + 1]
-            v_lo = -np.inf * s if np.isinf(lo_x) else at[p - 1]
-            v_hi = np.inf * s if np.isinf(hi_x) else at[p]
+            v_lo = -math.inf * s if math.isinf(lo_x) else at[p - 1]
+            v_hi = math.inf * s if math.isinf(hi_x) else at[p]
             if not in_bps:
                 ref, v_ref = 0.0, at[0]
-            elif np.isinf(lo_x):
+            elif math.isinf(lo_x):
                 ref, v_ref = hi_x, v_hi
             else:
                 ref, v_ref = lo_x, v_lo
@@ -337,10 +361,8 @@ def compose(outer: PLFunction, inner: PLFunction) -> PLFunction:
         )
     else:
         reps = [0.0]
-    reps = np.asarray(reps)
-    slopes = (outer.slope_at(inner(reps)) * inner.slope_at(reps)).tolist()
-    slopes = tuple(_snap_slope(s) for s in slopes)
-    return PLFunction(tuple(candidates), slopes, outer(inner(0.0)))
+    slopes = tuple(_snap_slope(outer.slope_at(inner._at(x)) * inner.slope_at(x)) for x in reps)
+    return PLFunction(tuple(candidates), slopes, outer._at(inner._at(0.0)))
 
 
 def recompose(factors: list[PLFunction], residual: PLFunction) -> PLFunction:
@@ -404,6 +426,12 @@ def decompose(phi: PLFunction) -> tuple[list[PLFunction], PLFunction]:
     return factors, residual
 
 
+def _np_min(a: float, b: float) -> float:
+    """np.minimum(a, b) of two numbers: b when they are equal, which can
+    differ from min(a, b) in the sign of a zero."""
+    return a if a < b else b
+
+
 def envelope(samples, radius: float) -> PLFunction:
     """Lower 1-Lipschitz envelope x -> min_i value_i + |x - y_i| on [-R, R].
 
@@ -420,34 +448,35 @@ def envelope(samples, radius: float) -> PLFunction:
     if not pts:
         raise InconsistentSamples("need at least one sample")
     R = float(radius)
-    if not np.isfinite(R) or R <= 0.0:
+    if not math.isfinite(R) or R <= 0.0:
         raise ValueError("radius must be positive and finite")
-    ys = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts])
-    if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(vs))):
+    ys = [p[0] for p in pts]
+    vs = [p[1] for p in pts]
+    if not all(map(math.isfinite, ys + vs)):
         raise InconsistentSamples("sample positions and values must be finite")
-    if np.any(np.diff(ys) <= 0.0):
+    gaps = [b - a for a, b in zip(ys, ys[1:])]
+    if any(g <= 0.0 for g in gaps):
         raise InconsistentSamples("sample positions must be distinct")
-    scale = 1.0 + float(np.max(np.abs(ys)))
-    slack = 1e-12 * scale
-    if np.any(np.abs(np.diff(vs)) > np.diff(ys) + slack):
+    slack = 1e-12 * (1.0 + max(map(abs, ys)))
+    if any(abs(b - a) > g + slack for a, b, g in zip(vs, vs[1:], gaps)):
         raise InconsistentSamples("sample values are not 1-Lipschitz consistent")
-    at_zero = np.flatnonzero(ys == 0.0)
-    if at_zero.size != 1 or vs[at_zero[0]] != 0.0:
+    if 0.0 not in ys or vs[ys.index(0.0)] != 0.0:
         raise InconsistentSamples("samples must contain the origin pair (0, 0)")
 
     # prefix/suffix minima: on (y_i, y_i+1) the envelope is
     # min(x + left[i], -x + right[i + 1])
-    left = np.minimum.accumulate(vs - ys)
-    right = np.minimum.accumulate((vs + ys)[::-1])[::-1]
-    cross = np.append(0.5 * (right[1:] - left[:-1]), np.inf)  # none after the last
-    rises = cross > ys  # slope +1 right of the sample
-    turns = rises & (cross < np.append(ys[1:], np.inf))  # slope -1 right of the crossing
-    kinks = np.concatenate([ys, cross[turns]])
-    after = np.concatenate([np.where(rises, 1.0, -1.0), -np.ones(np.count_nonzero(turns))])
-    order = np.argsort(kinks)
-    kinks, after = kinks[order], after[order]
-    lo, hi = np.searchsorted(kinks, -R, side="right"), np.searchsorted(kinks, R)
+    left = list(accumulate((v - y for y, v in pts), _np_min))
+    right = list(accumulate((v + y for y, v in reversed(pts)), _np_min))[::-1]
+    kinks: list[float] = []
+    after: list[float] = []  # the slope right of each kink
+    for i, y in enumerate(ys):
+        cross = 0.5 * (right[i + 1] - left[i]) if i + 1 < len(ys) else math.inf
+        kinks.append(y)
+        after.append(1.0 if cross > y else -1.0)  # rises right of the sample
+        if y < cross < (ys[i + 1] if i + 1 < len(ys) else math.inf):
+            kinks.append(cross)  # and falls right of the crossing
+            after.append(-1.0)
+    lo, hi = bisect_right(kinks, -R), bisect_left(kinks, R)
     first = after[lo - 1] if lo else -1.0  # the slope just right of -R
     # anchor 0 pins value 0 at the origin sample
     return PLFunction((-R, *kinks[lo:hi], R), (-1.0, first, *after[lo:hi], 1.0), 0.0)

@@ -53,35 +53,43 @@ class SuiteConfig:
 def sample_values(rng: np.random.Generator, n: int) -> np.ndarray:
     """The values of one sampled field on n points: a sorted ramp (reversed
     half the time), a two-level step, or i.i.d. uniform amplitudes."""
+    # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit, on
+    # the same stream; random() is one call where uniform() is several
     draw = rng.random()
     if draw < P_RAMP:
-        vals = np.sort(rng.uniform(-AMPLITUDE, AMPLITUDE, n))
+        vals = np.sort(2.0 * AMPLITUDE * rng.random(n) - AMPLITUDE)
         if rng.random() < 0.5:
             vals = vals[::-1]
     elif draw < P_RAMP + P_STEP:
-        lo, hi = rng.uniform(-AMPLITUDE, AMPLITUDE, 2)
+        lo = 2.0 * AMPLITUDE * rng.random() - AMPLITUDE
+        hi = 2.0 * AMPLITUDE * rng.random() - AMPLITUDE
         split = int(rng.integers(0, n + 1))
-        vals = np.where(np.arange(n) < split, lo, hi)
+        vals = np.full(n, hi)
+        vals[:split] = lo
     else:
-        vals = rng.uniform(-AMPLITUDE, AMPLITUDE, n)
+        vals = 2.0 * AMPLITUDE * rng.random(n) - AMPLITUDE
     return vals
+
+
+_LOG_ALPHA = (float(np.log(1e-3)), float(np.log(10.0)))  # the log-uniform range
 
 
 def sample_alpha(rng: np.random.Generator) -> float:
     """alpha = 0 with probability 1/8, else log-uniform on [1e-3, 10]."""
     if rng.random() < 0.125:
         return 0.0
-    return float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
+    lo, hi = _LOG_ALPHA
+    return float(np.exp(lo + (hi - lo) * rng.random()))
 
 
 def sample_f_k(
     rng: np.random.Generator, max_k: int, span: float
 ) -> PLFunction:
     k = int(rng.integers(0, max_k + 1))
-    bps = np.sort(rng.uniform(-span, span, k))
-    while np.any(np.diff(bps) <= 0.0):
-        bps = np.sort(rng.uniform(-span, span, k))
-    return make_phi(bps)
+    while True:
+        bps = sorted(2.0 * span * rng.random() - span for _ in range(k))
+        if all(b1 < b2 for b1, b2 in zip(bps, bps[1:])):
+            return make_phi(bps)
 
 
 def sample_g_element(rng: np.random.Generator, span: float) -> PLFunction:
@@ -104,14 +112,13 @@ def sample_envelope_contraction(
     rng: np.random.Generator, n_points: int, span: float
 ) -> PLFunction:
     """Envelope of a random 1-Lipschitz sample set anchored at (0, 0)."""
-    ys = np.sort(rng.uniform(-span, span, n_points))
-    ys = np.unique(np.concatenate([ys, [0.0]]))
-    vals = np.zeros(ys.size)
-    i0 = int(np.flatnonzero(ys == 0.0)[0])
-    for i in range(i0 + 1, ys.size):  # integrate bounded slopes from origin
-        vals[i] = vals[i - 1] + rng.uniform(-1.0, 1.0) * (ys[i] - ys[i - 1])
+    ys = sorted({*(2.0 * span * rng.random() - span for _ in range(n_points)), 0.0})
+    vals = [0.0] * len(ys)
+    i0 = ys.index(0.0)
+    for i in range(i0 + 1, len(ys)):  # integrate bounded slopes from origin
+        vals[i] = vals[i - 1] + (2.0 * rng.random() - 1.0) * (ys[i] - ys[i - 1])
     for i in range(i0 - 1, -1, -1):
-        vals[i] = vals[i + 1] - rng.uniform(-1.0, 1.0) * (ys[i + 1] - ys[i])
+        vals[i] = vals[i + 1] - (2.0 * rng.random() - 1.0) * (ys[i + 1] - ys[i])
     return envelope(list(zip(ys, vals)), span + 1.0)
 
 

@@ -125,13 +125,13 @@ def _draw_phi_f(rng, n: int, idx: int) -> dict:
 
 def _draw_x_f(rng, n: int, idx: int) -> dict:
     # the degenerate branch x = 0 is always exercised
-    x = 0.0 if idx == 0 else float(rng.uniform(0.0, 2.0 * AMPLITUDE))
+    x = 0.0 if idx == 0 else 2.0 * AMPLITUDE * rng.random()
     return {"x": x, **_draw_f(rng, n, idx)}
 
 
 def _draw_onesided(rng, n: int, idx: int) -> dict:
-    x1 = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, AMPLITUDE))
-    x2 = x1 + float(rng.uniform(0.05, AMPLITUDE))
+    x1 = 0.0 if rng.random() < 0.15 else AMPLITUDE * rng.random()
+    x2 = x1 + (0.05 + (AMPLITUDE - 0.05) * rng.random())
     return {"x1": x1, "x2": x2, **_draw_f(rng, n, idx)}
 
 
@@ -140,8 +140,8 @@ def _draw_straddle(lo: float, hi: float) -> Callable:
     assumption x2 > -x1, above 1 the mirrored configuration."""
 
     def draw(rng, n: int, idx: int) -> dict:
-        x2 = float(rng.uniform(0.05, AMPLITUDE))
-        x1 = -x2 * float(rng.uniform(lo, hi))
+        x2 = 0.05 + (AMPLITUDE - 0.05) * rng.random()
+        x1 = -x2 * (lo + (hi - lo) * rng.random())
         return {"x1": x1, "x2": x2, **_draw_f(rng, n, idx)}
 
     return draw
@@ -155,7 +155,7 @@ def _draw_twist(rng, n: int, idx: int) -> dict:
     if idx < len(_FORCED_TS):
         t, s = _FORCED_TS[idx]
     else:
-        t, s = rng.uniform(0.0, 1.0, 2)
+        t, s = rng.random(), rng.random()
         if t + s > 1.0:  # reflect onto the valid simplex
             t, s = 1.0 - t, 1.0 - s
     return {**params, "t": float(t), "s": float(s)}

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nbdirichlet import cli
 from nbdirichlet.cli import canonical_json, run
 
 
@@ -287,6 +288,42 @@ def test_flow_command_initial_size_mismatch(tmp_path):
         },
     )
     assert run(["flow", cfg]) == 2
+
+
+FLOW_CONFIG = {
+    "form": {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]},
+    "initial": [1.0, 0.0],
+    "flow": {"tau": 0.5, "n_steps": 2},
+}
+
+
+@pytest.mark.parametrize("output", [None, [], 7, True])
+@pytest.mark.parametrize("command", ["verify", "flow"])
+def test_output_that_is_not_a_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           command, output):
+    # 7 would be a file descriptor to open() and True fd 1, which it closes
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before its output was checked")
+
+    monkeypatch.setattr(cli, "verify_form", no_work)
+    monkeypatch.setattr(cli, "evolve", no_work)
+    doc = (GRAPH_CONFIG if command == "verify" else FLOW_CONFIG) | {"output": output}
+    assert run([command, write_config(tmp_path, "cfg.json", doc)]) == 2
+    assert "error: 'output' must be a path string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+@pytest.mark.parametrize("command", ["verify", "flow", "demo"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, where):
+    dest = str(tmp_path / "missing" / "out.json" if where == "missing_dir" else tmp_path)
+    if command == "demo":
+        argv = ["demo", "counterexample"]
+    else:
+        doc = GRAPH_CONFIG if command == "verify" else FLOW_CONFIG
+        argv = [command, write_config(tmp_path, "cfg.json", doc)]
+    assert run(argv + ["--output", dest]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {dest}: " in err and "Traceback" not in err
 
 
 def test_usage_error_exit_code():

@@ -15,10 +15,11 @@ from nbdirichlet.contraction import (
     is_normal_contraction,
     make_phi,
     negate,
+    pl_eval,
     recompose,
 )
 from nbdirichlet.errors import InconsistentSamples, NotAlternating, NotIncreasing
-from nbdirichlet.samplers import sample_envelope_contraction
+from nbdirichlet.samplers import sample_contraction, sample_envelope_contraction
 
 GRID = np.linspace(-20.0, 20.0, 2001)
 
@@ -388,3 +389,33 @@ def test_many_kinks_evaluate_in_little_memory():
     j = np.maximum(idx - 1, 0)
     expect = t.anchor[0] + ((t.rel[0, j] + t.slopes[0, idx] * (xs - t.bps[0, j])) - t.rel0[0])
     assert np.array_equal(got, expect)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_scalar_evaluation_equals_pl_eval_bit_for_bit():
+    # sampled contractions (F_k, compositions, envelopes) and their negations,
+    # at random points, at +-0.0, at every breakpoint and its neighbours
+    rng = np.random.default_rng(5)
+    for trial in range(3000):
+        phi = sample_contraction(rng)
+        if trial % 2:
+            phi = negate(phi)
+        b = np.array(phi.breakpoints)
+        xs = np.concatenate([rng.uniform(-8.0, 8.0, 12), [0.0, -0.0], b,
+                             np.nextafter(b, -np.inf), np.nextafter(b, np.inf)])
+        want = pl_eval(phi.table, xs[None, :])[0]
+        assert _bits([phi._at(x) for x in xs.tolist()]) == _bits(want), phi
+
+
+def test_scalar_evaluation_keeps_signed_zeros():
+    # rows without breakpoints: anchor + (s x - s 0), with the signs of zero;
+    # the last has rel = [0, -0.0], which np.cumsum keeps and 0 + -0.0 loses
+    for phi in (PLFunction((), (-1.0,), -0.0), PLFunction((), (1.0,), -0.0),
+                PLFunction((), (-0.0,), 0.0), PLFunction((), (0.0,), -0.0),
+                PLFunction((1.0,), (-0.0, 1.0), -0.0),
+                PLFunction((0.0, 1.0), (1.0, -0.0, -1.0), -0.0)):
+        for x in (0.0, -0.0, 1.0, -1.0):
+            assert _bits([phi._at(x)]) == _bits(pl_eval(phi.table, np.array([[x]]))[0]), (phi, x)

@@ -1,11 +1,15 @@
 import dataclasses
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.errors import BadSpec, SpaceMismatch
-from nbdirichlet.forms import ScalarPiece, eval_form, make_form
+from nbdirichlet.forms import _WIDE_ROW, ScalarPiece, _row_sums, _sum_terms, eval_form, make_form
 from nbdirichlet.measure import make_field, make_space
 from nbdirichlet.samplers import SuiteConfig
 from nbdirichlet.verifier import check_criteria
@@ -348,3 +352,71 @@ def test_energy_sum_past_the_largest_float_is_inf():
     with np.errstate(over="ignore"):
         assert form.energy_of_values(u) == 1.7e308
         assert np.array_equal(form.energy_of_values(np.stack([u, -u])), [1.7e308, np.inf])
+
+
+def test_wide_energy_rows_keep_the_overflow_rule():
+    # the 3-node case above on 8 nodes: 56 terms a row, past the width at
+    # which rows are summed without fsum
+    n = 8
+    form = make_form(
+        {"kind": "nonlocal_psi", "kernel": (4.0 * (np.ones((n, n)) - np.eye(n))).tolist(),
+         "psi": {"name": "power", "p": 395}}
+    )
+    assert form.n_terms >= _WIDE_ROW
+    u = np.zeros(n)
+    u[1] = 6.0
+    assert np.all(np.isfinite(form.coeffs * form.piece.value(form.diffs(u))))
+    nan_row = u.copy()
+    nan_row[0] = np.nan
+    stack = form.energy_of_values(np.stack([u, 6.0 * u / 36.0, nan_row, np.zeros(n)]))
+    assert stack[0] == np.inf
+    assert stack[1] == 8.0 * (n - 1)  # 2 (n - 1) terms of 4 * 1^395
+    assert np.isnan(stack[2])
+    assert stack[3] == 0.0 and not np.signbit(stack[3])
+
+
+# terms that put rows near ties, the underflow threshold and DBL_MAX
+_SPECIAL_TERMS = [
+    0.0, -0.0, 1.0, -1.0, 0.5, 0.25, 2.0**-53, 2.0**-54, 3.0 * 2.0**-54, 2.0**52, 2.0**53,
+    1.0 + 2.0**-52, 1e16, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.7e308,
+    -1.7e308, 2.0**1000, math.inf, math.nan,
+]
+
+
+@st.composite
+def _term_rows(draw):
+    """Rows of one width on both sides of the cut, each mixing the special
+    terms, floats of every exponent, one magnitude at a scale, and rows built
+    to sum to a tie: a value whose ulp is 2^j with half-ulp pieces."""
+    width = draw(st.sampled_from([1, 2, 5, 19, 47, 48, 49, 90, 182]))
+    n_rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2.0 ** draw(st.integers(-1074, 1000))
+    shape = (n_rows, width)
+    kinds = [
+        rng.choice(_SPECIAL_TERMS, shape),
+        rng.choice([-1.0, 1.0], shape) * np.ldexp(rng.random(shape), rng.integers(-1074, 1024, shape)),
+        rng.uniform(-4.0, 4.0, shape) * scale,
+        rng.integers(-(2**20), 2**20, shape) * 2.0**-20 * scale,
+        rng.choice([0.0, 0.0, 0.25, 0.5, -0.25], shape) * scale,
+    ]
+    pick = rng.integers(0, len(kinds), shape) if draw(st.booleans()) else draw(
+        st.integers(0, len(kinds) - 1))
+    terms = np.choose(pick, kinds)
+    if draw(st.booleans()):  # ulp of the first term is scale, the rest add to ties
+        terms[:, 0] = 2.0**52 * scale + rng.integers(0, 8, n_rows) * scale
+    return terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(_term_rows())
+def test_row_sums_equal_fsum_bit_for_bit(terms):
+    if np.any(np.isinf(terms) & (terms < 0)):  # fsum rejects -inf; energies have none
+        terms = np.where(terms == -np.inf, 1.0, terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _row_sums(terms)
+    for row, value in zip(terms.tolist(), got.tolist()):
+        want = _sum_terms(row)
+        assert struct.pack("<d", value) == struct.pack("<d", want) or (
+            math.isnan(value) and math.isnan(want)
+        ), (row, value, want)
