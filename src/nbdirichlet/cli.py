@@ -256,7 +256,7 @@ def _cmd_flow(args) -> int:
 
 def _cmd_demo(args) -> int:
     result = counterexample_demo()
-    out = _output_path(args, {}, "counterexample_report.json")
+    out = args.output or "counterexample_report.json"
     _write_report([result], 0, out)
     w = result.witness
     print(

@@ -94,9 +94,9 @@ class PLFunction:
         adds it, and the relative value at 0."""
         b, s = self.breakpoints, self.slopes
         rel = [0.0, *accumulate(s[i] * (b[i] - b[i - 1]) for i in range(1, len(b)))]
-        return rel, self._rel_at(rel, 0.0)
+        return rel, self._relative(rel, 0.0)
 
-    def _rel_at(self, rel: list[float], x: float) -> float:
+    def _relative(self, rel: list[float], x: float) -> float:
         b, s = self.breakpoints, self.slopes
         if not b:
             return s[0] * x
@@ -107,7 +107,7 @@ class PLFunction:
     def _at(self, x: float) -> float:
         """The value at a finite float x, with pl_eval's arithmetic bit for bit."""
         rel, rel0 = self._rel
-        return self.anchor + (self._rel_at(rel, x) - rel0)
+        return self.anchor + (self._relative(rel, x) - rel0)
 
     def slope_at(self, x: float) -> float:
         """Slope on the interval containing x (right interval at a kink)."""

@@ -54,7 +54,7 @@ def sample_values(rng: np.random.Generator, n: int) -> np.ndarray:
     """The values of one sampled field on n points: a sorted ramp (reversed
     half the time), a two-level step, or i.i.d. uniform amplitudes."""
     # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit, on
-    # the same stream; random() is one call where uniform() is several
+    # the same stream; a scalar random() costs a fraction of a scalar uniform()
     draw = rng.random()
     if draw < P_RAMP:
         vals = np.sort(2.0 * AMPLITUDE * rng.random(n) - AMPLITUDE)
