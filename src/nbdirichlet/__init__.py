@@ -40,7 +40,7 @@ from .flow import (
     prox_step,
     trace_to_csv,
 )
-from .forms import FormInstance, ScalarPiece, eval_form, make_form
+from .forms import FormInstance, ScalarPiece, make_form
 from .lattice_ops import (
     h_alpha,
     phi_alpha,
@@ -49,15 +49,7 @@ from .lattice_ops import (
     project_order,
     twist_residuals,
 )
-from .measure import (
-    Field,
-    MeasureSpace,
-    l2_norm,
-    leq,
-    linf_norm,
-    make_field,
-    make_space,
-)
+from .measure import Field, MeasureSpace, make_field
 from .samplers import (
     SuiteConfig,
     check_rng,

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the integer check of the
-config dataclasses."""
+"""Exception types shared across the package, the integer check of the
+config dataclasses and the number check of values from outside."""
+
+import math
 
 import numpy as np
 
@@ -13,7 +15,8 @@ class BadWeight(ValueError):
 
 
 class SpaceMismatch(ValueError):
-    """Two fields that should live on the same measure space do not."""
+    """Values do not fit the measure space they are meant for: a field with
+    the wrong number of values, or a field on another space than the form's."""
 
 
 class NotIncreasing(ValueError):
@@ -47,3 +50,17 @@ def require_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def as_real(name: str, value) -> float:
+    """value as a float; raise ValueError unless it is a finite int or float,
+    numpy's included, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the largest float
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return x

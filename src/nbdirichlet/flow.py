@@ -46,8 +46,18 @@ from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
 from .errors import NoConvergence, SpaceMismatch, require_int
-from .forms import FormInstance, eval_form
+from .forms import FormInstance
 from .measure import Field, make_field
+
+
+def _check_tau(tau: float) -> None:
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
+
+
+def _check_space(form: FormInstance, u: Field) -> None:
+    if u.space is not form.space and u.space != form.space:
+        raise SpaceMismatch("field does not live on the form's space")
 
 
 @dataclass(frozen=True)
@@ -61,8 +71,7 @@ class FlowConfig:
         # stored as floats, so an integer gives the bits of the same float
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "inner_tol", float(self.inner_tol))
-        if not 0.0 < self.tau < math.inf:
-            raise ValueError("tau must be positive and finite")
+        _check_tau(self.tau)
         require_int("n_steps", self.n_steps, 1)
         if not 0.0 < self.inner_tol < math.inf:
             raise ValueError("inner_tol must be positive and finite")
@@ -71,11 +80,12 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """States, energies and per-step certificates of one run: residuals[k]
-    bounds the suboptimality of step k, the gradient bound or the duality
-    gap of prox_certificate."""
+    """States, energies and per-step certificates of one run. states is an
+    (n_steps + 1, n) array whose row k is the state after k steps, row 0 the
+    initial datum; residuals[k] bounds the suboptimality of step k, the
+    gradient bound or the duality gap of prox_certificate."""
 
-    states: list[Field]
+    states: np.ndarray
     energies: list[float]
     residuals: list[float]
     config: FlowConfig
@@ -332,10 +342,8 @@ def _certified_step(
 ) -> tuple[Field, float, float]:
     """The step of prox_step, its certificate and its energy E(v), each
     computed once."""
-    if not 0.0 < tau < math.inf:
-        raise ValueError("tau must be positive and finite")
-    if u.space is not form.space and u.space != form.space:
-        raise SpaceMismatch("field does not live on the form's space")
+    _check_tau(tau)
+    _check_space(form, u)
     duals = None  # a chain's are read off v; differentiable pieces need none
     if form.n_terms == 0:
         w, duals = u.values, np.zeros(0)  # no pairs, so an empty gap on any pair graph
@@ -406,8 +414,10 @@ def evolve(form: FormInstance, u0: Field, cfg: FlowConfig) -> FlowTrace:
     index. A state, energy or certificate that overflows ends the flow in a
     NoConvergence, so numpy does not warn of the overflow on the way.
     """
-    states = [u0]
-    energies = [eval_form(form, u0)]
+    _check_space(form, u0)
+    states = np.empty((cfg.n_steps + 1, form.space.n))
+    states[0] = u0.values
+    energies = [form.energy_of_values(u0.values)]
     residuals: list[float] = []
     u = u0
     for k in range(cfg.n_steps):
@@ -422,32 +432,38 @@ def evolve(form: FormInstance, u0: Field, cfg: FlowConfig) -> FlowTrace:
             raise NoConvergence(
                 f"step {k}: energy increased from {energies[-1]!r} to {e!r}"
             )
-        states.append(v)
+        states[k + 1] = v.values
         energies.append(e)
         u = v
     return FlowTrace(states, energies, residuals, cfg)
 
 
-def exact_graph_resolvent(form, u: Field, tau: float) -> Field:
-    """Closed-form step for graph quadratics: (M + tau L)^(-1) M u.
+def exact_graph_resolvent(form: FormInstance, u: Field, tau: float) -> Field:
+    """Closed-form step for a quadratic piece scale*z^2: E(w) = scale w.Lw,
+    L the form's Laplacian, so the step is (M + tau 2 scale L)^(-1) M u.
 
-    Dense independent solve used as the oracle for prox_step.
+    Dense independent solve used as the oracle for prox_step. Raises
+    ValueError for a piece other than p = 2 and for a tau prox_step rejects.
     """
+    _check_tau(tau)
+    _check_space(form, u)
+    if form.piece.p != 2.0:
+        raise ValueError("the closed-form resolvent needs a quadratic piece (p = 2)")
     M = np.diag(form.space.weights)
     L = form.laplacian()
-    v = np.linalg.solve(M + tau * L, M @ u.values)
+    v = np.linalg.solve(M + tau * (2.0 * form.piece.scale) * L, M @ u.values)
     return make_field(form.space, v)
 
 
 def trace_to_csv(trace: FlowTrace, path: str) -> None:
     """Write one row per state: step, time, energy, residual, v0..v{n-1}."""
-    n = trace.states[0].space.n
+    n = trace.states.shape[1]
     cols = ["step", "time", "energy", "residual"] + [f"v{i}" for i in range(n)]
     lines = [",".join(cols)]
     for k, (state, e) in enumerate(zip(trace.states, trace.energies)):
         res = 0.0 if k == 0 else trace.residuals[k - 1]
         row = [str(k), _fmt(k * trace.config.tau), _fmt(e), _fmt(res)]
-        row += [_fmt(x) for x in state.values]
+        row += [_fmt(x) for x in state]
         lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, BadWeight, EmptySpace, SpaceMismatch, require_int
-from .measure import Field, MeasureSpace
+from .errors import BadSpec, BadWeight, EmptySpace, require_int
+from .measure import MeasureSpace
 
 
 @dataclass(frozen=True)
@@ -242,9 +242,6 @@ class FormInstance:
             return _row_sums(terms)
         return np.array([_sum_terms(row) for row in terms.tolist()])
 
-    def __call__(self, u: Field) -> float:
-        return eval_form(self, u)
-
     def descriptor(self) -> dict:
         """The normalised descriptor this form was built from; make_form of it
         gives the same form. Shared, not copied: do not mutate it."""
@@ -402,10 +399,3 @@ def make_form(spec: dict) -> FormInstance:
         raise
     except (TypeError, ValueError, OverflowError) as exc:  # int(), float(), h**(1-p), ...
         raise BadSpec(f"malformed {spec['kind']} descriptor: {exc}") from exc
-
-
-def eval_form(form: FormInstance, u: Field) -> float:
-    """Evaluate the energy; always a finite nonnegative real here."""
-    if u.space is not form.space and u.space != form.space:
-        raise SpaceMismatch("field does not live on the form's space")
-    return form.energy_of_values(u.values)

@@ -1,16 +1,16 @@
-"""Finite weighted measure spaces and real-valued fields on them.
+"""Finite weighted measure spaces and the one check of values from outside.
 
 A ``MeasureSpace`` is a finite point set {0, ..., n-1} with strictly positive
-weights m(x); a ``Field`` is one real value per point. Norms are taken in the
-weighted L2 sense, ||f||^2 = sum_x m(x) f(x)^2, except for the sup norm which
-ignores weights. All values are immutable; operations return fresh objects.
+weights m(x). A ``Field`` is one finite real value per point: it validates
+values that come from outside (a flow's initial datum, a witness's fields)
+and keeps a read-only copy. The kernels and solvers work on plain arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadWeight, EmptySpace, SpaceMismatch
+from .errors import BadWeight, EmptySpace, SpaceMismatch, as_real
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -54,69 +54,36 @@ class MeasureSpace:
 
 
 class Field:
-    """A real-valued function on a MeasureSpace, one finite value per point."""
+    """A real-valued function on a MeasureSpace, one finite value per point.
+
+    The values are a float or integer array, or a sequence of ints and
+    floats; a bool, a string or None is not a value. Raises SpaceMismatch
+    for the wrong shape and ValueError for any other bad value."""
 
     __slots__ = ("space", "values")
 
     def __init__(self, space: MeasureSpace, values) -> None:
-        arr = np.asarray(values, dtype=float)
+        arr = values
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+            arr = np.asarray(values, dtype=object)  # each entry as it was given
         if arr.shape != (space.n,):
             raise SpaceMismatch(
                 f"field has {arr.size} values for a space of {space.n} points"
             )
+        if arr.dtype == object:
+            arr = [x if type(x) is float else as_real("a field value", x) for x in arr]
+        arr = _readonly(arr)
         if not np.all(np.isfinite(arr)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", _readonly(arr))
+        object.__setattr__(self, "values", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
-
-    def __add__(self, other: "Field") -> "Field":
-        check_same_space(self, other)
-        return Field(self.space, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        check_same_space(self, other)
-        return Field(self.space, self.values - other.values)
-
-    def __neg__(self) -> "Field":
-        return Field(self.space, -self.values)
-
-    def __mul__(self, scalar: float) -> "Field":
-        return Field(self.space, self.values * float(scalar))
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"Field({np.array2string(self.values, threshold=8)})"
 
 
-def check_same_space(f: Field, g: Field) -> None:
-    if f.space is not g.space and f.space != g.space:
-        raise SpaceMismatch("fields live on different measure spaces")
-
-
-def make_space(weights) -> MeasureSpace:
-    """Build the space with points 0..n-1 carrying the given weights."""
-    return MeasureSpace(weights)
-
-
 def make_field(space: MeasureSpace, values) -> Field:
     return Field(space, values)
-
-
-def l2_norm(f: Field) -> float:
-    """Weighted L2 norm, sqrt(sum m(x) f(x)^2)."""
-    return float(np.sqrt(np.sum(f.space.weights * f.values**2)))
-
-
-def linf_norm(f: Field) -> float:
-    """Sup norm max |f(x)|; weights play no role."""
-    return float(np.max(np.abs(f.values)))
-
-
-def leq(f: Field, g: Field) -> bool:
-    """Pointwise order: true iff f(x) <= g(x) at every point."""
-    check_same_space(f, g)
-    return bool(np.all(f.values <= g.values))

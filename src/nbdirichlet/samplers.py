@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contraction import PLFunction, compose, envelope, make_phi, negate
-from .errors import require_int
+from .errors import as_real, require_int
 
 
 def check_rng(seed: int, name: str) -> np.random.Generator:
@@ -140,4 +140,9 @@ def pl_to_witness(phi: PLFunction) -> dict:
 
 
 def pl_from_witness(d: dict) -> PLFunction:
-    return PLFunction(tuple(d["breakpoints"]), tuple(d["slopes"]), d["anchor"])
+    """The contraction a witness records; each breakpoint, slope and the
+    anchor must be a finite int or float, or ValueError is raised."""
+    def reals(key: str) -> tuple:
+        return tuple(as_real(f"phi {key}", x) for x in d[key])
+
+    return PLFunction(reals("breakpoints"), reals("slopes"), as_real("phi anchor", d["anchor"]))

@@ -49,7 +49,7 @@ from .contraction import (
     pl_eval,
     pl_table,
 )
-from .errors import PreconditionFailed
+from .errors import PreconditionFailed, as_real
 from .forms import FormInstance, make_form
 from .lattice_ops import (
     h_alpha,
@@ -392,12 +392,13 @@ def _encode(value):
 
 def _decode(key: str, value, space: MeasureSpace):
     """A witness parameter as one sample of the kernels: fields are checked
-    against the target's space, scalars must be numbers."""
+    against the target's space, scalars must be finite ints or floats (not
+    bools); a bad one raises ValueError."""
     if key == "phi":
         return pl_from_witness(value)
     if key in ("f", "g"):
         return make_field(space, value).values
-    return float(value)
+    return as_real(f"witness parameter {key!r}", value)
 
 
 def _stack(values: list):

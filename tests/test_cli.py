@@ -290,6 +290,25 @@ def test_flow_command_initial_size_mismatch(tmp_path):
     assert run(["flow", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "initial",
+    [
+        ["1", True, "-0.5"],  # numpy reads this as [1, 1, -0.5]
+        [1.0, True, -0.5],
+        [1.0, None, -0.5],
+        [1.0, 10**400, -0.5],  # an integer past the largest float
+    ],
+)
+def test_flow_initial_must_be_finite_numbers(tmp_path, capsys, initial):
+    form = {"kind": "graph_quadratic", "nodes": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}
+    cfg = write_config(tmp_path, "flow.json", {"form": form, "initial": initial})
+    out = tmp_path / "trace.csv"
+    assert run(["flow", cfg, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial datum: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 FLOW_CONFIG = {
     "form": {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]},
     "initial": [1.0, 0.0],

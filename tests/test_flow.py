@@ -10,8 +10,9 @@ from nbdirichlet.flow import (
     prox_step,
     trace_to_csv,
 )
-from nbdirichlet.forms import eval_form, make_form
-from nbdirichlet.measure import leq, linf_norm, make_field
+from nbdirichlet.catalog import instance_catalog
+from nbdirichlet.forms import make_form
+from nbdirichlet.measure import make_field
 
 
 def two_node():
@@ -48,7 +49,7 @@ def test_constants_are_fixed_points():
         form = make_form(desc)
         u = make_field(form.space, np.full(form.space.n, -0.8))
         v = prox_step(form, u, 0.3)
-        assert linf_norm(v - u) <= 1e-12
+        assert np.max(np.abs(v.values - u.values)) <= 1e-12
 
 
 def test_two_node_exact_value():
@@ -62,9 +63,9 @@ def test_evolve_matches_repeated_resolvent():
     form = two_node()
     u = make_field(form.space, [1.0, 0.0])
     trace = evolve(form, u, FlowConfig(tau=0.5, n_steps=2))
-    assert np.max(np.abs(trace.states[2].values - [0.625, 0.375])) <= 1e-12
+    assert np.max(np.abs(trace.states[2] - [0.625, 0.375])) <= 1e-12
     assert len(trace.states) == 3 and len(trace.energies) == 3 and len(trace.residuals) == 2
-    assert trace.states[0] is u
+    assert trace.states.shape == (3, 2) and np.array_equal(trace.states[0], u.values)
 
 
 def test_energies_strictly_decrease_for_nonconstant_data():
@@ -84,7 +85,7 @@ def test_graph_prox_matches_dense_resolvent():
         tau = float(rng.uniform(0.05, 1.0))
         v = prox_step(form, u, tau)
         w = exact_graph_resolvent(form, u, tau)
-        assert linf_norm(v - w) <= 1e-8
+        assert np.max(np.abs(v.values - w.values)) <= 1e-8
 
 
 def test_energy_monotone_every_shipped_form():
@@ -131,11 +132,11 @@ def test_order_preservation_and_linf_contraction():
             cfg = FlowConfig(tau=0.1, n_steps=4)
             tf = evolve(form, f, cfg)
             tg = evolve(form, g, cfg)
-            bound = linf_norm(f - g)
+            bound = np.max(np.abs(f.values - g.values))
             for sf, sg in zip(tf.states, tg.states):
-                neg_part = max(0.0, float(np.max(sf.values - sg.values)))
+                neg_part = max(0.0, float(np.max(sf - sg)))
                 assert neg_part <= slack
-                assert linf_norm(sf - sg) <= bound + slack
+                assert np.max(np.abs(sf - sg)) <= bound + slack
 
 
 def test_semigroup_nesting_exact():
@@ -144,10 +145,11 @@ def test_semigroup_nesting_exact():
     u = make_field(form.space, rng.uniform(-2, 2, 6))
     full = evolve(form, u, FlowConfig(tau=0.07, n_steps=5))
     first = evolve(form, u, FlowConfig(tau=0.07, n_steps=2))
-    second = evolve(form, first.states[-1], FlowConfig(tau=0.07, n_steps=3))
-    chained = first.states + second.states[1:]
+    second = evolve(form, make_field(form.space, first.states[-1]), FlowConfig(tau=0.07, n_steps=3))
+    chained = np.vstack([first.states, second.states[1:]])
+    assert chained.shape == full.states.shape
     for a, b in zip(full.states, chained):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 def test_no_convergence_raises():
@@ -258,7 +260,7 @@ def test_certificates_within_tolerance():
         u = make_field(form.space, rng.uniform(-2, 2, form.space.n))
         trace = evolve(form, u, FlowConfig(tau=0.1, n_steps=3, inner_tol=1e-9))
         for k, r in enumerate(trace.residuals):
-            obj = flow._objective(form, trace.states[k + 1].values, trace.states[k].values, 0.1)
+            obj = flow._objective(form, trace.states[k + 1], trace.states[k], 0.1)
             assert abs(r) <= 1e-12 * (1.0 + abs(obj))
 
 
@@ -348,6 +350,42 @@ def test_certificate_bounds_the_suboptimality(label):
             assert f_w - f_star <= certificate(w) + 1e-12 * (1.0 + abs(f_w) + abs(f_star))
 
 
+@pytest.mark.parametrize("label", ["nonlocal_z2", "grid_abs_p2"])
+def test_exact_resolvent_of_scaled_quadratics(label):
+    # E = scale * sum_e c_e (w_i - w_j)^2 with scale 1 (nonlocal) and 5 (grid):
+    # the closed form must reproduce the certified step, scale and all
+    form = make_form(instance_catalog(0)[label])
+    rng = np.random.default_rng(50)
+    for tau in (1e-3, 0.05, 1.0):
+        u = make_field(form.space, rng.uniform(-2, 2, form.space.n))
+        v = prox_step(form, u, tau)
+        w = exact_graph_resolvent(form, u, tau)
+        assert np.max(np.abs(v.values - w.values)) <= 1e-12 * (1.0 + np.max(np.abs(u.values)))
+
+
+def test_exact_resolvent_of_graph_quadratics_keeps_its_bits():
+    # on a graph quadratic (scale 1/2) the step is (M + tau L)^-1 M u, bit for bit
+    form = random_graph(8, seed=3)
+    u = make_field(form.space, np.random.default_rng(51).uniform(-3, 3, 8))
+    M = np.diag(form.space.weights)
+    for tau in (1e-3, 0.05, 1.0):
+        expected = np.linalg.solve(M + tau * form.laplacian(), M @ u.values)
+        assert np.array_equal(exact_graph_resolvent(form, u, tau).values, expected)
+
+
+def test_exact_resolvent_rejects_what_it_cannot_solve():
+    catalog = instance_catalog(0)
+    for label in ("nonlocal_z4", "grid_abs_p4", "nonlocal_abs", "grid_abs_p1", "grid_max_positive_part"):
+        form = make_form(catalog[label])
+        with pytest.raises(ValueError, match="quadratic piece"):
+            exact_graph_resolvent(form, make_field(form.space, np.zeros(form.space.n)), 0.05)
+    form = two_node()
+    u = make_field(form.space, [1.0, 0.0])
+    for tau in (0.0, -0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            exact_graph_resolvent(form, u, tau)
+
+
 def test_trace_csv_schema(tmp_path):
     form = two_node()
     u = make_field(form.space, [1.0, 0.0])
@@ -396,21 +434,22 @@ def test_chain_step_on_large_grids(integrand, n):
     v = prox_step(form, u, 1e-3)
     m = form.space.weights
     assert abs(float(m @ v.values) - float(m @ u.values)) <= 1e-12 * n  # D^T preserves mass
-    assert eval_form(form, v) < eval_form(form, u)
+    assert form.energy_of_values(v.values) < form.energy_of_values(u.values)
 
 
 def test_evolve_energy_slack_is_relative(monkeypatch):
     from nbdirichlet import flow
 
+    form = two_node()
+
     def energies_rising_by(rise):
         # the initial energy, then each step's from _certified_step
         values = iter([1e12 + k * rise for k in range(4)])
-        monkeypatch.setattr(flow, "eval_form", lambda form, u: next(values))
+        monkeypatch.setattr(form, "energy_of_values", lambda u: next(values))
         monkeypatch.setattr(
             flow, "_certified_step", lambda form, u, *args: (u, 0.0, next(values))
         )
 
-    form = two_node()
     u = make_field(form.space, [1.0, 0.0])
     cfg = FlowConfig(tau=0.5, n_steps=3)
     energies_rising_by(1e-3)  # a few ulps of 1e12, far above an absolute 1e-10

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.errors import BadSpec, SpaceMismatch
-from nbdirichlet.forms import _WIDE_ROW, ScalarPiece, _row_sums, _sum_terms, eval_form, make_form
-from nbdirichlet.measure import make_field, make_space
+from nbdirichlet.flow import FlowConfig, evolve
+from nbdirichlet.forms import _WIDE_ROW, ScalarPiece, _row_sums, _sum_terms, make_form
+from nbdirichlet.measure import MeasureSpace, make_field
 from nbdirichlet.samplers import SuiteConfig
 from nbdirichlet.verifier import check_criteria
 
@@ -97,24 +98,26 @@ def test_make_form_guards():
 
 def test_eval_form_examples():
     g = graph2()
-    assert eval_form(g, make_field(g.space, [1.0, 0.0])) == 0.5
+    assert g.energy_of_values(np.array([1.0, 0.0])) == 0.5
     for build in ALL_FORMS:
         form = build()
-        const = make_field(form.space, np.full(form.space.n, 1.7))
-        assert eval_form(form, const) == 0.0
+        const = np.full(form.space.n, 1.7)
+        assert form.energy_of_values(const) == 0.0
 
 
 def test_counterexample_energies_exact():
     form = maxpos_grid()
-    f = make_field(form.space, -np.arange(11) / 10.0)
-    assert eval_form(form, f) == 0.0
-    assert eval_form(form, -f) == pytest.approx(1.0, abs=1e-12)
+    f = -np.arange(11) / 10.0
+    assert form.energy_of_values(f) == 0.0
+    assert form.energy_of_values(-f) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eval_space_mismatch():
+    # the flow checks its datum's space on entry, before the first energy
     g = graph2()
-    with pytest.raises(SpaceMismatch):
-        eval_form(g, make_field(make_space([1.0, 2.0]), [0.0, 0.0]))
+    elsewhere = make_field(MeasureSpace([1.0, 2.0]), [0.0, 0.0])
+    with pytest.raises(SpaceMismatch, match="field does not live on the form's space"):
+        evolve(g, elsewhere, FlowConfig(tau=0.5, n_steps=1))
 
 
 def test_nonnegative_on_random_fields():
@@ -122,19 +125,20 @@ def test_nonnegative_on_random_fields():
     for build in ALL_FORMS:
         form = build()
         for _ in range(50):
-            u = make_field(form.space, rng.uniform(-5, 5, form.space.n))
-            assert eval_form(form, u) >= 0.0
+            u = rng.uniform(-5, 5, form.space.n)
+            assert form.energy_of_values(u) >= 0.0
 
 
 def test_sampled_convexity():
     rng = np.random.default_rng(2)
     for build in ALL_FORMS:
         form = build()
+        E = form.energy_of_values
         for _ in range(100):
-            f = make_field(form.space, rng.uniform(-3, 3, form.space.n))
-            g = make_field(form.space, rng.uniform(-3, 3, form.space.n))
+            f = rng.uniform(-3, 3, form.space.n)
+            g = rng.uniform(-3, 3, form.space.n)
             mid = 0.5 * f + 0.5 * g
-            assert eval_form(form, mid) <= 0.5 * eval_form(form, f) + 0.5 * eval_form(form, g) + 1e-9
+            assert E(mid) <= 0.5 * E(f) + 0.5 * E(g) + 1e-9
 
 
 def symmetry(form):
@@ -176,10 +180,8 @@ def test_discrete_locality_additive_on_separated_supports():
             v_vals[6:] = rng.uniform(-2, 2, 5)  # v varies only on the right block
             v_vals[:6] = v_vals[6]  # constant there: edge differences vanish
             u_vals[5:] = u_vals[4]
-            u = make_field(form.space, u_vals)
-            v = make_field(form.space, v_vals)
-            lhs = eval_form(form, u + v)
-            rhs = eval_form(form, u) + eval_form(form, v)
+            lhs = form.energy_of_values(u_vals + v_vals)
+            rhs = form.energy_of_values(u_vals) + form.energy_of_values(v_vals)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -189,8 +191,8 @@ def test_graph_quadratic_half_prefactor_once_per_edge():
     two = make_form(
         {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}
     )
-    u = make_field(one.space, [2.0, -1.0])
-    assert eval_form(two, u) == 2 * eval_form(one, u)
+    u = np.array([2.0, -1.0])
+    assert two.energy_of_values(u) == 2 * one.energy_of_values(u)
 
 
 def test_descriptor_round_trips_for_every_catalog_kind():

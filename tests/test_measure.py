@@ -1,126 +1,80 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nbdirichlet.errors import BadWeight, EmptySpace, SpaceMismatch
-from nbdirichlet.measure import (
-    Field,
-    l2_norm,
-    leq,
-    linf_norm,
-    make_field,
-    make_space,
-)
-
-finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
-small_n = st.integers(min_value=1, max_value=12)
-
-
-@st.composite
-def space_and_fields(draw, n_fields=1):
-    n = draw(small_n)
-    weights = draw(
-        st.lists(
-            st.floats(min_value=0.01, max_value=10), min_size=n, max_size=n
-        )
-    )
-    space = make_space(weights)
-    fields = [
-        make_field(space, draw(st.lists(finite, min_size=n, max_size=n)))
-        for _ in range(n_fields)
-    ]
-    return (space, *fields)
+from nbdirichlet.flow import prox_step
+from nbdirichlet.forms import make_form
+from nbdirichlet.measure import MeasureSpace, make_field
 
 
 def test_make_space_examples():
-    s = make_space([1.0])
+    s = MeasureSpace([1.0])
     assert s.n == 1 and s.weights[0] == 1.0
-    s = make_space([1, 1, 1])
+    s = MeasureSpace([1, 1, 1])
     assert s.n == 3 and np.array_equal(s.weights, [1, 1, 1])
-    s = make_space([0.5, 2.0])
+    s = MeasureSpace([0.5, 2.0])
     assert np.array_equal(s.weights, [0.5, 2.0])
 
 
 def test_make_space_errors():
     with pytest.raises(EmptySpace):
-        make_space([])
+        MeasureSpace([])
     with pytest.raises(BadWeight):
-        make_space([1.0, 0.0])
+        MeasureSpace([1.0, 0.0])
     with pytest.raises(BadWeight):
-        make_space([1.0, -2.0])
+        MeasureSpace([1.0, -2.0])
     with pytest.raises(BadWeight):
-        make_space([1.0, np.inf])
-
-
-def test_l2_norm_examples():
-    s = make_space([1.0, 1.0])
-    assert l2_norm(make_field(s, [0.0, 0.0])) == 0.0
-    assert l2_norm(make_field(s, [3.0, 4.0])) == 5.0
-    assert l2_norm(make_field(make_space([4.0]), [1.0])) == 2.0
-
-
-def test_linf_norm_examples():
-    s = make_space([1.0, 1.0])
-    assert linf_norm(make_field(s, [0.0, 0.0])) == 0.0
-    assert linf_norm(make_field(s, [-3.0, 2.0])) == 3.0
-    assert linf_norm(make_field(make_space([1, 1, 1]), [1, 1, 1])) == 1.0
-
-
-def test_leq_examples():
-    s = make_space([1.0, 1.0])
-    f = make_field(s, [0.0, 0.0])
-    assert leq(f, f)
-    assert not leq(f, make_field(s, [1.0, -1.0]))
-    assert leq(make_field(s, [-1.0, 0.0]), f)
+        MeasureSpace([1.0, np.inf])
 
 
 def test_space_mismatch():
-    f = make_field(make_space([1.0, 1.0]), [0.0, 0.0])
-    g = make_field(make_space([1.0, 2.0]), [0.0, 0.0])
-    with pytest.raises(SpaceMismatch):
-        leq(f, g)
-    with pytest.raises(SpaceMismatch):
-        f + g
+    s = MeasureSpace([1.0, 1.0])
+    for values in ([0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], np.zeros((2, 1)), 5.0):
+        with pytest.raises(SpaceMismatch):
+            make_field(s, values)
+    form = make_form({"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]})
+    elsewhere = make_field(MeasureSpace([1.0, 2.0]), [0.0, 0.0])
+    with pytest.raises(SpaceMismatch, match="the form's space"):
+        prox_step(form, elsewhere, 0.5)
 
 
 def test_fields_are_immutable():
-    f = make_field(make_space([1.0]), [2.0])
+    f = make_field(MeasureSpace([1.0]), [2.0])
     with pytest.raises(ValueError):
         f.values[0] = 1.0
     with pytest.raises(AttributeError):
         f.values = np.zeros(1)
 
 
-@given(space_and_fields(n_fields=2))
-@settings(max_examples=200)
-def test_l2_triangle_inequality(sf):
-    _, f, g = sf
-    lhs = l2_norm(f + g)
-    rhs = l2_norm(f) + l2_norm(g)
-    assert lhs <= rhs * (1 + 1e-12) + 1e-12
+def test_field_values_are_real_numbers():
+    s = MeasureSpace([1.0, 1.0, 1.0])
+    for values in (
+        ["1", True, "-0.5"],  # numpy reads this as [1, 1, -0.5]
+        [1.0, True, 0.5],  # and a bool in a float list as 1.0
+        [1.0, np.True_, 0.5],
+        np.array([True, False, True]),
+        [1.0, None, 0.5],
+        [1.0, "2", 0.5],
+        np.array(["1", "2", "3"]),
+        np.array([1.0, 2.0, 3.0]) + 1j,
+        [1.0, [2.0], 0.5],
+    ):
+        with pytest.raises(ValueError, match="real number"):
+            make_field(s, values)
+    for values in ([1.0, np.nan, 0.5], np.array([1.0, np.inf, 0.5]), [10**400, 0, 1], [-(10**400), 0, 1]):
+        with pytest.raises(ValueError, match="finite"):
+            make_field(s, values)
 
 
-@given(space_and_fields(), st.floats(min_value=-20, max_value=20, allow_nan=False))
-@settings(max_examples=200)
-def test_l2_absolute_homogeneity(sf, c):
-    _, f = sf
-    assert l2_norm(c * f) == pytest.approx(abs(c) * l2_norm(f), rel=1e-12, abs=1e-12)
-
-
-@given(space_and_fields(n_fields=3))
-@settings(max_examples=200)
-def test_leq_partial_order(sf):
-    _, f, g, h = sf
-    assert leq(f, f)
-    if leq(f, g) and leq(g, f):
-        assert np.array_equal(f.values, g.values)
-    if leq(f, g) and leq(g, h):
-        assert leq(f, h)
-
-
-@given(space_and_fields(n_fields=2))
-@settings(max_examples=200)
-def test_linf_separates_points(sf):
-    _, f, g = sf
-    assert (linf_norm(f - g) == 0.0) == np.array_equal(f.values, g.values)
+def test_field_takes_ints_and_floats():
+    s = MeasureSpace([1.0, 1.0, 1.0])
+    for values in ([1, 2.5, -3], (1, 2.5, -3), [np.int64(1), np.float64(2.5), -3],
+                   np.array([1.0, 2.5, -3.0]), np.array([1.0, 2.5, -3.0], dtype=np.float32)):
+        f = make_field(s, values)
+        assert f.values.dtype == float and np.array_equal(f.values, [1.0, 2.5, -3.0])
+    ints = make_field(s, np.array([4, 0, -2]))
+    assert ints.values.dtype == float and np.array_equal(ints.values, [4.0, 0.0, -2.0])
+    source = np.array([1.0, 2.0, 3.0])
+    f = make_field(s, source)
+    source[0] = 9.0  # a float array is copied, not kept
+    assert f.values[0] == 1.0 and not f.values.flags.writeable

@@ -5,7 +5,7 @@ import pytest
 
 from nbdirichlet.contraction import classify, decompose, make_phi
 from nbdirichlet.errors import PreconditionFailed, SpaceMismatch
-from nbdirichlet.forms import eval_form, make_form
+from nbdirichlet.forms import make_form
 from nbdirichlet.measure import make_field
 from nbdirichlet.samplers import SuiteConfig, check_rng, sample_contraction
 from nbdirichlet.verifier import (
@@ -159,8 +159,41 @@ def test_replay_checks_witness_fields_against_the_space():
             replay(dict(w, f=[float("nan")] + w["f"][1:]))
     with pytest.raises(SpaceMismatch):
         replay(dict(identity, g=identity["g"][:-1]))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="real number"):
         replay(dict(identity, alpha=[identity["alpha"]] * 2))
+
+
+def test_replay_takes_only_finite_numbers():
+    # float() reads "0.5" and True, and NaN runs into the kernels; none of
+    # them is a sampled parameter
+    form = graph_form()
+    criteria = check_criteria(form, CFG)
+    clamp = next(r.witness for r in criteria if r.name == "clamp")
+    fold1 = next(
+        r.witness for r in run_proof_chain(form, CFG, criteria) if r.name == "proof_fold1_conclusion"
+    )
+    for w, key in ((clamp, "alpha"), (fold1, "x")):
+        assert isinstance(w[key], float)
+        for bad in ("0.5", True, False, None, [0.5]):
+            with pytest.raises(ValueError, match="real number"):
+                replay(dict(w, **{key: bad}))
+        for bad in (float("nan"), float("inf"), -float("inf"), 10**400):
+            with pytest.raises(ValueError, match="finite"):
+                replay(dict(w, **{key: bad}))
+        assert replay(dict(w, **{key: np.float64(w[key])})) == replay(w)
+    for bad in (True, "1.0", None):
+        with pytest.raises(ValueError, match="real number"):
+            replay(dict(clamp, f=[bad] + clamp["f"][1:]))
+    contraction = check_normal_contraction(form, CFG).witness
+    phi = contraction["phi"]
+    for key, bad in (
+        ("anchor", True),
+        ("anchor", "0"),
+        ("slopes", [True] * len(phi["slopes"])),
+        ("breakpoints", [str(b) for b in phi["breakpoints"]]),
+    ):
+        with pytest.raises(ValueError, match="real number"):
+            replay(dict(contraction, phi=dict(phi, **{key: bad})))
 
 
 def test_checks_are_deterministic_and_order_independent():
@@ -183,14 +216,14 @@ def test_decomposition_chain_consistency():
         factors, residual = decompose(phi)
         f = make_field(form.space, rng.uniform(-3, 3, form.space.n))
         chain = f
-        energies = [eval_form(form, chain)]
+        energies = [form.energy_of_values(chain.values)]
         for fac in reversed(factors):  # factors[-1] is applied first
             chain = make_field(form.space, fac(chain.values))
-            energies.append(eval_form(form, chain))
+            energies.append(form.energy_of_values(chain.values))
         chain = make_field(form.space, residual(chain.values))
-        energies.append(eval_form(form, chain))
+        energies.append(form.energy_of_values(chain.values))
         assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
-        direct = eval_form(form, make_field(form.space, phi(f.values)))
+        direct = form.energy_of_values(make_field(form.space, phi(f.values)).values)
         assert direct == pytest.approx(energies[-1], abs=1e-9)
 
 
