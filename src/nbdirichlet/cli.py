@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -43,10 +44,31 @@ def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no spaces, floats at 17 significant
     digits (non-finite ones as NaN/Infinity, as json.dumps writes them).
     Guarantees byte-identical reports for identical inputs."""
-    return _canonical(obj, {})
+    return _canonical(obj, {}, {})
 
 
-def _canonical(obj, memo: dict) -> str:
+def _key(k, keys: dict) -> str:
+    """The JSON text of a dict key; keys memoizes it for str keys only,
+    since 1, 1.0 and True are equal dict keys with different texts."""
+    if type(k) is not str:
+        return json.dumps(k)
+    text = keys.get(k)
+    if text is None:
+        text = keys[k] = json.dumps(k)
+    return text
+
+
+def _finite_floats(obj) -> str | None:
+    """The text of a list of finite floats (a witness field) in one join, or
+    None for any other list or tuple."""
+    if type(obj) is not list or not all(type(v) is float for v in obj):
+        return None
+    text = "[" + ",".join([format(v, ".17g") for v in obj]) + "]"
+    # ".17g" writes "nan" or "inf" for a non-finite float and no "n" else
+    return None if "n" in text else text
+
+
+def _canonical(obj, memo: dict, keys: dict) -> str:
     """canonical_json of obj; memo maps the id of each dict, list or tuple
     encoded so far to its text, so an object shared by many parts of a
     document (a report's form descriptor) is encoded once. The ids stay
@@ -58,10 +80,12 @@ def _canonical(obj, memo: dict) -> str:
         if text is None:
             if isinstance(obj, dict):
                 items = sorted(obj.items())
-                inner = ",".join(f"{json.dumps(k)}:{_canonical(v, memo)}" for k, v in items)
+                inner = ",".join(f"{_key(k, keys)}:{_canonical(v, memo, keys)}" for k, v in items)
                 text = "{" + inner + "}"
             else:
-                text = "[" + ",".join(_canonical(v, memo) for v in obj) + "]"
+                text = _finite_floats(obj)
+                if text is None:
+                    text = "[" + ",".join(_canonical(v, memo, keys) for v in obj) + "]"
             memo[id(obj)] = text
         return text
     if isinstance(obj, bool):
@@ -276,26 +300,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the check suites from a JSON config")
     p.add_argument("config")
     p.add_argument("--output", help="report path (default from config or report.json)")
-    p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("decompose", help="factor an alternating contraction into F2 pieces")
     p.add_argument("--breakpoints", required=True, help="comma-separated, increasing")
-    p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("envelope", help="lower 1-Lipschitz envelope of sampled values")
     p.add_argument("--samples", required=True, help="JSON file [[y, value], ...]")
     p.add_argument("--radius", required=True, type=float)
-    p.set_defaults(fn=_cmd_envelope)
 
     p = sub.add_parser("flow", help="run a proximal gradient flow, write a CSV trace")
     p.add_argument("config")
     p.add_argument("--output", help="trace path (default from config or trace.csv)")
-    p.set_defaults(fn=_cmd_flow)
 
     p = sub.add_parser("demo", help="built-in demonstrations")
     p.add_argument("what", choices=["counterexample"])
     p.add_argument("--output", help="report path")
-    p.set_defaults(fn=_cmd_demo)
     return ap
 
 
@@ -316,16 +335,23 @@ def _glue_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: building it costs about a millisecond."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_glue_values(list(argv)))
+        args = _parser().parse_args(_glue_values(list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # looked up at call time, so a wrapper put on a _cmd_* function runs
+    command = globals()[f"_cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -161,23 +161,24 @@ class PLTable:
         return table
 
 
+_COMPARE = 1 << 20  # booleans _rel_at compares at once
+
+
 def _rel_at(t: PLTable, x: np.ndarray) -> np.ndarray:
     """Values at x relative to the first breakpoint, row by row."""
     linear = t.slopes[:, :1] * x  # the rows without breakpoints
     n_rows, k = t.bps.shape
     if k == 0:
         return linear
-    # idx = the number of breakpoints <= x, by a binary search in each row
-    # that sets one bit of idx at a time; flat[before + c] is the row's c-th
-    # breakpoint, and a candidate past the row's end tests its last one
-    flat = t.bps.ravel()
-    before = np.arange(0, n_rows * k, k)[:, None] - 1
-    idx = np.zeros(x.shape, dtype=np.intp)
-    bit = 1 << (k.bit_length() - 1)
-    while bit:
-        cand = np.minimum(idx + bit, k)
-        idx = np.where(flat[before + cand] <= x, cand, idx)
-        bit >>= 1
+    # idx = the number of breakpoints <= x, the +inf padding included, by
+    # one comparison of every point with every breakpoint of its row; the
+    # points go a slice at a time, so it holds at most _COMPARE booleans
+    width = max(1, _COMPARE // (n_rows * k))
+    parts = [
+        np.count_nonzero(t.bps[:, None, :] <= x[:, s : s + width, None], axis=2)
+        for s in range(0, max(x.shape[1], 1), width)
+    ]
+    idx = parts[0] if len(parts) == 1 else np.hstack(parts)
     j = np.maximum(idx - 1, 0)
     rows = np.arange(n_rows)[:, None]
     empty = (t.nb == 0)[:, None]

@@ -19,14 +19,16 @@ they enclose the origin).
 Every check is one row of ``CHECKS``: its name, its group (which picks its
 tolerance in ``TOLERANCES`` and the public function that runs it), a sampler
 that draws one sample's parameters from the check's RNG stream, and a
-batched kernel. The sweep draws the samples in order, stacks a chunk of them
-(fields as (N, n) arrays, scalars as (N, 1) columns, contractions as one
-``PLTable``) and calls the kernel once per chunk; the kernel returns the N
-violations, each row computed on its own, so the bits do not depend on the
-chunking. ``replay`` calls the same kernel on a one-row batch. The kernel's
-keyword arguments name the witness keys, so the sweep, the witness and
-``replay`` all follow from the row. To add a check, write its batched kernel
-and add one row.
+batched kernel. The sweep draws the samples in order from a block-read
+``samplers._Stream`` (fields as recipes into its blocks), stacks a chunk of
+them (fields as (N, n) arrays built in one pass, scalars as (N, 1) columns,
+contractions as one ``PLTable``) and calls the kernel once per chunk; the
+kernel returns the N violations, each row computed on its own, so the bits
+do not depend on the chunking. The witness takes its fields from its row of
+the chunk's arrays. ``replay`` calls the same kernel on a one-row batch. The
+kernel's keyword arguments name the witness keys, so the sweep, the witness
+and ``replay`` all follow from the row. To add a check, write its batched
+kernel and add one row.
 """
 
 from __future__ import annotations
@@ -63,12 +65,12 @@ from .measure import MeasureSpace, make_field
 from .samplers import (
     AMPLITUDE,
     SuiteConfig,
+    _Stream,
     check_rng,
     pl_from_witness,
     pl_to_witness,
     sample_alpha,
     sample_contraction,
-    sample_values,
 )
 
 # array values a chunk of the sweep holds per field or energy term array:
@@ -95,16 +97,16 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# parameter samplers: (rng, points per field, sample index) -> one sample's
-# parameters
+# parameter samplers: (the check's _Stream, points per field, sample index)
+# -> one sample's parameters, fields as recipes
 
 
 def _draw_f(rng, n: int, idx: int) -> dict:
-    return {"f": sample_values(rng, n)}
+    return {"f": rng.field(n)}
 
 
 def _draw_fg(rng, n: int, idx: int) -> dict:
-    return {"f": sample_values(rng, n), "g": sample_values(rng, n)}
+    return {"f": rng.field(n), "g": rng.field(n)}
 
 
 def _draw_fga(rng, n: int, idx: int) -> dict:
@@ -333,7 +335,7 @@ class Check:
 
     name: str
     group: str  # a key of TOLERANCES
-    sample: Callable  # (rng, n, idx) -> one sample's parameters
+    sample: Callable  # (stream, n, idx) -> one sample's parameters
     kernel: Callable  # (form, or space for identities, **stacked parameters) -> violations
 
     @cached_property
@@ -403,16 +405,29 @@ def _decode(key: str, value, space: MeasureSpace):
 
 def _stack(values: list):
     """One parameter of a batch of samples, as the kernels take it."""
-    if isinstance(values[0], PLFunction):
+    first = values[0]
+    if isinstance(first, tuple):  # field recipes of a _Stream
+        return first[0].fields(values)
+    if isinstance(first, PLFunction):
         return pl_table(values)
-    if isinstance(values[0], np.ndarray):
+    if isinstance(first, np.ndarray):
         return np.stack(values)
     return np.array(values, dtype=float)[:, None]
 
 
+def _stack_all(check: Check, samples: list[dict]) -> dict:
+    """Every parameter of a batch of samples, stacked, by witness key."""
+    return {k: _stack([p[k] for p in samples]) for k in check.keys}
+
+
+def _sample_at(samples: list[dict], stacked: dict, i: int) -> dict:
+    """Sample i of a chunk, each field recipe replaced by its stacked row."""
+    return {k: stacked[k][i] if isinstance(v, tuple) else v for k, v in samples[i].items()}
+
+
 def _violations(check: Check, target, samples: list[dict]) -> np.ndarray:
     """The check's kernel on a batch of samples: one violation per sample."""
-    return check.kernel(target, **{k: _stack([p[k] for p in samples]) for k in check.keys})
+    return check.kernel(target, **_stack_all(check, samples))
 
 
 def _witness(check: Check, target, params: dict) -> dict:
@@ -434,21 +449,22 @@ def _sweep(check: Check, target, cfg: SuiteConfig) -> CheckResult:
     maximum, and stopping at a non-finite one, would keep.
     """
     space = target if check.group == "identity" else target.space
-    rng = check_rng(cfg.seed, check.name)
-    rows = max(1, _CHUNK_VALUES // max(space.n, getattr(target, "n_terms", 0)))
+    rng = _Stream(check_rng(cfg.seed, check.name))
+    n = space.n
+    rows = max(1, _CHUNK_VALUES // max(n, getattr(target, "n_terms", 0)))
     worst, worst_params, finite = -math.inf, None, True
     for start in range(0, cfg.n_samples, rows):
-        samples = [
-            check.sample(rng, space.n, idx)
-            for idx in range(start, min(start + rows, cfg.n_samples))
-        ]
-        violations = _violations(check, target, samples)
+        stop = min(start + rows, cfg.n_samples)
+        samples = [check.sample(rng, n, idx) for idx in range(start, stop)]
+        stacked = _stack_all(check, samples)
+        rng.release()
+        violations = check.kernel(target, **stacked)
         if not finite:
             continue
         bad = np.flatnonzero(~np.isfinite(violations))
         i = int(bad[0]) if bad.size else int(np.argmax(violations))
         if bad.size or violations[i] > worst:
-            worst, worst_params = float(violations[i]), samples[i]
+            worst, worst_params = float(violations[i]), _sample_at(samples, stacked, i)
             finite = not bad.size
     passed = finite and bool(worst <= TOLERANCES[check.group])
     return CheckResult(

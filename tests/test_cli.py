@@ -36,6 +36,68 @@ def test_canonical_json_is_sorted_and_fixed_precision():
     assert np.isnan(json.loads(odd)[0]) and json.loads(odd)[1:] == [np.inf, -np.inf]
 
 
+def _reference_canonical(obj, memo: dict) -> str:
+    """canonical_json before its fast paths for str keys and float lists."""
+    if type(obj) is float:
+        return format(obj, ".17g") if math.isfinite(obj) else json.dumps(obj)
+    if isinstance(obj, (dict, list, tuple)):
+        text = memo.get(id(obj))
+        if text is None:
+            if isinstance(obj, dict):
+                items = sorted(obj.items())
+                inner = ",".join(f"{json.dumps(k)}:{_reference_canonical(v, memo)}" for k, v in items)
+                text = "{" + inner + "}"
+            else:
+                text = "[" + ",".join(_reference_canonical(v, memo) for v in obj) + "]"
+            memo[id(obj)] = text
+        return text
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g") if math.isfinite(obj) else json.dumps(float(obj))
+    if obj is None:
+        return "null"
+    return json.dumps(obj)
+
+
+def test_canonical_json_equals_its_reference_encoder():
+    shared = [0.5, -0.0, 1e-300]
+    field = np.random.default_rng(0).uniform(-3, 3, 20).tolist()
+    docs = [
+        [], [[]], {}, [1.0, 2.0], [-0.0, 0.0], [5e-324, 1.7976931348623157e308, -1e-7, 1e21],
+        [1.0, float("nan")], [float("inf"), 2.0], [-float("inf")], [1.0, 2, 3.0], [1.0, True],
+        [1.0, None], [np.float64(1.5), 2.0], [2.0, np.float32(0.1)], (1.0, 2.0), (float("nan"),),
+        [np.int64(3), np.float64("nan"), np.float64("-inf")], [1.0, [2.0, 3.0]], field,
+        {"a": shared, "b": shared, "c": {"a": shared, "x": [shared, shared]}},
+        {"é\n\"": 1.0, "a": [1.0, -0.0], 'q"': "s\u2028"},
+        {1: "int", 2.5: "float", False: "bool"}, {"1": "str", "2.5": 1.0},
+        {"checks": [{"name": "a", "witness": {"f": field, "g": [x for x in field]}}] * 3},
+    ]
+    for doc in docs:
+        assert canonical_json(doc) == _reference_canonical(doc, {}), doc
+    # 1, 1.0 and True are one dict key with three texts
+    for key in (1, 1.0, True):
+        assert canonical_json([{key: 0}, {"1": 0}]) == _reference_canonical([{key: 0}, {"1": 0}], {})
+
+
+def test_run_builds_its_parser_once_and_dispatches_at_call_time(tmp_path, monkeypatch):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        path = write_config(tmp_path, "c.json", GRAPH_CONFIG)
+        out = str(tmp_path / "r.json")
+        assert run(["verify", path, "--output", out]) == 1
+        calls = []
+        monkeypatch.setattr(cli, "_cmd_verify", lambda args: calls.append(args.config) or 7)
+        assert run(["verify", path, "--output", out]) == 7
+        assert calls == [path] and built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_decompose_command(capsys):
     assert run(["decompose", "--breakpoints", "-1,0,2"]) == 0
     out = capsys.readouterr().out

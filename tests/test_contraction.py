@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nbdirichlet import contraction
 from nbdirichlet.contraction import (
     PLFunction,
     _peel,
@@ -16,6 +17,7 @@ from nbdirichlet.contraction import (
     make_phi,
     negate,
     pl_eval,
+    pl_table,
     recompose,
 )
 from nbdirichlet.errors import InconsistentSamples, NotAlternating, NotIncreasing
@@ -393,6 +395,54 @@ def test_many_kinks_evaluate_in_little_memory():
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _search_pl_eval(t, x):
+    """pl_eval with each point's interval found by a binary search in its
+    row, one bit of the index at a time: the reference for the comparison
+    count that replaced it."""
+    linear = t.slopes[:, :1] * x
+    n_rows, k = t.bps.shape
+    if k == 0:
+        rel = linear
+    else:
+        flat = t.bps.ravel()
+        before = np.arange(0, n_rows * k, k)[:, None] - 1
+        idx = np.zeros(x.shape, dtype=np.intp)
+        bit = 1 << (k.bit_length() - 1)
+        while bit:
+            cand = np.minimum(idx + bit, k)
+            idx = np.where(flat[before + cand] <= x, cand, idx)
+            bit >>= 1
+        j = np.maximum(idx - 1, 0)
+        rows = np.arange(n_rows)[:, None]
+        empty = (t.nb == 0)[:, None]
+        bj = np.where(empty, 0.0, t.bps[rows, j])
+        rel = np.where(empty, linear, t.rel[rows, j] + t.slopes[rows, idx] * (x - bj))
+    return t.anchor[:, None] + (rel - t.rel0[:, None])
+
+
+@pytest.mark.parametrize("budget", [None, 50])
+def test_pl_eval_equals_the_binary_search_bit_for_bit(monkeypatch, budget):
+    # tables of sampled contractions with 0 to 26 kinks, so most rows are
+    # padded; the points hit every kink, its neighbours and +-0.0. A budget
+    # of 50 compares the points a few at a time.
+    if budget is not None:
+        monkeypatch.setattr(contraction, "_COMPARE", budget)
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        phis = [sample_contraction(rng) for _ in range(int(rng.integers(1, 40)))]
+        if trial % 3 == 0:
+            phis.append(make_phi(np.sort(rng.uniform(-5, 5, 26))))
+        if trial % 5 == 0:
+            phis = [make_phi([]), negate(make_phi([]))] + phis
+        t = pl_table(phis)
+        kinks = t.bps[np.isfinite(t.bps)]
+        pool = np.concatenate([kinks, np.nextafter(kinks, -np.inf), np.nextafter(kinks, np.inf),
+                               [0.0, -0.0], rng.uniform(-8.0, 8.0, 50)])
+        x = rng.choice(pool, (len(phis), int(rng.integers(1, 30))))
+        x[:, 0] = -0.0 if trial % 2 else 0.0
+        assert _bits(pl_eval(t, x)) == _bits(_search_pl_eval(t, x)), trial
 
 
 def test_scalar_evaluation_equals_pl_eval_bit_for_bit():

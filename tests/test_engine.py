@@ -21,8 +21,8 @@ from nbdirichlet.contraction import (
 )
 from nbdirichlet.forms import make_form
 from nbdirichlet.measure import MeasureSpace
-from nbdirichlet.samplers import SuiteConfig, check_rng, sample_values
-from nbdirichlet.verifier import CHECKS, _violations, replay
+from nbdirichlet.samplers import SuiteConfig, _Stream, check_rng
+from nbdirichlet.verifier import CHECKS, _sample_at, _stack_all, _violations, replay
 
 FORM_CHECKS = [c for c in CHECKS if c.group != "identity"]
 IDENTITY_CHECKS = [c for c in CHECKS if c.group == "identity"]
@@ -34,8 +34,11 @@ def bits(a) -> list:
 
 
 def draw(check, space, cfg, n):
-    rng = check_rng(cfg.seed, check.name)
-    return [check.sample(rng, space.n, idx) for idx in range(n)]
+    """The first n samples of the check's sweep, each field as its array."""
+    rng = _Stream(check_rng(cfg.seed, check.name))
+    samples = [check.sample(rng, space.n, idx) for idx in range(n)]
+    stacked = _stack_all(check, samples)
+    return [_sample_at(samples, stacked, i) for i in range(n)]
 
 
 def assert_rows_match(check, target, samples):
@@ -240,6 +243,6 @@ def test_table_evaluation_equals_plfunction_call():
     ],
 )
 def test_sample_field_first_draws(seed, first, second):
-    rng = np.random.default_rng(seed)
-    assert sample_values(rng, 5).tolist() == first
-    assert sample_values(rng, 5).tolist() == second
+    rng = _Stream(np.random.default_rng(seed))
+    rows = rng.fields([rng.field(5), rng.field(5)])
+    assert rows.tolist() == [first, second]
