@@ -151,11 +151,13 @@ class PLTable:
         its last breakpoint and slope after them (any breakpoint if it has
         none)."""
         n_rows, k = bps.shape
-        nb = np.full(n_rows, k) if nb is None else nb
         rel = np.zeros((n_rows, k))
         if k > 1:  # padding adds zero-length pieces
             rel[:, 1:] = np.cumsum(slopes[:, 1:-1] * np.diff(bps, axis=1), axis=1)
-        bps = np.where(np.arange(k) < nb[:, None], bps, np.inf)
+        if nb is None:
+            nb = np.full(n_rows, k)
+        else:
+            bps = np.where(np.arange(k) < nb[:, None], bps, np.inf)
         table = cls(bps, slopes, rel, np.zeros(n_rows), anchor, nb)
         object.__setattr__(table, "rel0", _rel_at(table, np.zeros((n_rows, 1)))[:, 0])
         return table
@@ -166,10 +168,9 @@ _COMPARE = 1 << 20  # booleans _rel_at compares at once
 
 def _rel_at(t: PLTable, x: np.ndarray) -> np.ndarray:
     """Values at x relative to the first breakpoint, row by row."""
-    linear = t.slopes[:, :1] * x  # the rows without breakpoints
     n_rows, k = t.bps.shape
     if k == 0:
-        return linear
+        return t.slopes[:, :1] * x
     # idx = the number of breakpoints <= x, the +inf padding included, by
     # one comparison of every point with every breakpoint of its row; the
     # points go a slice at a time, so it holds at most _COMPARE booleans
@@ -181,9 +182,11 @@ def _rel_at(t: PLTable, x: np.ndarray) -> np.ndarray:
     idx = parts[0] if len(parts) == 1 else np.hstack(parts)
     j = np.maximum(idx - 1, 0)
     rows = np.arange(n_rows)[:, None]
-    empty = (t.nb == 0)[:, None]
-    bj = np.where(empty, 0.0, t.bps[rows, j])  # not the +inf padding
-    return np.where(empty, linear, t.rel[rows, j] + t.slopes[rows, idx] * (x - bj))
+    if t.nb.all():  # j is a breakpoint of every row, not its +inf padding
+        return t.rel[rows, j] + t.slopes[rows, idx] * (x - t.bps[rows, j])
+    empty = (t.nb == 0)[:, None]  # the rows without breakpoints are linear
+    bj = np.where(empty, 0.0, t.bps[rows, j])
+    return np.where(empty, t.slopes[:, :1] * x, t.rel[rows, j] + t.slopes[rows, idx] * (x - bj))
 
 
 def pl_eval(t: PLTable, x: np.ndarray) -> np.ndarray:
@@ -218,8 +221,9 @@ def family_table(kinks: np.ndarray, slopes) -> PLTable:
     """PLFunction(row, slopes, 0.0) for every row of strictly increasing
     kinks (N, k), for k + 1 slopes of which no two adjacent are equal."""
     _check_increasing(kinks)
-    return PLTable.build(kinks, np.tile(np.asarray(slopes, dtype=float), (kinks.shape[0], 1)),
-                         np.zeros(kinks.shape[0]))
+    n_rows = kinks.shape[0]
+    row = np.asarray(slopes, dtype=float)
+    return PLTable.build(kinks, np.broadcast_to(row, (n_rows, row.size)), np.zeros(n_rows))
 
 
 def alternating_table(kinks: np.ndarray) -> PLTable:

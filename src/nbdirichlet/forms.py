@@ -128,18 +128,12 @@ def _sum_terms(terms: list) -> float:
         return math.nan if any(map(math.isnan, terms)) else math.inf
 
 
-# rows at least this wide are summed by _row_sums; on narrower ones the fsum
-# loop is faster (the two measured even at about 48 terms a row)
-_WIDE_ROW = 48
+# an (N, n) energy evaluation takes its rows in blocks of about _BLOCK_TERMS
+# terms; a block of at least _VECTOR_TERMS terms is summed by _row_sums,
+# a smaller one by the fsum loop, which is faster there
+_BLOCK_TERMS = 1 << 14
+_VECTOR_TERMS = 2000
 _U = 2.0**-53  # unit roundoff
-
-
-def _extract(t: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ExtractVector (Rump, Ogita & Oishi 2008): t = q + r exactly, for a
-    power of two sigma >= (m + 2) max|t| per row of m terms; q is a multiple
-    of ulp(sigma/2), so any order sums a row of q exactly, and |r| <= sigma 2^-53."""
-    q = (sigma + t) - sigma
-    return q, t - q
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,32 +146,33 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _row_sums(terms: np.ndarray) -> np.ndarray:
     """``_sum_terms`` of every row of an (N, m) array, bit for bit.
 
-    Two ExtractVector levels give the exact sums tau1 and tau2 and residual
-    terms r2, |r2| <= sigma2 2^-53, whose plain sum rho is off by at most
-    gamma_(m-1) m sigma2 2^-53. The candidate s = tau1 + (tau2 + rho) is kept
-    only when the exact sum tau1 + tau2 + sum(r2) lies strictly inside the
-    interval that rounds to s, so s is the correctly rounded sum that fsum
-    returns; a row of zeros sums to +0.0, as under fsum. Ties, other zero
-    sums, sums near the underflow threshold and rows with a term that is not
-    finite or within (m + 2) 2^4 of DBL_MAX go through ``_sum_terms``, which
-    keeps fsum's overflow rule.
+    One ExtractVector level (Rump, Ogita & Oishi 2008): for a power of two
+    sigma > (m + 2) max|t| per row, q = (sigma + t) - sigma and r = t - q
+    split every term exactly, t = q + r, with q a multiple of u sigma
+    (u = 2^-53) and |r| <= u sigma. Every partial sum of a row of q is a
+    multiple of u sigma below sigma in magnitude (|q| <= |t| + u sigma, and
+    m < 2^26), so q.sum is the exact tau = sum(q), in any order. The plain
+    sum rho of the m residuals is off by at most gamma_(m-1) sum|r| <=
+    gamma_(m-1) m u sigma <= 2 m^2 u^2 sigma, the bound used, with one
+    subnormal added so that its rounding cannot make it too small.
+    s, d = two_sum(tau, rho) is exact, s + d = tau + rho, so the exact sum
+    is s + d + (sum(r) - rho). s is kept only when that lies strictly inside
+    the interval that rounds to s: d + bound below half the gap to the next
+    float up and d - bound above minus half the gap down. Then s is the
+    correctly rounded sum that fsum returns. A row of zeros sums to +0.0, as
+    under fsum. Ties, other zero sums, sums near the underflow threshold and
+    rows with a term that is not finite or within (m + 2) 2^4 of DBL_MAX go
+    through ``_sum_terms``, which keeps fsum's overflow rule.
     """
     width = terms.shape[1]
     big = np.max(np.abs(terms), axis=1)
     safe = big < 2.0**1020 / (width + 2)  # False for inf and NaN
     t = terms if safe.all() else np.where(safe[:, None], terms, 0.0)
-    k = np.frexp((width + 2) * np.where(safe, big, 0.0))[1][:, None]  # 2^k > (m + 2) big
-    # the first level leaves |r1| <= 2^(k - 53), so sigma2 = 2^(k - 53 + c),
-    # 2^c >= m + 2, bounds (m + 2) max|r1|
-    q1, r1 = _extract(t, np.ldexp(1.0, k))
-    sigma2 = np.ldexp(1.0, k + ((width + 1).bit_length() - 53))
-    q2, r2 = _extract(r1, sigma2)
-    a, e1 = _two_sum(q2.sum(axis=1), r2.sum(axis=1))
-    s, e2 = _two_sum(q1.sum(axis=1), a)
-    d = e1 + e2
-    # |exact - s - d| <= gamma_(m-1) m sigma2 2^-53 + u|d|; doubled, and one
-    # subnormal added, so that rounding the bound cannot make it too small
-    bound = (2.0 * width * width * _U * _U) * sigma2[:, 0] + 2.0 * _U * np.abs(d) + 5e-324
+    k = np.frexp((width + 2) * np.where(safe, big, 0.0))[1]  # 2^k > (m + 2) big
+    sigma = np.ldexp(1.0, k)
+    q = (sigma[:, None] + t) - sigma[:, None]
+    s, d = _two_sum(q.sum(axis=1), (t - q).sum(axis=1))
+    bound = (2.0 * width * width * _U * _U) * sigma + 5e-324
     above = np.nextafter(s, math.inf) - s
     below = s - np.nextafter(s, -math.inf)
     inside = (d + bound < 0.5 * above) & (d - bound > -0.5 * below) & (s != 0.0)
@@ -234,13 +229,23 @@ class FormInstance:
         """E at a field's values (n,), as a float, or at each row of (N, n)
         values, as an (N,) array. Each energy is the exactly rounded sum of
         its terms, so a row's energy does not depend on the other rows; a sum
-        past the largest float is +inf."""
-        terms = self.coeffs * self.piece.value(self.diffs(values))
-        if terms.ndim == 1:
-            return _sum_terms(terms.tolist())
-        if terms.shape[1] >= _WIDE_ROW:
-            return _row_sums(terms)
-        return np.array([_sum_terms(row) for row in terms.tolist()])
+        past the largest float is +inf. A stack goes in blocks of rows of
+        about _BLOCK_TERMS terms, each summed by ``_row_sums`` when it holds
+        at least _VECTOR_TERMS terms and by fsum row by row otherwise."""
+        if values.ndim == 1:
+            return _sum_terms((self.coeffs * self.piece.value(self.diffs(values))).tolist())
+        n_rows = values.shape[0]
+        blocks = -(-n_rows * self.n_terms // _BLOCK_TERMS)  # rows in about equal blocks
+        step = max(1, -(-n_rows // max(blocks, 1)))
+        out = np.empty(n_rows)
+        for start in range(0, n_rows, step):
+            rows = slice(start, start + step)
+            terms = self.coeffs * self.piece.value(self.diffs(values[rows]))
+            if terms.size >= _VECTOR_TERMS:
+                out[rows] = _row_sums(terms)
+            else:
+                out[rows] = [_sum_terms(row) for row in terms.tolist()]
+        return out
 
     def descriptor(self) -> dict:
         """The normalised descriptor this form was built from; make_form of it

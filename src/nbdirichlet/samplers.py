@@ -10,13 +10,14 @@ Lipschitz-envelope approximants of random 1-Lipschitz data.
 Every check owns a numpy Generator (``check_rng``). The sweep reads it
 through a ``_Stream``, which takes the Generator's PCG64 words in blocks and
 returns, draw for draw, the values the Generator would; a field is drawn as
-a recipe into the block, and a chunk's recipes become its (N, n) array in
-one pass. The public samplers call only ``random()`` and ``integers()``, so
+a recipe into the block, and ``fields`` turns the recipes of a chunk, of
+one stream or several, into their (N, n) array in one pass. The public samplers call only ``random()`` and ``integers()``, so
 they take a Generator or a stream alike.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -32,9 +33,14 @@ def check_rng(seed: int, name: str) -> np.random.Generator:
     The seed is a nonnegative integer of any size, and distinct seeds give
     distinct streams (numpy raises ValueError for a negative one).
     """
+    return np.random.default_rng([int(seed), *_name_words(name)])
+
+
+@functools.cache
+def _name_words(name: str) -> tuple[int, ...]:
+    """The first four big-endian 32-bit words of the name's sha256 digest."""
     digest = hashlib.sha256(name.encode()).digest()
-    words = [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4)]
-    return np.random.default_rng([int(seed), *words])
+    return tuple(int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4))
 
 
 # The sampler constants. They fix the RNG calls of every check, and so the
@@ -160,28 +166,34 @@ class _Stream:
         while len(self._kept) > 1 and self._kept[1][0] <= pos:
             del self._kept[0]
 
-    def fields(self, recipes: list[tuple]) -> np.ndarray:
-        """The (N, n) values of N recipes of this stream, in stream order:
-        one gather of amplitudes, then the ramps sorted row by row."""
-        n = recipes[0][1]
-        self._advance()  # the blocks hold every recipe's words
-        first, values = self._kept[0]
-        if len(self._kept) > 1:
-            values = np.concatenate([a for _, a in self._kept])
-        pos = np.fromiter([r[2] for r in recipes], np.intp, len(recipes)) - first
-        cols = np.arange(n)
-        idx = pos[:, None] + cols
-        steps = [(k, r[4]) for k, r in enumerate(recipes) if r[3] == _STEP]
-        if steps:  # lo before the split, hi from it on
-            rows, split = np.array(steps).T
-            idx[rows] = pos[rows, None] + (cols >= split[:, None])
-        out = values[idx]
-        ramps = [(k, r[4]) for k, r in enumerate(recipes) if r[3] == _RAMP]
-        if ramps:  # -sort(-x) is x sorted in decreasing order, bit for bit
-            rows, sign = np.array(ramps).T
-            rows, sign = rows.astype(np.intp), sign[:, None]
-            out[rows] = sign * np.sort(sign * out[rows], axis=1)
-        return out
+
+def fields(recipes: list[tuple]) -> np.ndarray:
+    """The (N, n) values of N field recipes, of one stream or several, in
+    the given order: one gather of the streams' amplitudes, then the ramps
+    sorted row by row."""
+    n = recipes[0][1]
+    streams = list(dict.fromkeys(r[0] for r in recipes))
+    blocks, offset, size = [], {}, 0
+    for stream in streams:
+        stream._advance()  # the blocks hold every recipe's words
+        offset[stream] = size - stream._kept[0][0]
+        blocks += [a for _, a in stream._kept]
+        size += _BLOCK * len(stream._kept)
+    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    pos = np.fromiter([r[2] + offset[r[0]] for r in recipes], np.intp, len(recipes))
+    cols = np.arange(n)
+    idx = pos[:, None] + cols
+    steps = [(k, r[4]) for k, r in enumerate(recipes) if r[3] == _STEP]
+    if steps:  # lo before the split, hi from it on
+        rows, split = np.array(steps).T
+        idx[rows] = pos[rows, None] + (cols >= split[:, None])
+    out = values[idx]
+    ramps = [(k, r[4]) for k, r in enumerate(recipes) if r[3] == _RAMP]
+    if ramps:  # -sort(-x) is x sorted in decreasing order, bit for bit
+        rows, sign = np.array(ramps).T
+        rows, sign = rows.astype(np.intp), sign[:, None]
+        out[rows] = sign * np.sort(sign * out[rows], axis=1)
+    return out
 
 
 _LOG_ALPHA = (float(np.log(1e-3)), float(np.log(10.0)))  # the log-uniform range

@@ -19,16 +19,28 @@ they enclose the origin).
 Every check is one row of ``CHECKS``: its name, its group (which picks its
 tolerance in ``TOLERANCES`` and the public function that runs it), a sampler
 that draws one sample's parameters from the check's RNG stream, and a
-batched kernel. The sweep draws the samples in order from a block-read
-``samplers._Stream`` (fields as recipes into its blocks), stacks a chunk of
-them (fields as (N, n) arrays built in one pass, scalars as (N, 1) columns,
-contractions as one ``PLTable``) and calls the kernel once per chunk; the
-kernel returns the N violations, each row computed on its own, so the bits
-do not depend on the chunking. The witness takes its fields from its row of
-the chunk's arrays. ``replay`` calls the same kernel on a one-row batch. The
-kernel's keyword arguments name the witness keys, so the sweep, the witness
-and ``replay`` all follow from the row. To add a check, write its batched
-kernel and add one row.
+batched kernel. A group runs as one pass over chunks of samples. For each
+chunk, every check draws its samples in order from its own block-read
+``samplers._Stream`` (fields as recipes into its blocks); the field recipes
+of the whole group become (N, n) arrays in one gather, scalars (N, 1)
+columns and contractions one ``PLTable`` per kernel call; checks that share a
+kernel run as one call over their rows, one check after another. A form
+kernel returns its energy arguments and a combiner; the energy arguments of
+every kernel of the chunk go through one ``energy_of_values`` call, and each
+combiner maps its slice of the energies to its violations with the float
+operations of the inequality, in its order. Identity kernels return their
+violations. Each row is computed on its own, so the bits do not depend on
+the chunking or the grouping, and each check folds its slice of the
+violations into its worst sample (``_fold``) and its result (``_sweep``).
+The witness takes its fields from its rows of the chunk's arrays.
+``replay`` calls the same kernel on a one-row batch. The kernel's keyword
+arguments name the witness keys, so the sweep, the witness and ``replay``
+all follow from the row.
+
+To add a check, write its batched kernel, which takes the sampled
+parameters and returns (energy arguments, combiner), or the violations for
+an identity, and add one row with its sampler and group; a check that
+reuses a kernel shares its calls.
 """
 
 from __future__ import annotations
@@ -67,14 +79,15 @@ from .samplers import (
     SuiteConfig,
     _Stream,
     check_rng,
+    fields,
     pl_from_witness,
     pl_to_witness,
     sample_alpha,
     sample_contraction,
 )
 
-# array values a chunk of the sweep holds per field or energy term array:
-# a chunk has max(1, _CHUNK_VALUES // width) rows, width = max(n, n_terms)
+# field values a chunk of a group's pass holds per sampled parameter, over
+# the group's checks: a chunk has max(1, _CHUNK_VALUES // (n * checks)) rows
 _CHUNK_VALUES = 1 << 15
 
 
@@ -165,8 +178,10 @@ def _draw_twist(rng, n: int, idx: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # batched violation kernels; used identically by the sweeps and by replay().
-# Fields are (N, n) arrays, scalars (N, 1) columns, contractions PLTables;
-# every kernel returns the (N,) violations.
+# Fields are (N, n) arrays, scalars (N, 1) columns, contractions PLTables. A
+# form kernel returns its energy arguments, (N, n) arrays, and a combiner
+# that maps their (N,) energies to the N violations with the float
+# operations in a fixed order; an identity kernel returns the violations.
 
 
 def _pymax(first, *rest):
@@ -177,38 +192,47 @@ def _pymax(first, *rest):
     return first
 
 
-def _viol_minmax(form: FormInstance, f, g):
-    E = form.energy_of_values
-    return E(np.maximum(f, g)) + E(np.minimum(f, g)) - E(f) - E(g)
+def _split(a, b, c, d):
+    """E(a) + E(b) - E(c) - E(d): a split of two energies into two."""
+    return a + b - c - d
 
 
-def _viol_clamp(form: FormInstance, f, g, alpha):
-    E = form.energy_of_values
+def _rise(a, b):
+    """E(a) - E(b)."""
+    return a - b
+
+
+def _gap(a, b):
+    """|E(a) - E(b)|."""
+    return abs(a - b)
+
+
+def _viol_minmax(f, g):
+    return (np.maximum(f, g), np.minimum(f, g), f, g), _split
+
+
+def _viol_clamp(f, g, alpha):
     hfg = np.clip(f, g - alpha, g + alpha)
     hgf = np.clip(g, f - alpha, f + alpha)
-    return E(hfg) + E(hgf) - E(f) - E(g)
+    return (hfg, hgf, f, g), _split
 
 
-def _viol_order_projection(form: FormInstance, f, g):
-    E = form.energy_of_values
+def _viol_order_projection(f, g):
     d = np.maximum(f - g, 0.0)
-    return E(f - 0.5 * d) + E(g + 0.5 * d) - E(f) - E(g)
+    return (f - 0.5 * d, g + 0.5 * d, f, g), _split
 
 
-def _viol_band_projection(form: FormInstance, f, g, alpha):
-    E = form.energy_of_values
+def _viol_band_projection(f, g, alpha):
     t = phi_alpha(f - g, alpha)
-    return E(g + 0.5 * t) + E(f - 0.5 * t) - E(f) - E(g)
+    return (g + 0.5 * t, f - 0.5 * t, f, g), _split
 
 
-def _viol_symmetry(form: FormInstance, f):
-    E = form.energy_of_values
-    return abs(E(-f) - E(f))
+def _viol_symmetry(f):
+    return (-f, f), _gap
 
 
-def _viol_contraction(form: FormInstance, phi, f):
-    E = form.energy_of_values
-    return E(pl_eval(phi, f)) - E(f)
+def _viol_contraction(phi, f):
+    return (pl_eval(phi, f), f), _rise
 
 
 # the fold families: kinks are (N, k) rows; sigma and psi of fold2 are fixed
@@ -218,92 +242,84 @@ _SIGMA_FOLD2_ONESIDED = (0.0, -1.0, 1.0)  # 0 up to x1, x1 - y, y + x1 - 2 x2
 _PSI_FOLD2_STRADDLE = (1.0, -1.0, 0.0)  # y - 2 x1 below x1, -y, then -x2
 
 
-def _viol_fold1_lattice_split(form: FormInstance, f, x):
+def _viol_fold1_lattice_split(f, x):
     # join/meet split of the pair (f, sigma o f): the join is 0 v f and the
     # meet is the one-fold contraction applied to f
-    E = form.energy_of_values
     return (
-        E(pl_eval(alternating_table(x), f))
-        + E(np.maximum(f, 0.0))
-        - E(f)
-        - E(pl_eval(folded_table(x), f))
-    )
+        pl_eval(alternating_table(x), f), np.maximum(f, 0.0), f, pl_eval(folded_table(x), f)
+    ), _split
 
 
-def _viol_fold1_clamp_chain(form: FormInstance, f, x):
-    # symmetry, then the clamp split at band radius 2x, then symmetry again
-    E = form.energy_of_values
-    sf = pl_eval(folded_table(x), f)
-    pf = np.maximum(f, 0.0)
-    a, b = E(sf), E(-sf)
-    c, d = E(pf), E(-pf)
+def _fold1_chain(a, b, c, d):
+    """The worst step of the fold1 clamp chain, from E(sf), E(-sf), E(pf), E(-pf)."""
     return _pymax(2 * a - (a + b), (a + b) - (c + d), (c + d) - 2 * c)
 
 
-def _viol_fold1_conclusion(form: FormInstance, f, x):
-    E = form.energy_of_values
-    return E(pl_eval(alternating_table(x), f)) - E(f)
+def _viol_fold1_clamp_chain(f, x):
+    # symmetry, then the clamp split at band radius 2x, then symmetry again
+    sf = pl_eval(folded_table(x), f)
+    pf = np.maximum(f, 0.0)
+    return (sf, -sf, pf, -pf), _fold1_chain
 
 
-def _viol_fold2_onesided_clamp_split(form, f, x1, x2):
-    E = form.energy_of_values
+def _viol_fold1_conclusion(f, x):
+    return (pl_eval(alternating_table(x), f), f), _rise
+
+
+def _viol_fold2_onesided_clamp_split(f, x1, x2):
     kinks = np.hstack([x1, x2])
     return (
-        E(pl_eval(folded_table(kinks), f))
-        + E(np.maximum(f - x1, 0.0))
-        - E(np.maximum(f, 0.0))
-        - E(pl_eval(family_table(kinks, _SIGMA_FOLD2_ONESIDED), f))
-    )
+        pl_eval(folded_table(kinks), f),
+        np.maximum(f - x1, 0.0),
+        np.maximum(f, 0.0),
+        pl_eval(family_table(kinks, _SIGMA_FOLD2_ONESIDED), f),
+    ), _split
 
 
-def _viol_fold2_onesided_clamp_chain(form, f, x1, x2):
-    E = form.energy_of_values
-    sf = pl_eval(family_table(np.hstack([x1, x2]), _SIGMA_FOLD2_ONESIDED), f)
-    a = E(np.maximum(f - x1, 0.0))
-    b = E(np.minimum(x1 - f, 0.0))
-    c, d = E(sf), E(-sf)
+def _fold2_onesided_chain(a, b, c, d):
+    """The worst step of the one-sided fold2 clamp chain, from
+    E((f - x1) v 0), E((x1 - f) ^ 0), E(sf), E(-sf)."""
     return _pymax((a + b) - 2 * a, (c + d) - (a + b), 2 * c - (c + d))
 
 
-def _viol_fold2_onesided_lattice_split(form, f, x1, x2):
-    E = form.energy_of_values
+def _viol_fold2_onesided_clamp_chain(f, x1, x2):
+    sf = pl_eval(family_table(np.hstack([x1, x2]), _SIGMA_FOLD2_ONESIDED), f)
+    return (np.maximum(f - x1, 0.0), np.minimum(x1 - f, 0.0), sf, -sf), _fold2_onesided_chain
+
+
+def _viol_fold2_onesided_lattice_split(f, x1, x2):
     kinks = np.hstack([x1, x2])
     return (
-        E(pl_eval(alternating_table(kinks), f))
-        + E(np.maximum(f, 0.0))
-        - E(pl_eval(folded_table(kinks), f))
-        - E(f)
-    )
+        pl_eval(alternating_table(kinks), f), np.maximum(f, 0.0), pl_eval(folded_table(kinks), f), f
+    ), _split
 
 
-def _viol_fold2_conclusion(form, f, x1, x2):
-    E = form.energy_of_values
-    return E(pl_eval(alternating_table(np.hstack([x1, x2])), f)) - E(f)
+def _viol_fold2_conclusion(f, x1, x2):
+    return (pl_eval(alternating_table(np.hstack([x1, x2])), f), f), _rise
 
 
-def _viol_fold2_straddle_clamp_split(form, f, x1, x2):
-    E = form.energy_of_values
+def _viol_fold2_straddle_clamp_split(f, x1, x2):
     kinks = np.hstack([x1, x2])
     return (
-        E(pl_eval(alternating_table(kinks), f))
-        + E(np.minimum(f, x2))
-        - E(f)
-        - E(pl_eval(family_table(kinks, _PSI_FOLD2_STRADDLE), f))
-    )
+        pl_eval(alternating_table(kinks), f),
+        np.minimum(f, x2),
+        f,
+        pl_eval(family_table(kinks, _PSI_FOLD2_STRADDLE), f),
+    ), _split
 
 
-def _viol_identity_halfsum(space: MeasureSpace, f, g, alpha):
+def _viol_identity_halfsum(f, g, alpha):
     p1 = project_band(f, g, alpha)[0]
     p2 = project_band(g, f, alpha)[1]
     h = h_alpha(f, g, alpha)
     return np.max(np.abs(h - (0.5 * p1 + 0.5 * p2)), axis=1)
 
 
-def _viol_identity_twist(space: MeasureSpace, f, g, alpha, t, s):
+def _viol_identity_twist(f, g, alpha, t, s):
     return _pymax(*twist_residuals(f, g, alpha, t, s))
 
 
-def _viol_identity_midpoint(space: MeasureSpace, f, g, alpha):
+def _viol_identity_midpoint(f, g, alpha):
     h = h_alpha(f, g, alpha)
     k = h_alpha(g, f, alpha)
     u_half = 0.5 * (f + h)
@@ -314,7 +330,7 @@ def _viol_identity_midpoint(space: MeasureSpace, f, g, alpha):
     )
 
 
-def _viol_identity_projection_oracle(space: MeasureSpace, f, g, alpha):
+def _viol_identity_projection_oracle(f, g, alpha):
     worst = np.zeros(f.shape[0])
     for closed, oracle in (
         (project_order(f, g), project_oracle("order", f, g)),
@@ -336,13 +352,12 @@ class Check:
     name: str
     group: str  # a key of TOLERANCES
     sample: Callable  # (stream, n, idx) -> one sample's parameters
-    kernel: Callable  # (form, or space for identities, **stacked parameters) -> violations
+    kernel: Callable  # (**stacked parameters) -> (energy arguments, combiner), or violations
 
     @cached_property
     def keys(self) -> tuple[str, ...]:
-        """Witness keys of the sampled parameters: the kernel's arguments
-        after the form or space."""
-        return tuple(inspect.signature(self.kernel).parameters)[1:]
+        """Witness keys of the sampled parameters: the kernel's arguments."""
+        return tuple(inspect.signature(self.kernel).parameters)
 
 
 CHECKS = (
@@ -404,10 +419,9 @@ def _decode(key: str, value, space: MeasureSpace):
 
 
 def _stack(values: list):
-    """One parameter of a batch of samples, as the kernels take it."""
+    """One parameter of a batch of samples, other than field recipes, as the
+    kernels take it."""
     first = values[0]
-    if isinstance(first, tuple):  # field recipes of a _Stream
-        return first[0].fields(values)
     if isinstance(first, PLFunction):
         return pl_table(values)
     if isinstance(first, np.ndarray):
@@ -415,19 +429,49 @@ def _stack(values: list):
     return np.array(values, dtype=float)[:, None]
 
 
-def _stack_all(check: Check, samples: list[dict]) -> dict:
-    """Every parameter of a batch of samples, stacked, by witness key."""
-    return {k: _stack([p[k] for p in samples]) for k in check.keys}
+def _stack_batches(batches: list[tuple[tuple[str, ...], list[dict]]]) -> list[dict]:
+    """Every parameter of each (keys, samples) batch, stacked, by witness
+    key; the field recipes of all batches become their arrays in one gather,
+    each key's rows a slice of it."""
+    stacked, recipes, slots = [], [], []
+    for keys, samples in batches:
+        out = {}
+        for k in keys:
+            values = [p[k] for p in samples]
+            if isinstance(values[0], tuple):  # field recipes of a _Stream
+                slots.append((out, k, len(recipes), len(recipes) + len(values)))
+                recipes += values
+            else:
+                out[k] = _stack(values)
+        stacked.append(out)
+    if recipes:
+        built = fields(recipes)
+        for out, k, a, b in slots:
+            out[k] = built[a:b]
+    return stacked
 
 
-def _sample_at(samples: list[dict], stacked: dict, i: int) -> dict:
-    """Sample i of a chunk, each field recipe replaced by its stacked row."""
-    return {k: stacked[k][i] if isinstance(v, tuple) else v for k, v in samples[i].items()}
+def _evaluate(target, batches: list[tuple[Callable, dict]]) -> list[np.ndarray]:
+    """The violations of each (kernel, stacked parameters) batch. On a form,
+    the energy arguments of every batch go through one energy_of_values
+    call, and each batch's combiner maps its slice of the energies; on a
+    space (the identities) the kernels give the violations."""
+    parts = [kernel(**params) for kernel, params in batches]
+    if isinstance(target, MeasureSpace):
+        return parts
+    energies = target.energy_of_values(np.concatenate([a for args, _ in parts for a in args]))
+    out, start = [], 0
+    for args, combine in parts:
+        stop = start + len(args) * len(args[0])
+        out.append(combine(*np.split(energies[start:stop], len(args))))
+        start = stop
+    return out
 
 
 def _violations(check: Check, target, samples: list[dict]) -> np.ndarray:
-    """The check's kernel on a batch of samples: one violation per sample."""
-    return check.kernel(target, **_stack_all(check, samples))
+    """The check's kernel on one batch of samples: one violation per sample."""
+    (stacked,) = _stack_batches([(check.keys, samples)])
+    return _evaluate(target, [(check.kernel, stacked)])[0]
 
 
 def _witness(check: Check, target, params: dict) -> dict:
@@ -440,40 +484,67 @@ def _witness(check: Check, target, params: dict) -> dict:
     return {"check": check.name, **head, **{k: _encode(v) for k, v in params.items()}}
 
 
-def _sweep(check: Check, target, cfg: SuiteConfig) -> CheckResult:
-    """Run one check on a form (or a space, for identities) over
-    cfg.n_samples seeded samples, a chunk of them per kernel call.
+def _fold(best: tuple, violations: np.ndarray, samples: list[dict], stacked: dict,
+          offset: int) -> tuple:
+    """A check's (worst, params, finite) after the next chunk of its
+    violations, whose sample i sits at row offset + i of the stacked fields:
+    the first non-finite sample, or else the first sample at the maximum,
+    which is what a loop over the samples keeping the first strict maximum,
+    and stopping at a non-finite one, keeps."""
+    worst, _, finite = best
+    if not finite:
+        return best
+    bad = np.flatnonzero(~np.isfinite(violations))
+    i = int(bad[0]) if bad.size else int(np.argmax(violations))
+    if bad.size or violations[i] > worst:
+        params = {  # each field its own copy of the row, not a view of the chunk
+            k: stacked[k][offset + i].copy() if isinstance(v, tuple) else v
+            for k, v in samples[i].items()
+        }
+        return float(violations[i]), params, not bad.size
+    return best
 
-    The witness is the first non-finite sample, or else the first sample at
-    the maximum: what a loop over the samples keeping the first strict
-    maximum, and stopping at a non-finite one, would keep.
-    """
-    space = target if check.group == "identity" else target.space
-    rng = _Stream(check_rng(cfg.seed, check.name))
-    n = space.n
-    rows = max(1, _CHUNK_VALUES // max(n, getattr(target, "n_terms", 0)))
-    worst, worst_params, finite = -math.inf, None, True
-    for start in range(0, cfg.n_samples, rows):
-        stop = min(start + rows, cfg.n_samples)
-        samples = [check.sample(rng, n, idx) for idx in range(start, stop)]
-        stacked = _stack_all(check, samples)
-        rng.release()
-        violations = check.kernel(target, **stacked)
-        if not finite:
-            continue
-        bad = np.flatnonzero(~np.isfinite(violations))
-        i = int(bad[0]) if bad.size else int(np.argmax(violations))
-        if bad.size or violations[i] > worst:
-            worst, worst_params = float(violations[i]), _sample_at(samples, stacked, i)
-            finite = not bad.size
+
+def _sweep(check: Check, target, cfg: SuiteConfig, best: tuple) -> CheckResult:
+    """A check's result from its fold over every chunk of its samples."""
+    worst, params, finite = best
     passed = finite and bool(worst <= TOLERANCES[check.group])
-    return CheckResult(
-        check.name, passed, worst, _witness(check, target, worst_params), cfg.n_samples
-    )
+    return CheckResult(check.name, passed, worst, _witness(check, target, params), cfg.n_samples)
 
 
 def _run(group: str, target, cfg: SuiteConfig) -> list[CheckResult]:
-    return [_sweep(c, target, cfg) for c in CHECKS if c.group == group]
+    """Run a group's checks on a form (or a space, for identities) over
+    cfg.n_samples seeded samples each, in one pass over chunks of samples.
+
+    For each chunk, every check draws its samples from its own stream; the
+    group's field recipes become arrays in one gather; checks that share a
+    kernel run as one kernel call over their rows, one check after another;
+    one energy evaluation serves every kernel; and each check folds its
+    slice of the violations into its result.
+    """
+    checks = [c for c in CHECKS if c.group == group]
+    space = target if group == "identity" else target.space
+    n = space.n
+    streams = [_Stream(check_rng(cfg.seed, c.name)) for c in checks]
+    kernels = dict.fromkeys(c.kernel for c in checks)
+    batches = [[j for j, c in enumerate(checks) if c.kernel is k] for k in kernels]
+    rows = max(1, _CHUNK_VALUES // (n * len(checks)))
+    best = [(-math.inf, None, True)] * len(checks)
+    for start in range(0, cfg.n_samples, rows):
+        idxs = range(start, min(start + rows, cfg.n_samples))
+        samples = [[c.sample(rng, n, i) for i in idxs] for c, rng in zip(checks, streams)]
+        stacked = _stack_batches(
+            [(checks[b[0]].keys, [p for j in b for p in samples[j]]) for b in batches]
+        )
+        for rng in streams:
+            rng.release()
+        violations = _evaluate(target, list(zip(kernels, stacked)))
+        for b, v, st in zip(batches, violations, stacked):
+            for pos, j in enumerate(b):
+                offset = pos * len(idxs)
+                chunk = v[offset : offset + len(idxs)]
+                best[j] = _fold(best[j], chunk, samples[j], st, offset)
+    return [_sweep(c, target, cfg, b) for c, b in zip(checks, best)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ from nbdirichlet import contraction
 from nbdirichlet.contraction import (
     PLFunction,
     _peel,
+    alternating_table,
     classify,
     compose,
     decompose,
     envelope,
+    family_table,
     is_normal_contraction,
     make_phi,
     negate,
@@ -469,3 +471,45 @@ def test_scalar_evaluation_keeps_signed_zeros():
                 PLFunction((0.0, 1.0), (1.0, -0.0, -1.0), -0.0)):
         for x in (0.0, -0.0, 1.0, -1.0):
             assert _bits([phi._at(x)]) == _bits(pl_eval(phi.table, np.array([[x]]))[0]), (phi, x)
+
+
+def _reference_rel_at(t, x):
+    """_rel_at as it was before rows with breakpoints skipped the empty-row
+    selections: every row goes through them."""
+    linear = t.slopes[:, :1] * x
+    n_rows, k = t.bps.shape
+    if k == 0:
+        return linear
+    width = max(1, contraction._COMPARE // (n_rows * k))
+    parts = [
+        np.count_nonzero(t.bps[:, None, :] <= x[:, s : s + width, None], axis=2)
+        for s in range(0, max(x.shape[1], 1), width)
+    ]
+    idx = parts[0] if len(parts) == 1 else np.hstack(parts)
+    j = np.maximum(idx - 1, 0)
+    rows = np.arange(n_rows)[:, None]
+    empty = (t.nb == 0)[:, None]
+    bj = np.where(empty, 0.0, t.bps[rows, j])
+    return np.where(empty, linear, t.rel[rows, j] + t.slopes[rows, idx] * (x - bj))
+
+
+def test_rel_at_equals_the_reference_on_padded_empty_and_full_rows():
+    rng = np.random.default_rng(23)
+    kinks = np.sort(rng.uniform(-5.0, 5.0, (30, 3)), axis=1)
+    tables = {
+        "full": alternating_table(kinks),
+        "full, broadcast slopes": family_table(kinks, (0.0, -1.0, 1.0, -0.5)),
+        "full, one kink": alternating_table(kinks[:, :1]),
+        "padded": pl_table([make_phi(row[: i % 4]) for i, row in enumerate(kinks) if i % 4]),
+        "padded and empty": pl_table([make_phi(row[: i % 4]) for i, row in enumerate(kinks)]),
+        "empty": pl_table([make_phi([]), negate(make_phi([]))] * 5),
+    }
+    for name, t in tables.items():
+        n_rows = t.bps.shape[0]
+        finite = t.bps[np.isfinite(t.bps)]
+        pool = np.concatenate([finite, np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf),
+                               [0.0, -0.0], rng.uniform(-8.0, 8.0, 40)])
+        x = rng.choice(pool, (n_rows, 25))
+        x[:, 0] = -0.0
+        assert _bits(contraction._rel_at(t, x)) == _bits(_reference_rel_at(t, x)), name
+        assert _bits(t.rel0) == _bits(_reference_rel_at(t, np.zeros((n_rows, 1)))[:, 0]), name

@@ -2,12 +2,15 @@
 bits it gives that row alone, so neither the chunking of a sweep nor the
 one-row batch of ``replay`` can show in a report."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbdirichlet import verifier
+from nbdirichlet import samplers, verifier
 from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.contraction import (
     PLFunction,
@@ -22,7 +25,7 @@ from nbdirichlet.contraction import (
 from nbdirichlet.forms import make_form
 from nbdirichlet.measure import MeasureSpace
 from nbdirichlet.samplers import SuiteConfig, _Stream, check_rng
-from nbdirichlet.verifier import CHECKS, _sample_at, _stack_all, _violations, replay
+from nbdirichlet.verifier import CHECKS, _stack_batches, _violations, replay
 
 FORM_CHECKS = [c for c in CHECKS if c.group != "identity"]
 IDENTITY_CHECKS = [c for c in CHECKS if c.group == "identity"]
@@ -37,8 +40,11 @@ def draw(check, space, cfg, n):
     """The first n samples of the check's sweep, each field as its array."""
     rng = _Stream(check_rng(cfg.seed, check.name))
     samples = [check.sample(rng, space.n, idx) for idx in range(n)]
-    stacked = _stack_all(check, samples)
-    return [_sample_at(samples, stacked, i) for i in range(n)]
+    (stacked,) = _stack_batches([(check.keys, samples)])
+    return [
+        {k: stacked[k][i] if isinstance(v, tuple) else v for k, v in p.items()}
+        for i, p in enumerate(samples)
+    ]
 
 
 def assert_rows_match(check, target, samples):
@@ -67,19 +73,22 @@ def test_batch_equals_rows_on_identities(weights):
         assert_rows_match(check, space, draw(check, space, cfg, 12))
 
 
+GROUPS = ("criteria", "contraction", "proof")
+
+
 @pytest.mark.parametrize("label", ["nonlocal_z4", "grid_abs_p2", "grid_max_positive_part"])
 def test_chunking_does_not_show(monkeypatch, label):
     form = make_form(CATALOG[label])
     cfg = SuiteConfig(n_samples=45, seed=2)
-    whole = [verifier._sweep(c, form, cfg) for c in FORM_CHECKS]
-    ids = [verifier._sweep(c, form.space, cfg) for c in IDENTITY_CHECKS]
-    # 7 and 11 rows a chunk: the last chunk is partial, the witness may sit in any
+    whole = [r for g in GROUPS for r in verifier._run(g, form, cfg)]
+    ids = verifier._run("identity", form.space, cfg)
+    # 7 and 11 rows a chunk in the largest group, more in the others: the
+    # last chunk is partial, the witness may sit in any
     for rows in (7, 11):
-        width = max(form.space.n, form.n_terms)
-        monkeypatch.setattr(verifier, "_CHUNK_VALUES", rows * width)
-        assert [verifier._sweep(c, form, cfg) for c in FORM_CHECKS] == whole
-        monkeypatch.setattr(verifier, "_CHUNK_VALUES", rows * form.space.n)
-        assert [verifier._sweep(c, form.space, cfg) for c in IDENTITY_CHECKS] == ids
+        budget = rows * form.space.n * len(verifier.PROOF_NAMES)
+        monkeypatch.setattr(verifier, "_CHUNK_VALUES", budget)
+        assert [r for g in GROUPS for r in verifier._run(g, form, cfg)] == whole
+        assert verifier._run("identity", form.space, cfg) == ids
     for r in whole + ids:
         assert replay(r.witness) == r.worst_violation, r.name
 
@@ -90,14 +99,99 @@ def test_chunked_non_finite_witness_is_the_first(monkeypatch):
          "psi": {"name": "power", "p": 2000}}
     )
     cfg = SuiteConfig(n_samples=30, seed=0)
+    assert CHECKS[0].group == "criteria"
     with np.errstate(over="ignore", invalid="ignore"):
-        whole = verifier._sweep(CHECKS[0], form, cfg)
-        monkeypatch.setattr(verifier, "_CHUNK_VALUES", 4 * form.n_terms)
-        chunked = verifier._sweep(CHECKS[0], form, cfg)
+        whole = verifier._run("criteria", form, cfg)[0]
+        # 4 rows a chunk
+        budget = 4 * form.space.n * len(verifier.CRITERIA_NAMES)
+        monkeypatch.setattr(verifier, "_CHUNK_VALUES", budget)
+        chunked = verifier._run("criteria", form, cfg)[0]
         violations = _violations(CHECKS[0], form, draw(CHECKS[0], form.space, cfg, 30))
     first = int(np.flatnonzero(~np.isfinite(violations))[0])
     assert bits([chunked.worst_violation]) == bits([whole.worst_violation]) == bits([violations[first]])
     assert chunked.witness == whole.witness and not whole.passed
+
+
+def _reference_sweep(check, target, cfg):
+    """One check on its own, as the sweep ran before a group shared its
+    pass: every sample from the check's stream, one kernel call, each energy
+    argument its own energy evaluation, then a loop over the samples keeping
+    the first strict maximum and stopping at a non-finite one."""
+    space = target if check.group == "identity" else target.space
+    rng = _Stream(check_rng(cfg.seed, check.name))
+    samples = [check.sample(rng, space.n, idx) for idx in range(cfg.n_samples)]
+    stacked = {}
+    for k in check.keys:
+        values = [p[k] for p in samples]
+        if isinstance(values[0], tuple):
+            stacked[k] = samplers.fields(values)
+        elif isinstance(values[0], PLFunction):
+            stacked[k] = pl_table(values)
+        else:
+            stacked[k] = np.array(values, dtype=float)[:, None]
+    out = check.kernel(**stacked)
+    if check.group != "identity":
+        args, combine = out
+        out = combine(*(target.energy_of_values(a) for a in args))
+    worst, at = -math.inf, None
+    for i, v in enumerate(out.tolist()):
+        if not math.isfinite(v) or v > worst:
+            worst, at = v, i
+            if not math.isfinite(v):
+                break
+    params = {k: stacked[k][at] if isinstance(v, tuple) else v for k, v in samples[at].items()}
+    passed = math.isfinite(worst) and worst <= verifier.TOLERANCES[check.group]
+    return verifier.CheckResult(check.name, passed, worst,
+                                verifier._witness(check, target, params), cfg.n_samples)
+
+
+@pytest.mark.parametrize("label", [*sorted(CATALOG), "identities_7", "identities_12"])
+def test_group_pass_equals_the_per_check_reference(monkeypatch, label):
+    cfg = SuiteConfig(n_samples=45, seed=9)
+    if label.startswith("identities"):
+        target = MeasureSpace(np.linspace(0.5, 2.0, int(label.split("_")[1])))
+        space, groups = target, ("identity",)
+    else:
+        target = make_form(CATALOG[label])
+        space, groups = target.space, GROUPS
+    # 15 rows a chunk in the one-check group, 3 in the four- and five-check
+    # ones and 1 in the proof chain: every group takes at least 3 chunks, and
+    # the last may be partial
+    monkeypatch.setattr(verifier, "_CHUNK_VALUES", 15 * space.n)
+    for group in groups:
+        checks = [c for c in CHECKS if c.group == group]
+        assert math.ceil(cfg.n_samples / max(1, 15 // len(checks))) >= 3
+        results = verifier._run(group, target, cfg)
+        assert results == [_reference_sweep(c, target, cfg) for c in checks], group
+        for r in results:
+            assert replay(r.witness) == r.worst_violation, r.name
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "local_grid_1d", "nodes": 400, "h": 0.01, "integrand": {"name": "abs_power", "p": 4}},
+    {"kind": "nonlocal_psi", "kernel": (np.ones((40, 40)) - np.eye(40)).tolist(),
+     "psi": {"name": "power", "p": 4}},
+])
+def test_a_group_chunk_holds_bounded_memory(desc):
+    # the proof group, 11 checks, on chunks of _CHUNK_VALUES field values
+    # per parameter: the fields, the 36 energy arguments of its 11 kernels
+    # and their concatenation hold about 8 times that (2.7-3.5 MB measured);
+    # the energy terms, 1560 a row on the kernel and 33 MB if taken at once,
+    # are summed in blocks of at most about 16k
+    form = make_form(desc)
+    rows = verifier._CHUNK_VALUES // (form.space.n * len(verifier.PROOF_NAMES))
+    peaks = []
+    for n_chunks in (1, 4):
+        cfg = SuiteConfig(n_samples=n_chunks * rows, seed=1)
+        tracemalloc.start()
+        try:
+            verifier._run("proof", form, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    field_values = rows * form.space.n * len(verifier.PROOF_NAMES)
+    assert max(peaks) < 8 * (16 * field_values + 4 * 2**14), peaks
+    assert peaks[1] < 1.25 * peaks[0], peaks  # it does not grow with n_samples
 
 
 # -- extremes -----------------------------------------------------------------
@@ -244,5 +338,5 @@ def test_table_evaluation_equals_plfunction_call():
 )
 def test_sample_field_first_draws(seed, first, second):
     rng = _Stream(np.random.default_rng(seed))
-    rows = rng.fields([rng.field(5), rng.field(5)])
+    rows = samplers.fields([rng.field(5), rng.field(5)])
     assert rows.tolist() == [first, second]

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.errors import BadSpec, SpaceMismatch
 from nbdirichlet.flow import FlowConfig, evolve
-from nbdirichlet.forms import _WIDE_ROW, ScalarPiece, _row_sums, _sum_terms, make_form
+from nbdirichlet import forms
+from nbdirichlet.forms import _VECTOR_TERMS, ScalarPiece, _row_sums, _sum_terms, make_form
 from nbdirichlet.measure import MeasureSpace, make_field
 from nbdirichlet.samplers import SuiteConfig
 from nbdirichlet.verifier import check_criteria
@@ -356,25 +357,46 @@ def test_energy_sum_past_the_largest_float_is_inf():
         assert np.array_equal(form.energy_of_values(np.stack([u, -u])), [1.7e308, np.inf])
 
 
-def test_wide_energy_rows_keep_the_overflow_rule():
-    # the 3-node case above on 8 nodes: 56 terms a row, past the width at
-    # which rows are summed without fsum
+def test_wide_energy_rows_keep_the_overflow_rule(monkeypatch):
+    # the 3-node case above on 8 nodes, 56 terms a row, ten times over: a
+    # block large enough to be summed without fsum
     n = 8
     form = make_form(
         {"kind": "nonlocal_psi", "kernel": (4.0 * (np.ones((n, n)) - np.eye(n))).tolist(),
          "psi": {"name": "power", "p": 395}}
     )
-    assert form.n_terms >= _WIDE_ROW
     u = np.zeros(n)
     u[1] = 6.0
     assert np.all(np.isfinite(form.coeffs * form.piece.value(form.diffs(u))))
     nan_row = u.copy()
     nan_row[0] = np.nan
-    stack = form.energy_of_values(np.stack([u, 6.0 * u / 36.0, nan_row, np.zeros(n)]))
-    assert stack[0] == np.inf
-    assert stack[1] == 8.0 * (n - 1)  # 2 (n - 1) terms of 4 * 1^395
-    assert np.isnan(stack[2])
-    assert stack[3] == 0.0 and not np.signbit(stack[3])
+    rows = np.stack([u, 6.0 * u / 36.0, nan_row, np.zeros(n)] * 10)
+    assert rows.shape[0] * form.n_terms >= _VECTOR_TERMS
+    shapes = []
+    monkeypatch.setattr(forms, "_row_sums", lambda t: shapes.append(t.shape) or _row_sums(t))
+    stack = form.energy_of_values(rows).reshape(10, 4)
+    assert shapes == [(40, form.n_terms)]
+    assert np.all(stack[:, 0] == np.inf)
+    assert np.all(stack[:, 1] == 8.0 * (n - 1))  # 2 (n - 1) terms of 4 * 1^395
+    assert np.all(np.isnan(stack[:, 2]))
+    assert np.all(stack[:, 3] == 0.0) and not np.any(np.signbit(stack[:, 3]))
+
+
+@pytest.mark.parametrize("label", ["nonlocal_z4", "grid_abs_p4", "graph_quadratic_20"])
+@pytest.mark.parametrize("n_rows", [1, 7, 150, 401, 2000])
+def test_energy_blocks_do_not_show(monkeypatch, label, n_rows):
+    # a stack is summed in blocks, each by fsum or _row_sums after its size;
+    # every row is its field's energy bit for bit, whatever block it is in
+    form = make_form(instance_catalog(3)[label])
+    values = np.random.default_rng(n_rows).uniform(-3.0, 3.0, (n_rows, form.space.n))
+    want = [form.energy_of_values(row) for row in values]
+    sizes = []
+    monkeypatch.setattr(forms, "_row_sums", lambda t: sizes.append(t.size) or _row_sums(t))
+    got = form.energy_of_values(values)
+    assert struct.pack(f"<{n_rows}d", *got) == struct.pack(f"<{n_rows}d", *want)
+    assert all(_VECTOR_TERMS <= size <= forms._BLOCK_TERMS + form.n_terms for size in sizes)
+    if n_rows * form.n_terms >= 2 * forms._BLOCK_TERMS:
+        assert len(sizes) >= 2
 
 
 # terms that put rows near ties, the underflow threshold and DBL_MAX

@@ -24,6 +24,7 @@ from nbdirichlet.samplers import (
     _STEP,
     _UNIFORM,
     _Stream,
+    fields,
     sample_alpha,
     sample_contraction,
     sample_envelope_contraction,
@@ -167,7 +168,7 @@ def test_stream_equals_the_generator_bit_for_bit():
             else:
                 n = int(plan.integers(1, 4000 if seed % 10 == 0 else 30))
                 want = _sample_values(gen, n)
-                assert stream.fields([stream.field(n)])[0].tobytes() == want.tobytes(), (seed, n)
+                assert fields([stream.field(n)])[0].tobytes() == want.tobytes(), (seed, n)
         assert stream.random() == gen.random()
 
 
@@ -190,7 +191,7 @@ def test_recipes_build_the_generator_fields_row_by_row(n):
         for _ in range(4):
             recipes = [stream.field(n) for _ in range(30)]
             want = [_sample_values(gen, n) for _ in range(30)]
-            rows = stream.fields(recipes)
+            rows = fields(recipes)
             stream.release()
             assert rows.shape == (30, n)
             for row, w in zip(rows, want):
