@@ -33,7 +33,7 @@ from .measure import make_field
 from .samplers import SuiteConfig
 from .verifier import CheckResult, check_identities, counterexample_demo, verify_form
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _fmt_float(x: float) -> str:

@@ -207,14 +207,14 @@ def pl_table(phis) -> PLTable:
     )
 
 
-def _compact(a: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The kept entries of each row moved to its front, the row's last kept
-    entry repeated after them, and the number kept."""
+def _compact(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each array with the kept entries of each row moved to its front and
+    the row's last kept entry repeated after them, then the number kept."""
     order = np.argsort(~keep, axis=1, kind="stable")
-    a = np.take_along_axis(a, order, axis=1)
     count = np.count_nonzero(keep, axis=1)
-    last = np.minimum(np.arange(a.shape[1]), np.maximum(count - 1, 0)[:, None])
-    return np.take_along_axis(a, last, axis=1), count
+    last = np.minimum(np.arange(keep.shape[1]), np.maximum(count - 1, 0)[:, None])
+    at = np.take_along_axis(order, last, axis=1)
+    return *(np.take_along_axis(a, at, axis=1) for a in arrays), count
 
 
 def family_table(kinks: np.ndarray, slopes) -> PLTable:
@@ -254,7 +254,7 @@ def folded_table(kinks: np.ndarray) -> PLTable:
         x = cand[:, c]
         keep[:, c] = (x > 0.0) & (x - last > _MERGE_TOL * (1.0 + np.abs(x)))
         last = np.where(keep[:, c], x, last)
-    cand, n_cand = _compact(cand, keep)
+    cand, n_cand = _compact(keep, cand)
     # make_phi's slope at compose's representative point right of each
     # candidate, and the flat slope: make_phi's slope at 0, times 0
     inside = np.arange(k + 1) < n_cand[:, None] - 1
@@ -268,8 +268,7 @@ def folded_table(kinks: np.ndarray) -> PLTable:
     for c in range(k + 1):
         keep[:, c] = (c < n_cand) & (right[:, c] != last)
         last = np.where(keep[:, c], right[:, c], last)
-    bps, nb = _compact(cand, keep)
-    right, _ = _compact(right, keep)
+    bps, right, nb = _compact(keep, cand, right)
     slopes = np.concatenate([flat[:, None], right], axis=1)
     return PLTable.build(bps, slopes, np.zeros(n_rows), nb)
 

@@ -7,12 +7,13 @@ alpha = 0 with a log-uniform range. Contraction samples mix alternating
 families F_k, depth-bounded compositions of unit-slope generators, and
 Lipschitz-envelope approximants of random 1-Lipschitz data.
 
-Every check owns a numpy Generator (``check_rng``). The sweep reads it
-through a ``_Stream``, which takes the Generator's PCG64 words in blocks and
-returns, draw for draw, the values the Generator would; a field is drawn as
-a recipe into the block, and ``fields`` turns the recipes of a chunk, of
-one stream or several, into their (N, n) array in one pass. The public samplers call only ``random()`` and ``integers()``, so
-they take a Generator or a stream alike.
+Every check owns a numpy Generator (``check_rng``). A field and a band
+radius are laws on a fixed number of uniform words, written over arrays:
+``field_values`` maps rows of n + 2 words to fields on n points and
+``alpha_values`` pairs of words to radii. So a sweep builds the fields and
+radii of many samples from one ``rng.random((rows, words))`` block, and
+``sample_alpha`` draws one radius through the same law. Contractions are
+drawn one at a time, by ``random()`` and ``integers()`` calls.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _name_words(name: str) -> tuple[int, ...]:
     return tuple(int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4))
 
 
-# The sampler constants. They fix the RNG calls of every check, and so the
+# The sampler constants. They fix the laws of every check's draws, and so the
 # bytes of every report; they are not settings.
 AMPLITUDE = 3.0  # field values lie in [-AMPLITUDE, AMPLITUDE]
 P_RAMP = 0.25  # share of sorted ramps among the fields
@@ -63,148 +64,39 @@ class SuiteConfig:
         require_int("n_samples", self.n_samples, 1)
 
 
-_BLOCK = 1 << 11  # 64-bit words a stream reads from its bit generator at a time
-_UNIFORM, _RAMP, _STEP = 0, 1, 2  # the kinds of field a stream draws
+def field_values(words: np.ndarray, n: int) -> np.ndarray:
+    """The fields on n points that rows of n + 2 uniform words give, (N, n).
 
-
-class _Stream:
-    """A check's RNG stream, read from its PCG64 bit generator in blocks.
-
-    ``random()`` and ``integers(lo, hi)`` return, in the same order, exactly
-    what the numpy Generator would have: random() is (w >> 11) * 2**-53 of
-    the next word w, and integers() is numpy's bounded 32-bit Lemire draw,
-    which takes the low half of a word and keeps its upper half for the next
-    32-bit draw. So the samplers that call only these two run unchanged on
-    a stream.
-
-    ``field(n)`` draws one field on n points: a sorted ramp (reversed half
-    the time), a two-level step, or i.i.d. uniform amplitudes, each
-    amplitude 2 * AMPLITUDE * random() - AMPLITUDE. It returns a recipe that
-    points at the field's words, and ``fields`` builds the rows of a list of
-    recipes at once. The amplitudes of a block are computed when it is read.
+    Word 0 picks the kind: a ramp below P_RAMP, a two-level step below
+    P_RAMP + P_STEP, i.i.d. uniform amplitudes otherwise. Words 2 and up are
+    the amplitudes 2 * AMPLITUDE * u - AMPLITUDE. Word 1 is a ramp's
+    direction (the sorted amplitudes, reversed below 0.5) or a step's split
+    floor(u * (n + 1)): its first two amplitudes, the first before the split
+    and the second from it on (on one point both are its one amplitude).
     """
-
-    def __init__(self, rng: np.random.Generator):
-        bits = rng.bit_generator
-        if type(bits) is not np.random.PCG64:
-            raise TypeError(f"a stream reads PCG64 words, not {type(bits).__name__}")
-        if bits.state["has_uint32"]:
-            raise ValueError("the generator holds half a word of an earlier 32-bit draw")
-        self._raw = bits.random_raw
-        self._half = None  # the upper half-word a 32-bit draw left
-        self._kept: list[tuple[int, np.ndarray]] = []  # (first word, amplitudes) of blocks
-        self._base = -_BLOCK  # stream index of the current block's first word
-        self._i = _BLOCK  # index in the current block of the next word
-        self._advance()
-
-    def _advance(self) -> None:
-        """Read blocks until the next word is in the current one."""
-        while self._i >= _BLOCK:
-            self._i -= _BLOCK
-            self._base += _BLOCK
-            self._words = self._raw(_BLOCK)
-            self._u = (self._words >> 11) * (1.0 / 9007199254740992.0)
-            self._kept.append((self._base, 2.0 * AMPLITUDE * self._u - AMPLITUDE))
-
-    def random(self) -> float:
-        if self._i >= _BLOCK:
-            self._advance()
-        i = self._i
-        self._i = i + 1
-        return self._u.item(i)
-
-    def _uint32(self) -> int:
-        half, self._half = self._half, None
-        if half is not None:
-            return half
-        if self._i >= _BLOCK:
-            self._advance()
-        word = self._words.item(self._i)
-        self._i += 1
-        self._half = word >> 32
-        return word & 0xFFFFFFFF
-
-    def integers(self, lo: int, hi: int) -> int:
-        """An int in [lo, hi), for hi - lo <= 2**32."""
-        rng = hi - lo - 1  # numpy draws from the closed range [0, rng]
-        if rng < 0:
-            raise ValueError(f"integers needs lo < hi, got {lo}, {hi}")
-        if rng > 0xFFFFFFFF:
-            raise ValueError(f"a stream draws ranges of at most 2**32 values, got {rng + 1}")
-        if rng == 0:
-            return lo
-        if rng == 0xFFFFFFFF:
-            return lo + self._uint32()
-        excl = rng + 1
-        m = self._uint32() * excl
-        if m & 0xFFFFFFFF < excl:  # reject the low values that would bias m >> 32
-            threshold = (0xFFFFFFFF - rng) % excl
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * excl
-        return lo + (m >> 32)
-
-    def field(self, n: int) -> tuple:
-        """One sampled field on n points, as a recipe for ``fields``:
-        (stream, n, first word, kind, arg), where arg is a ramp's sign (-1.0
-        if it is reversed) or a step's split; lo and hi are a step's two
-        words."""
-        draw = self.random()
-        pos = self._base + self._i
-        if draw < P_RAMP:
-            self._i += n
-            return (self, n, pos, _RAMP, -1.0 if self.random() < 0.5 else 1.0)
-        if draw < P_RAMP + P_STEP:
-            self._i += 2
-            return (self, n, pos, _STEP, self.integers(0, n + 1))
-        self._i += n
-        return (self, n, pos, _UNIFORM, None)
-
-    def release(self) -> None:
-        """Forget the blocks before the next word: recipes drawn from now
-        on do not read them."""
-        pos = self._base + self._i
-        while len(self._kept) > 1 and self._kept[1][0] <= pos:
-            del self._kept[0]
-
-
-def fields(recipes: list[tuple]) -> np.ndarray:
-    """The (N, n) values of N field recipes, of one stream or several, in
-    the given order: one gather of the streams' amplitudes, then the ramps
-    sorted row by row."""
-    n = recipes[0][1]
-    streams = list(dict.fromkeys(r[0] for r in recipes))
-    blocks, offset, size = [], {}, 0
-    for stream in streams:
-        stream._advance()  # the blocks hold every recipe's words
-        offset[stream] = size - stream._kept[0][0]
-        blocks += [a for _, a in stream._kept]
-        size += _BLOCK * len(stream._kept)
-    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    pos = np.fromiter([r[2] + offset[r[0]] for r in recipes], np.intp, len(recipes))
-    cols = np.arange(n)
-    idx = pos[:, None] + cols
-    steps = [(k, r[4]) for k, r in enumerate(recipes) if r[3] == _STEP]
-    if steps:  # lo before the split, hi from it on
-        rows, split = np.array(steps).T
-        idx[rows] = pos[rows, None] + (cols >= split[:, None])
-    out = values[idx]
-    ramps = [(k, r[4]) for k, r in enumerate(recipes) if r[3] == _RAMP]
-    if ramps:  # -sort(-x) is x sorted in decreasing order, bit for bit
-        rows, sign = np.array(ramps).T
-        rows, sign = rows.astype(np.intp), sign[:, None]
-        out[rows] = sign * np.sort(sign * out[rows], axis=1)
-    return out
+    kind, arg = words[:, :1], words[:, 1:2]
+    amp = 2.0 * AMPLITUDE * words[:, 2:] - AMPLITUDE
+    ramp = np.sort(amp, axis=1)
+    ramp = np.where(arg < 0.5, ramp[:, ::-1], ramp)
+    split = np.floor(arg * (n + 1))
+    step = np.where(np.arange(n) < split, amp[:, :1], amp[:, 1:2] if n > 1 else amp)
+    return np.where(kind < P_RAMP, ramp, np.where(kind < P_RAMP + P_STEP, step, amp))
 
 
 _LOG_ALPHA = (float(np.log(1e-3)), float(np.log(10.0)))  # the log-uniform range
 
 
-def sample_alpha(rng: np.random.Generator) -> float:
-    """alpha = 0 with probability 1/8, else log-uniform on [1e-3, 10]."""
-    if rng.random() < 0.125:
-        return 0.0
+def alpha_values(words: np.ndarray) -> np.ndarray:
+    """The band radii that pairs of uniform words (..., 2) give: alpha = 0
+    when the first is below 1/8, else log-uniform on [1e-3, 10] by the
+    second."""
     lo, hi = _LOG_ALPHA
-    return float(np.exp(lo + (hi - lo) * rng.random()))
+    return np.where(words[..., 0] < 0.125, 0.0, np.exp(lo + (hi - lo) * words[..., 1]))
+
+
+def sample_alpha(rng: np.random.Generator) -> float:
+    """One band radius, from two words of rng."""
+    return float(alpha_values(rng.random(2)))
 
 
 def sample_f_k(

@@ -17,14 +17,18 @@ two-breakpoint ones (one-sided when both kinks share a sign, straddle when
 they enclose the origin).
 
 Every check is one row of ``CHECKS``: its name, its group (which picks its
-tolerance in ``TOLERANCES`` and the public function that runs it), a sampler
-that draws one sample's parameters from the check's RNG stream, and a
-batched kernel. A group runs as one pass over chunks of samples. For each
-chunk, every check draws its samples in order from its own block-read
-``samplers._Stream`` (fields as recipes into its blocks); the field recipes
-of the whole group become (N, n) arrays in one gather, scalars (N, 1)
-columns and contractions one ``PLTable`` per kernel call; checks that share a
-kernel run as one call over their rows, one check after another. A form
+tolerance in ``TOLERANCES`` and the public function that runs it), the laws
+of its parameters, and a batched kernel. A law maps a fixed number of
+uniform words per sample to some of its parameters: a field on n points
+takes n + 2 words, a scalar one to three. A group runs as one pass over
+chunks of samples. For each chunk, every check draws one
+``rng.random((rows, words))`` block from its own RNG stream and builds its
+fields ((N, n) arrays) and scalars from the block's columns; a check with a
+contraction draws all of them, one sample at a time, before its first
+block. Blocks drawn one after another equal one block of all their rows, so
+the chunking does not show. Scalars go to the kernels as (N, 1) columns and
+contractions as one ``PLTable`` per kernel call; checks that share a kernel
+run as one call over their rows, one check after another. A form
 kernel returns its energy arguments and a combiner; the energy arguments of
 every kernel of the chunk go through one ``energy_of_values`` call, and each
 combiner maps its slice of the energies to its violations with the float
@@ -39,8 +43,8 @@ all follow from the row.
 
 To add a check, write its batched kernel, which takes the sampled
 parameters and returns (energy arguments, combiner), or the violations for
-an identity, and add one row with its sampler and group; a check that
-reuses a kernel shares its calls.
+an identity, and add one row with the laws of its parameters and its group;
+a check that reuses a kernel shares its calls.
 """
 
 from __future__ import annotations
@@ -77,12 +81,11 @@ from .measure import MeasureSpace, make_field
 from .samplers import (
     AMPLITUDE,
     SuiteConfig,
-    _Stream,
+    alpha_values,
     check_rng,
-    fields,
+    field_values,
     pl_from_witness,
     pl_to_witness,
-    sample_alpha,
     sample_contraction,
 )
 
@@ -110,70 +113,92 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# parameter samplers: (the check's _Stream, points per field, sample index)
-# -> one sample's parameters, fields as recipes
+# parameter samplers. A sample's parameters follow laws on a fixed number of
+# uniform words: a field on n points takes n + 2, the scalars a few. A chunk
+# of a check's samples is one rng.random((rows, words)) block, a sample a
+# row, each law its columns in the order of the sampler's laws. A forced row
+# takes its words like any other, so the layout does not depend on it.
 
 
-def _draw_f(rng, n: int, idx: int) -> dict:
-    return {"f": rng.field(n)}
+@dataclass(frozen=True)
+class _Law:
+    """The law of some of a sample's parameters."""
+
+    width: Callable  # n -> the words a sample takes on n points
+    draw: Callable  # (words (N, width), n, sample indices (N,)) -> parameters by key
 
 
-def _draw_fg(rng, n: int, idx: int) -> dict:
-    return {"f": rng.field(n), "g": rng.field(n)}
+def _field(key: str) -> _Law:
+    return _Law(lambda n: n + 2, lambda u, n, idx: {key: field_values(u, n)})
 
 
-def _draw_fga(rng, n: int, idx: int) -> dict:
-    return {**_draw_fg(rng, n, idx), "alpha": sample_alpha(rng)}
+_F, _G = _field("f"), _field("g")
+_ALPHA = _Law(lambda n: 2, lambda u, n, idx: {"alpha": alpha_values(u)})
 
 
-def _draw_phi_f(rng, n: int, idx: int) -> dict:
-    # -id and id are always the first two contractions in the sample set, so
-    # a symmetry violation surfaces here as well
-    if idx == 0:
-        phi = negate(make_phi([]))
-    elif idx == 1:
-        phi = make_phi([])
-    else:
-        phi = sample_contraction(rng)
-    return {"phi": phi, **_draw_f(rng, n, idx)}
-
-
-def _draw_x_f(rng, n: int, idx: int) -> dict:
+def _x(u, n, idx) -> dict:
     # the degenerate branch x = 0 is always exercised
-    x = 0.0 if idx == 0 else 2.0 * AMPLITUDE * rng.random()
-    return {"x": x, **_draw_f(rng, n, idx)}
+    return {"x": np.where(idx == 0, 0.0, 2.0 * AMPLITUDE * u[:, 0])}
 
 
-def _draw_onesided(rng, n: int, idx: int) -> dict:
-    x1 = 0.0 if rng.random() < 0.15 else AMPLITUDE * rng.random()
-    x2 = x1 + (0.05 + (AMPLITUDE - 0.05) * rng.random())
-    return {"x1": x1, "x2": x2, **_draw_f(rng, n, idx)}
+def _onesided(u, n, idx) -> dict:
+    x1 = np.where(u[:, 0] < 0.15, 0.0, AMPLITUDE * u[:, 1])
+    return {"x1": x1, "x2": x1 + (0.05 + (AMPLITUDE - 0.05) * u[:, 2])}
 
 
-def _draw_straddle(lo: float, hi: float) -> Callable:
+def _straddle(lo: float, hi: float) -> tuple[_Law, ...]:
     """x1 < 0 < x2 with -x1/x2 drawn from [lo, hi]: below 1 is the stated
     assumption x2 > -x1, above 1 the mirrored configuration."""
 
-    def draw(rng, n: int, idx: int) -> dict:
-        x2 = 0.05 + (AMPLITUDE - 0.05) * rng.random()
-        x1 = -x2 * (lo + (hi - lo) * rng.random())
-        return {"x1": x1, "x2": x2, **_draw_f(rng, n, idx)}
+    def draw(u, n, idx) -> dict:
+        x2 = 0.05 + (AMPLITUDE - 0.05) * u[:, 0]
+        return {"x1": -x2 * (lo + (hi - lo) * u[:, 1]), "x2": x2}
+
+    return (_Law(lambda n: 2, draw), _F)
+
+
+_FORCED_TS = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])
+
+
+def _ts(u, n, idx) -> dict:
+    ts = np.where(u.sum(axis=1, keepdims=True) > 1.0, 1.0 - u, u)  # reflect onto the simplex
+    forced = idx < len(_FORCED_TS)
+    ts[forced] = _FORCED_TS[idx[forced]]
+    return {"t": ts[:, 0], "s": ts[:, 1]}
+
+
+_FG = (_F, _G)
+_FGA = (_F, _G, _ALPHA)
+_X_F = (_Law(lambda n: 1, _x), _F)
+_ONESIDED = (_Law(lambda n: 3, _onesided), _F)
+_TWIST = (*_FGA, _Law(lambda n: 2, _ts))
+
+
+def _sampler(check: "Check", rng: np.random.Generator, n: int, n_samples: int) -> Callable:
+    """The check's samples on n points, a chunk at a time and in order: a
+    function from the chunk's sample indices, (N,), to the chunk's parameters
+    by key, fields as (N, n) arrays, scalars as (N,) arrays and contractions
+    as a list. It draws one block a chunk, so the chunking does not show.
+    A check with a contraction draws all of them, one sample at a time,
+    before its first block; -id is always the first, so an asymmetry
+    surfaces there as well."""
+    phis = None
+    if "phi" in check.keys:
+        phis = [sample_contraction(rng) for _ in range(n_samples)]
+        phis[0] = negate(make_phi([]))
+    widths = [law.width(n) for law in check.sample]
+    cuts = np.cumsum(widths)[:-1]
+
+    def draw(idx: np.ndarray) -> dict:
+        words = np.split(rng.random((len(idx), sum(widths))), cuts, axis=1)
+        params = {}
+        for law, u in zip(check.sample, words):
+            params.update(law.draw(u, n, idx))
+        if phis is not None:
+            params["phi"] = phis[idx[0] : idx[-1] + 1]
+        return params
 
     return draw
-
-
-_FORCED_TS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
-
-
-def _draw_twist(rng, n: int, idx: int) -> dict:
-    params = _draw_fga(rng, n, idx)
-    if idx < len(_FORCED_TS):
-        t, s = _FORCED_TS[idx]
-    else:
-        t, s = rng.random(), rng.random()
-        if t + s > 1.0:  # reflect onto the valid simplex
-            t, s = 1.0 - t, 1.0 - s
-    return {**params, "t": float(t), "s": float(s)}
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +256,14 @@ def _viol_symmetry(f):
     return (-f, f), _gap
 
 
+def _two_rises(a, b, c, d):
+    """The larger of E(a) - E(b) and E(c) - E(d)."""
+    return _pymax(a - b, c - d)
+
+
 def _viol_contraction(phi, f):
-    return (pl_eval(phi, f), f), _rise
+    # phi on f and on -f: at phi = -id this is |E(f) - E(-f)|
+    return (pl_eval(phi, f), f, pl_eval(phi, -f), -f), _two_rises
 
 
 # the fold families: kinks are (N, k) rows; sigma and psi of fold2 are fixed
@@ -351,7 +382,7 @@ class Check:
 
     name: str
     group: str  # a key of TOLERANCES
-    sample: Callable  # (stream, n, idx) -> one sample's parameters
+    sample: tuple[_Law, ...]  # the laws of its parameters but phi (see _sampler), in word order
     kernel: Callable  # (**stacked parameters) -> (energy arguments, combiner), or violations
 
     @cached_property
@@ -361,35 +392,34 @@ class Check:
 
 
 CHECKS = (
-    Check("minmax", "criteria", _draw_fg, _viol_minmax),
-    Check("clamp", "criteria", _draw_fga, _viol_clamp),
-    Check("order_projection", "criteria", _draw_fg, _viol_order_projection),
-    Check("band_projection", "criteria", _draw_fga, _viol_band_projection),
-    Check("symmetry", "criteria", _draw_f, _viol_symmetry),
-    Check("normal_contraction", "contraction", _draw_phi_f, _viol_contraction),
-    Check("proof_fold1_lattice_split", "proof", _draw_x_f, _viol_fold1_lattice_split),
-    Check("proof_fold1_clamp_chain", "proof", _draw_x_f, _viol_fold1_clamp_chain),
-    Check("proof_fold1_conclusion", "proof", _draw_x_f, _viol_fold1_conclusion),
-    Check("proof_fold2_onesided_clamp_split", "proof", _draw_onesided,
+    Check("minmax", "criteria", _FG, _viol_minmax),
+    Check("clamp", "criteria", _FGA, _viol_clamp),
+    Check("order_projection", "criteria", _FG, _viol_order_projection),
+    Check("band_projection", "criteria", _FGA, _viol_band_projection),
+    Check("symmetry", "criteria", (_F,), _viol_symmetry),
+    Check("normal_contraction", "contraction", (_F,), _viol_contraction),
+    Check("proof_fold1_lattice_split", "proof", _X_F, _viol_fold1_lattice_split),
+    Check("proof_fold1_clamp_chain", "proof", _X_F, _viol_fold1_clamp_chain),
+    Check("proof_fold1_conclusion", "proof", _X_F, _viol_fold1_conclusion),
+    Check("proof_fold2_onesided_clamp_split", "proof", _ONESIDED,
           _viol_fold2_onesided_clamp_split),
-    Check("proof_fold2_onesided_clamp_chain", "proof", _draw_onesided,
+    Check("proof_fold2_onesided_clamp_chain", "proof", _ONESIDED,
           _viol_fold2_onesided_clamp_chain),
-    Check("proof_fold2_onesided_lattice_split", "proof", _draw_onesided,
+    Check("proof_fold2_onesided_lattice_split", "proof", _ONESIDED,
           _viol_fold2_onesided_lattice_split),
-    Check("proof_fold2_onesided_conclusion", "proof", _draw_onesided, _viol_fold2_conclusion),
-    Check("proof_fold2_straddle_clamp_split", "proof", _draw_straddle(0.02, 0.98),
+    Check("proof_fold2_onesided_conclusion", "proof", _ONESIDED, _viol_fold2_conclusion),
+    Check("proof_fold2_straddle_clamp_split", "proof", _straddle(0.02, 0.98),
           _viol_fold2_straddle_clamp_split),
-    Check("proof_fold2_straddle_conclusion", "proof", _draw_straddle(0.02, 0.98),
+    Check("proof_fold2_straddle_conclusion", "proof", _straddle(0.02, 0.98),
           _viol_fold2_conclusion),
-    Check("proof_fold2_straddle_clamp_split_mirror", "proof", _draw_straddle(1.05, 3.0),
+    Check("proof_fold2_straddle_clamp_split_mirror", "proof", _straddle(1.05, 3.0),
           _viol_fold2_straddle_clamp_split),
-    Check("proof_fold2_straddle_conclusion_mirror", "proof", _draw_straddle(1.05, 3.0),
+    Check("proof_fold2_straddle_conclusion_mirror", "proof", _straddle(1.05, 3.0),
           _viol_fold2_conclusion),
-    Check("identity_halfsum", "identity", _draw_fga, _viol_identity_halfsum),
-    Check("identity_twist", "identity", _draw_twist, _viol_identity_twist),
-    Check("identity_midpoint", "identity", _draw_fga, _viol_identity_midpoint),
-    Check("identity_projection_oracle", "identity", _draw_fga,
-          _viol_identity_projection_oracle),
+    Check("identity_halfsum", "identity", _FGA, _viol_identity_halfsum),
+    Check("identity_twist", "identity", _TWIST, _viol_identity_twist),
+    Check("identity_midpoint", "identity", _FGA, _viol_identity_midpoint),
+    Check("identity_projection_oracle", "identity", _FGA, _viol_identity_projection_oracle),
 )
 # a check passes when its worst violation is at most its group's tolerance
 TOLERANCES = {"criteria": 1e-9, "contraction": 1e-9, "proof": 1e-9, "identity": 1e-12}
@@ -418,41 +448,24 @@ def _decode(key: str, value, space: MeasureSpace):
     return as_real(f"witness parameter {key!r}", value)
 
 
-def _stack(values: list):
-    """One parameter of a batch of samples, other than field recipes, as the
-    kernels take it."""
-    first = values[0]
-    if isinstance(first, PLFunction):
-        return pl_table(values)
-    if isinstance(first, np.ndarray):
-        return np.stack(values)
-    return np.array(values, dtype=float)[:, None]
+def _column(values: list):
+    """One parameter of a list of samples, as a sampler gives it."""
+    if isinstance(values[0], PLFunction):
+        return values
+    return np.stack(values) if isinstance(values[0], np.ndarray) else np.array(values, dtype=float)
 
 
-def _stack_batches(batches: list[tuple[tuple[str, ...], list[dict]]]) -> list[dict]:
-    """Every parameter of each (keys, samples) batch, stacked, by witness
-    key; the field recipes of all batches become their arrays in one gather,
-    each key's rows a slice of it."""
-    stacked, recipes, slots = [], [], []
-    for keys, samples in batches:
-        out = {}
-        for k in keys:
-            values = [p[k] for p in samples]
-            if isinstance(values[0], tuple):  # field recipes of a _Stream
-                slots.append((out, k, len(recipes), len(recipes) + len(values)))
-                recipes += values
-            else:
-                out[k] = _stack(values)
-        stacked.append(out)
-    if recipes:
-        built = fields(recipes)
-        for out, k, a, b in slots:
-            out[k] = built[a:b]
-    return stacked
+def _args(params: dict) -> dict:
+    """Parameters by key as the kernels take them: contractions as one
+    table, scalars as (N, 1) columns."""
+    return {
+        k: pl_table(v) if isinstance(v, list) else v[:, None] if v.ndim == 1 else v
+        for k, v in params.items()
+    }
 
 
 def _evaluate(target, batches: list[tuple[Callable, dict]]) -> list[np.ndarray]:
-    """The violations of each (kernel, stacked parameters) batch. On a form,
+    """The violations of each (kernel, kernel arguments) batch. On a form,
     the energy arguments of every batch go through one energy_of_values
     call, and each batch's combiner maps its slice of the energies; on a
     space (the identities) the kernels give the violations."""
@@ -470,8 +483,8 @@ def _evaluate(target, batches: list[tuple[Callable, dict]]) -> list[np.ndarray]:
 
 def _violations(check: Check, target, samples: list[dict]) -> np.ndarray:
     """The check's kernel on one batch of samples: one violation per sample."""
-    (stacked,) = _stack_batches([(check.keys, samples)])
-    return _evaluate(target, [(check.kernel, stacked)])[0]
+    params = {k: _column([p[k] for p in samples]) for k in check.keys}
+    return _evaluate(target, [(check.kernel, _args(params))])[0]
 
 
 def _witness(check: Check, target, params: dict) -> dict:
@@ -481,27 +494,26 @@ def _witness(check: Check, target, params: dict) -> dict:
         head = {"weights": target.weights.tolist()}
     else:
         head = {"form": target.descriptor()}
-    return {"check": check.name, **head, **{k: _encode(v) for k, v in params.items()}}
+    return {"check": check.name, **head, **{k: _encode(params[k]) for k in check.keys}}
 
 
-def _fold(best: tuple, violations: np.ndarray, samples: list[dict], stacked: dict,
-          offset: int) -> tuple:
+def _fold(best: tuple, violations: np.ndarray, params: dict) -> tuple:
     """A check's (worst, params, finite) after the next chunk of its
-    violations, whose sample i sits at row offset + i of the stacked fields:
-    the first non-finite sample, or else the first sample at the maximum,
-    which is what a loop over the samples keeping the first strict maximum,
-    and stopping at a non-finite one, keeps."""
+    violations and parameters: the first non-finite sample, or else the
+    first sample at the maximum, which is what a loop over the samples
+    keeping the first strict maximum, and stopping at a non-finite one,
+    keeps."""
     worst, _, finite = best
     if not finite:
         return best
     bad = np.flatnonzero(~np.isfinite(violations))
     i = int(bad[0]) if bad.size else int(np.argmax(violations))
     if bad.size or violations[i] > worst:
-        params = {  # each field its own copy of the row, not a view of the chunk
-            k: stacked[k][offset + i].copy() if isinstance(v, tuple) else v
-            for k, v in samples[i].items()
+        row = {  # each field its own copy of the row, not a view of the chunk
+            k: v[i] if isinstance(v, list) else v[i].copy() if v.ndim == 2 else float(v[i])
+            for k, v in params.items()
         }
-        return float(violations[i]), params, not bad.size
+        return float(violations[i]), row, not bad.size
     return best
 
 
@@ -516,35 +528,38 @@ def _run(group: str, target, cfg: SuiteConfig) -> list[CheckResult]:
     """Run a group's checks on a form (or a space, for identities) over
     cfg.n_samples seeded samples each, in one pass over chunks of samples.
 
-    For each chunk, every check draws its samples from its own stream; the
-    group's field recipes become arrays in one gather; checks that share a
-    kernel run as one kernel call over their rows, one check after another;
-    one energy evaluation serves every kernel; and each check folds its
-    slice of the violations into its result.
+    For each chunk, every check draws its samples from its own stream;
+    checks that share a kernel run as one kernel call over their rows, one
+    check after another; one energy evaluation serves every kernel; and each
+    check folds its slice of the violations into its result.
     """
     checks = [c for c in CHECKS if c.group == group]
     space = target if group == "identity" else target.space
     n = space.n
-    streams = [_Stream(check_rng(cfg.seed, c.name)) for c in checks]
+    draws = [_sampler(c, check_rng(cfg.seed, c.name), n, cfg.n_samples) for c in checks]
     kernels = dict.fromkeys(c.kernel for c in checks)
     batches = [[j for j, c in enumerate(checks) if c.kernel is k] for k in kernels]
     rows = max(1, _CHUNK_VALUES // (n * len(checks)))
     best = [(-math.inf, None, True)] * len(checks)
     for start in range(0, cfg.n_samples, rows):
-        idxs = range(start, min(start + rows, cfg.n_samples))
-        samples = [[c.sample(rng, n, i) for i in idxs] for c, rng in zip(checks, streams)]
-        stacked = _stack_batches(
-            [(checks[b[0]].keys, [p for j in b for p in samples[j]]) for b in batches]
-        )
-        for rng in streams:
-            rng.release()
-        violations = _evaluate(target, list(zip(kernels, stacked)))
-        for b, v, st in zip(batches, violations, stacked):
+        idx = np.arange(start, min(start + rows, cfg.n_samples))
+        params = [draw(idx) for draw in draws]
+        args = [
+            _args({k: _concat([params[j][k] for j in b]) for k in checks[b[0]].keys})
+            for b in batches
+        ]
+        violations = _evaluate(target, list(zip(kernels, args)))
+        for b, v in zip(batches, violations):
             for pos, j in enumerate(b):
-                offset = pos * len(idxs)
-                chunk = v[offset : offset + len(idxs)]
-                best[j] = _fold(best[j], chunk, samples[j], st, offset)
+                best[j] = _fold(best[j], v[pos * len(idx) : (pos + 1) * len(idx)], params[j])
     return [_sweep(c, target, cfg, b) for c, b in zip(checks, best)]
+
+
+def _concat(parts: list):
+    """One parameter of the checks that share a kernel call, their rows in turn."""
+    if len(parts) == 1:
+        return parts[0]
+    return sum(parts, []) if isinstance(parts[0], list) else np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +572,11 @@ def check_criteria(form: FormInstance, cfg: SuiteConfig) -> list[CheckResult]:
 
 
 def check_normal_contraction(form: FormInstance, cfg: SuiteConfig) -> CheckResult:
-    """Worst E(phi o f) - E(f) over sampled contractions and fields.
+    """Worst rise max(E(phi o f) - E(f), E(phi o -f) - E(-f)) over sampled
+    contractions and fields.
 
-    -id and id are always the first two contractions in the sample set, so a
-    symmetry violation surfaces here as well.
+    -id is always the first contraction in the sample set, where the rise is
+    |E(f) - E(-f)|, so a symmetry violation surfaces here as well.
     """
     return _run("contraction", form, cfg)[0]
 

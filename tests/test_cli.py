@@ -130,7 +130,7 @@ def test_demo_counterexample(tmp_path, capsys):
     code = run(["demo", "counterexample", "--output", str(out)])
     assert code == 1
     doc = json.loads(out.read_text())
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     (check,) = doc["checks"]
     assert check["name"] == "counterexample_max_positive_part"
     assert check["passed"] is False

@@ -24,8 +24,8 @@ from nbdirichlet.contraction import (
 )
 from nbdirichlet.forms import make_form
 from nbdirichlet.measure import MeasureSpace
-from nbdirichlet.samplers import SuiteConfig, _Stream, check_rng
-from nbdirichlet.verifier import CHECKS, _stack_batches, _violations, replay
+from nbdirichlet.samplers import SuiteConfig, check_rng
+from nbdirichlet.verifier import CHECKS, _violations, replay
 
 FORM_CHECKS = [c for c in CHECKS if c.group != "identity"]
 IDENTITY_CHECKS = [c for c in CHECKS if c.group == "identity"]
@@ -36,15 +36,17 @@ def bits(a) -> list:
     return np.asarray(a, dtype=float).view(np.int64).tolist()
 
 
+def columns(check, space, cfg, n):
+    """The first n samples of the check's sweep as one block: its
+    parameters by key, a row or an entry each."""
+    sampler = verifier._sampler(check, check_rng(cfg.seed, check.name), space.n, cfg.n_samples)
+    return sampler(np.arange(n))
+
+
 def draw(check, space, cfg, n):
-    """The first n samples of the check's sweep, each field as its array."""
-    rng = _Stream(check_rng(cfg.seed, check.name))
-    samples = [check.sample(rng, space.n, idx) for idx in range(n)]
-    (stacked,) = _stack_batches([(check.keys, samples)])
-    return [
-        {k: stacked[k][i] if isinstance(v, tuple) else v for k, v in p.items()}
-        for i, p in enumerate(samples)
-    ]
+    """The first n samples of the check's sweep, one dict each."""
+    cols = columns(check, space, cfg, n)
+    return [{k: v[i] for k, v in cols.items()} for i in range(n)]
 
 
 def assert_rows_match(check, target, samples):
@@ -89,6 +91,11 @@ def test_chunking_does_not_show(monkeypatch, label):
         monkeypatch.setattr(verifier, "_CHUNK_VALUES", budget)
         assert [r for g in GROUPS for r in verifier._run(g, form, cfg)] == whole
         assert verifier._run("identity", form.space, cfg) == ids
+    # 1 and 3 rows a chunk in the one-check contraction group, whose
+    # contractions are drawn before its first block
+    for rows in (1, 3):
+        monkeypatch.setattr(verifier, "_CHUNK_VALUES", rows * form.space.n)
+        assert verifier._run("contraction", form, cfg) == [whole[len(verifier.CRITERIA_NAMES)]]
     for r in whole + ids:
         assert replay(r.witness) == r.worst_violation, r.name
 
@@ -118,17 +125,13 @@ def _reference_sweep(check, target, cfg):
     argument its own energy evaluation, then a loop over the samples keeping
     the first strict maximum and stopping at a non-finite one."""
     space = target if check.group == "identity" else target.space
-    rng = _Stream(check_rng(cfg.seed, check.name))
-    samples = [check.sample(rng, space.n, idx) for idx in range(cfg.n_samples)]
+    cols = columns(check, space, cfg, cfg.n_samples)
     stacked = {}
     for k in check.keys:
-        values = [p[k] for p in samples]
-        if isinstance(values[0], tuple):
-            stacked[k] = samplers.fields(values)
-        elif isinstance(values[0], PLFunction):
-            stacked[k] = pl_table(values)
+        if isinstance(cols[k], list):
+            stacked[k] = pl_table(cols[k])
         else:
-            stacked[k] = np.array(values, dtype=float)[:, None]
+            stacked[k] = cols[k][:, None] if cols[k].ndim == 1 else cols[k]
     out = check.kernel(**stacked)
     if check.group != "identity":
         args, combine = out
@@ -139,7 +142,7 @@ def _reference_sweep(check, target, cfg):
             worst, at = v, i
             if not math.isfinite(v):
                 break
-    params = {k: stacked[k][at] if isinstance(v, tuple) else v for k, v in samples[at].items()}
+    params = {k: v[at] if isinstance(v, list) or v.ndim == 2 else float(v[at]) for k, v in cols.items()}
     passed = math.isfinite(worst) and worst <= verifier.TOLERANCES[check.group]
     return verifier.CheckResult(check.name, passed, worst,
                                 verifier._witness(check, target, params), cfg.n_samples)
@@ -313,30 +316,86 @@ def test_table_evaluation_equals_plfunction_call():
     assert bits(got) == bits([phi(row) for phi, row in zip(phis, x)])
 
 
-# -- sampler pins ----------------------------------------------------------------
+# -- sampler laws and pins ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "check", [c for c in CHECKS if set(c.keys) - {"f", "g", "phi"}], ids=lambda c: c.name
+)
+def test_scalar_laws(check):
+    # 400 samples of the check's sweep in one block: each scalar in its
+    # law's range, and the forced rows first
+    p = columns(check, MeasureSpace(np.ones(5)), SuiteConfig(n_samples=400, seed=3), 400)
+    amp = samplers.AMPLITUDE
+    if "alpha" in p:
+        a = p["alpha"]
+        assert np.all((a == 0.0) | ((a >= 1e-3) & (a <= 10.0)))
+        assert 0.07 < np.mean(a == 0.0) < 0.18  # 1/8
+    if "x" in p:
+        x = p["x"]
+        assert x[0] == 0.0 and np.all((x[1:] > 0.0) & (x[1:] < 2.0 * amp))
+    if "x1" in p and "onesided" in check.name:
+        x1, x2 = p["x1"], p["x2"]
+        assert np.all((x1 >= 0.0) & (x1 < amp) & (x2 - x1 >= 0.05 - 1e-12) & (x2 - x1 < amp))
+        assert 0.1 < np.mean(x1 == 0.0) < 0.2  # 0.15
+        assert np.min(x1[x1 > 0.0]) < 0.1  # else uniform on [0, amp)
+    elif "x1" in p:
+        x1, x2 = p["x1"], p["x2"]
+        lo, hi = (1.05, 3.0) if check.name.endswith("mirror") else (0.02, 0.98)
+        assert np.all((x2 >= 0.05) & (x2 < amp))
+        assert np.all((-x1 / x2 >= lo - 1e-12) & (-x1 / x2 <= hi + 1e-12))
+    if "t" in p:
+        t, s = p["t"], p["s"]
+        assert list(zip(t[:4], s[:4])) == [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]
+        assert np.all((t >= 0.0) & (s >= 0.0) & (t + s <= 1.0 + 1e-15))
 
 
 @pytest.mark.parametrize(
     "seed, first, second",
     [
         # uniform, then uniform
-        (0, [-1.3812797174167781, -2.7541588563828316, -2.9008341868288254,
-             1.879621435201635, 2.47653346366633],
-         [1.3769793659039902, 0.261749948792537, 2.610434542726609,
-          1.8951213247291925, -2.9835689989791114]),
-        # a step, then uniform
-        (2, [-1.2090531395152602, -1.2090531395152602, 1.8853544435656815,
-             1.8853544435656815, 1.8853544435656815],
-         [1.371363160870768, -1.8725935598003793, -2.669120236001591,
-          -1.3501837925637714, 0.9445980892535557]),
+        (0, [-2.7541588563828316, -2.9008341868288254, 1.879621435201635,
+             2.47653346366633, 0.6398146546030792],
+         [2.610434542726609, 1.8951213247291925, -2.9835689989791114,
+          2.1444256595254156, -2.798486548167214]),
+        # a step split after one point, then a reversed ramp
+        (2, [1.8853544435656815, -2.4485043471894183, -2.4485043471894183,
+             -2.4485043471894183, -2.4485043471894183],
+         [1.015783791447122, 0.9445980892535557, 0.3735939766825682,
+          -0.40421525517127677, -2.0996264201679833]),
         # a reversed ramp, then a ramp
-        (3, [1.8076467912383816, 0.4929722163862067, -0.401238358581157,
-             -1.5791369604234018, -2.4352281465576047],
+        (3, [1.8076467912383816, 0.4929722163862067, -0.12569221115499563,
+             -0.401238358581157, -2.4352281465576047],
          [-2.3179678804715795, -0.6526308570260277, -0.4162318775149334,
-          0.10044109572818183, 1.4074629084552868]),
+          0.10044109572818183, 0.5207914286288444]),
     ],
 )
 def test_sample_field_first_draws(seed, first, second):
-    rng = _Stream(np.random.default_rng(seed))
-    rows = samplers.fields([rng.field(5), rng.field(5)])
+    # the first two fields on 5 points of a block drawn from a Generator
+    rows = samplers.field_values(np.random.default_rng(seed).random((2, 7)), 5)
     assert rows.tolist() == [first, second]
+
+
+def test_sample_field_from_hand_made_words():
+    # kind, direction or split, then five amplitudes 6u - 3; u = 0.25, 0.5,
+    # 0.75, 0, 0.125 give -1.5, 0, 1.5, -3, -2.25 exactly
+    amps = [0.25, 0.5, 0.75, 0.0, 0.125]
+    words = np.array([
+        [0.9, 0.3, *amps],  # uniform
+        [0.1, 0.7, *amps],  # a ramp
+        [0.1, 0.2, *amps],  # a reversed ramp
+        [0.3, 0.0, *amps],  # a step split at 0: the second level throughout
+        [0.3, 0.5, *amps],  # a step split at floor(0.5 * 6) = 3
+        [0.3, 0.99, *amps],  # a step split at floor(0.99 * 6) = 5 = n: the first level throughout
+    ])
+    assert samplers.field_values(words, 5).tolist() == [
+        [-1.5, 0.0, 1.5, -3.0, -2.25],
+        [-3.0, -2.25, -1.5, 0.0, 1.5],
+        [1.5, 0.0, -1.5, -2.25, -3.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [-1.5, -1.5, -1.5, 0.0, 0.0],
+        [-1.5, -1.5, -1.5, -1.5, -1.5],
+    ]
+    # on one point a step is its one amplitude, whatever the split
+    assert samplers.field_values(np.array([[0.3, 0.0, 0.75], [0.3, 0.9, 0.75]]), 1).tolist() == [
+        [1.5], [1.5]]

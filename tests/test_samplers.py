@@ -1,12 +1,8 @@
 """The samplers draw with rng.random() where they once called rng.uniform:
 numpy's uniform(lo, hi) is lo + (hi - lo) * random() on the same stream, so
-every sampled value, and every report, keeps its bits. These tests hold the
-uniform calls as the reference.
-
-A sweep draws through a ``_Stream``, which reads the PCG64 words of the
-check's Generator in blocks; the tests below hold the Generator as its
-reference: every value, field and integer must be the one the Generator
-gives."""
+every sampled value keeps its bits. These tests hold the uniform calls, one
+sample at a time, as the reference for the samplers and for the laws that
+map blocks of words to fields and band radii."""
 
 import math
 
@@ -16,17 +12,10 @@ import pytest
 from nbdirichlet.contraction import envelope, make_phi
 from nbdirichlet.samplers import (
     AMPLITUDE,
-    MAX_BREAKPOINTS,
-    MAX_DEPTH,
     P_RAMP,
     P_STEP,
-    _RAMP,
-    _STEP,
-    _UNIFORM,
-    _Stream,
-    fields,
+    field_values,
     sample_alpha,
-    sample_contraction,
     sample_envelope_contraction,
     sample_f_k,
 )
@@ -58,44 +47,27 @@ def test_array_draw_equals_uniform_bit_for_bit(span, n):
         assert a.random() == b.random()  # the streams stay in step
 
 
-def _sample_values(rng, n):
-    """One sampled field drawn from a Generator: the sweep's field sampler
-    before it drew from a _Stream."""
-    draw = rng.random()
-    if draw < P_RAMP:
-        vals = np.sort(2.0 * AMPLITUDE * rng.random(n) - AMPLITUDE)
-        if rng.random() < 0.5:
-            vals = vals[::-1]
-    elif draw < P_RAMP + P_STEP:
-        lo = 2.0 * AMPLITUDE * rng.random() - AMPLITUDE
-        hi = 2.0 * AMPLITUDE * rng.random() - AMPLITUDE
-        split = int(rng.integers(0, n + 1))
-        vals = np.full(n, hi)
-        vals[:split] = lo
-    else:
-        vals = 2.0 * AMPLITUDE * rng.random(n) - AMPLITUDE
-    return vals
-
-
 def _uniform_sample_values(rng, n):
-    draw = rng.random()
+    """One field from its n + 2 words, one sample at a time."""
+    draw, arg = rng.random(2)
+    amps = rng.uniform(-AMPLITUDE, AMPLITUDE, n)
     if draw < P_RAMP:
-        vals = np.sort(rng.uniform(-AMPLITUDE, AMPLITUDE, n))
-        if rng.random() < 0.5:
+        vals = np.sort(amps)
+        if arg < 0.5:
             vals = vals[::-1]
     elif draw < P_RAMP + P_STEP:
-        lo, hi = rng.uniform(-AMPLITUDE, AMPLITUDE, 2)
-        split = int(rng.integers(0, n + 1))
+        split = int(arg * (n + 1))
+        lo, hi = amps[0], amps[min(1, n - 1)]
         vals = np.where(np.arange(n) < split, lo, hi)
     else:
-        vals = rng.uniform(-AMPLITUDE, AMPLITUDE, n)
+        vals = amps
     return vals
 
 
 def _uniform_sample_alpha(rng):
-    if rng.random() < 0.125:
-        return 0.0
-    return float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
+    draw = rng.random()
+    alpha = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
+    return 0.0 if draw < 0.125 else alpha
 
 
 def _uniform_sample_f_k(rng, max_k, span):
@@ -126,7 +98,7 @@ def test_samplers_equal_their_uniform_forms_bit_for_bit():
     for seed in SEEDS:
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         for n in (1, 2, 7, 20):
-            want, got = _uniform_sample_values(a, n), _sample_values(b, n)
+            want, got = _uniform_sample_values(a, n), field_values(b.random((1, n + 2)), n)[0]
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
         assert np.float64(sample_alpha(b)).view(np.int64) == np.float64(
             _uniform_sample_alpha(a)).view(np.int64)
@@ -136,98 +108,18 @@ def test_samplers_equal_their_uniform_forms_bit_for_bit():
         assert a.random() == b.random()
 
 
-# -- the block stream -----------------------------------------------------------
-
-# the ranges the samplers draw (a step's split on 1-500 points, F_k's k,
-# a composition's depth), the full 32-bit range, and one that rejects a
-# quarter of its 32-bit draws
-RANGES = [(0, n + 1) for n in (1, 2, 5, 7, 10, 19, 20, 500)] + [
-    (0, MAX_BREAKPOINTS + 1), (0, 3), (1, MAX_DEPTH + 1), (-7, 11), (5, 6),
-    (0, 2**32), (0, 3 * 2**30),
-]
-
-
-def _f64_bits(x) -> list:
-    return np.asarray(x, dtype=float).view(np.int64).tolist()
-
-
-def test_stream_equals_the_generator_bit_for_bit():
-    # a mixed run of random() and integers() per seed; some runs draw long
-    # fields between them, so they cross several block boundaries
-    for seed in range(1000):
-        gen, stream = np.random.default_rng(seed), _Stream(np.random.default_rng(seed))
-        plan = np.random.default_rng(10**6 + seed)
-        for step in range(40):
-            op = int(plan.integers(0, 3))
-            if op == 0:
-                assert _f64_bits(stream.random()) == _f64_bits(gen.random()), (seed, step)
-            elif op == 1:
-                lo, hi = RANGES[int(plan.integers(0, len(RANGES)))]
-                got, want = stream.integers(lo, hi), int(gen.integers(lo, hi))
-                assert type(got) is int and got == want, (seed, step, lo, hi)
-            else:
-                n = int(plan.integers(1, 4000 if seed % 10 == 0 else 30))
-                want = _sample_values(gen, n)
-                assert fields([stream.field(n)])[0].tobytes() == want.tobytes(), (seed, n)
-        assert stream.random() == gen.random()
-
-
-def test_high_rejection_range_equals_the_generator():
-    # 2**32 mod (3 * 2**30) = 2**30: a quarter of the 32-bit draws are
-    # rejected, and each rejection takes a half-word
-    gen, stream = np.random.default_rng(7), _Stream(np.random.default_rng(7))
-    for _ in range(5000):
-        assert stream.integers(0, 3 * 2**30) == int(gen.integers(0, 3 * 2**30))
-        assert stream.random() == gen.random()
+# -- the field law on blocks -----------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 20, 2500])
-def test_recipes_build_the_generator_fields_row_by_row(n):
-    # one stacked build per chunk, with the chunk's blocks released after it
-    # as a sweep does; each kind of field shows up
+def test_field_block_equals_its_rows(n):
+    # the fields of a block are those of its rows one at a time, and each
+    # kind of field shows up
     for seed in range(40):
-        gen, stream = np.random.default_rng(seed), _Stream(np.random.default_rng(seed))
-        kinds = set()
-        for _ in range(4):
-            recipes = [stream.field(n) for _ in range(30)]
-            want = [_sample_values(gen, n) for _ in range(30)]
-            rows = fields(recipes)
-            stream.release()
-            assert rows.shape == (30, n)
-            for row, w in zip(rows, want):
-                assert row.tobytes() == w.tobytes(), seed
-            kinds |= {r[3] for r in recipes}
-            assert stream.random() == gen.random()
-        assert kinds == {_UNIFORM, _RAMP, _STEP}
-
-
-def test_samplers_draw_the_same_from_a_stream():
-    for seed in range(200):
-        gen, stream = np.random.default_rng(seed), _Stream(np.random.default_rng(seed))
-        for _ in range(5):
-            assert _pl_bits(sample_contraction(stream)) == _pl_bits(sample_contraction(gen))
-            assert _f64_bits(sample_alpha(stream)) == _f64_bits(sample_alpha(gen))
-        assert stream.random() == gen.random()
-
-
-def test_stream_refuses_other_generators():
-    with pytest.raises(TypeError, match="PCG64"):
-        _Stream(np.random.Generator(np.random.MT19937(0)))
-    with pytest.raises(TypeError, match="PCG64"):
-        _Stream(np.random.Generator(np.random.PCG64DXSM(0)))
-    gen = np.random.default_rng(0)
-    gen.integers(0, 10)  # keeps the upper half of its word
-    with pytest.raises(ValueError, match="half"):
-        _Stream(gen)
-    gen.integers(0, 10)  # uses it
-    _Stream(gen)
-
-
-def test_stream_refuses_ranges_it_cannot_draw():
-    stream = _Stream(np.random.default_rng(0))
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        stream.integers(0, 2**32 + 1)
-    with pytest.raises(ValueError, match="lo < hi"):
-        stream.integers(3, 3)
-    assert stream.integers(4, 5) == 4  # one value: no word is drawn
-    assert stream.random() == np.random.default_rng(0).random()
+        words = np.random.default_rng(seed).random((120, n + 2))
+        rows = field_values(words, n)
+        assert rows.shape == (120, n)
+        for row, w in zip(rows, words):
+            assert row.tobytes() == field_values(w[None, :], n)[0].tobytes(), seed
+        kinds = np.where(words[:, 0] < P_RAMP, 0, np.where(words[:, 0] < P_RAMP + P_STEP, 1, 2))
+        assert set(kinds.tolist()) == {0, 1, 2}

@@ -84,9 +84,27 @@ def test_normal_contraction_maxpos_fails_at_minus_id():
 
 def test_identity_and_zero_violation_of_id():
     form = maxpos_form()
-    cfg = SuiteConfig(n_samples=2, seed=0)  # only the forced -id, id samples
+    cfg = SuiteConfig(n_samples=1, seed=0)  # only the forced -id sample
     r = check_normal_contraction(form, cfg)
-    assert r.witness["phi"]["slopes"] == [-1.0]  # -id is the worst of the two
+    assert r.witness["phi"]["slopes"] == [-1.0]
+    f = np.array(r.witness["f"])
+    assert r.worst_violation == abs(form.energy_of_values(f) - form.energy_of_values(-f)) > 0.0
+    # id moves neither f nor -f
+    identity = {**r.witness, "phi": {"breakpoints": [], "slopes": [1.0], "anchor": 0.0}}
+    assert replay(identity) == 0.0
+
+
+def test_minus_id_raises_the_energy_of_an_increasing_ramp():
+    # E(-f) - E(f) = f_0 - f_10 < 0 on the ramp f_i = i/10, but E(f) - E(-f)
+    # is its negative: -id is tested on f and on -f, so either direction of
+    # the asymmetry is red
+    witness = {
+        "check": "normal_contraction",
+        "form": maxpos_form().descriptor(),
+        "phi": {"breakpoints": [], "slopes": [-1.0], "anchor": 0.0},
+        "f": (np.arange(11) / 10.0).tolist(),
+    }
+    assert replay(witness) > 0.0
 
 
 def test_proof_chain_graph_every_display_passes():
