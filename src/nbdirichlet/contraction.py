@@ -1,16 +1,22 @@
 """The algebra of piecewise-linear 1-Lipschitz functions on the real line.
 
-A ``PLFunction`` is stored canonically as strictly increasing breakpoints, one
-slope per interval with no two adjacent slopes equal, and the value at 0. The
-module builds the alternating-slope family F_k (slopes +1, -1, ... starting at
-+1, anchored to 0 at 0), composes piecewise-linear functions exactly, factors
-any F_k element into two-breakpoint pieces, and approximates arbitrary
-contractions through lower Lipschitz envelopes of sampled values.
+A contraction is a row ``(breakpoints, slopes, anchor)`` of Python floats in
+canonical form: strictly increasing breakpoints, one slope per interval with
+no two adjacent slopes equal, and the value at 0. The module builds the
+alternating-slope family F_k (slopes +1, -1, ... starting at +1, anchored to
+0 at 0), composes piecewise-linear functions exactly, factors any F_k
+element into two-breakpoint pieces, and approximates arbitrary contractions
+through lower Lipschitz envelopes of sampled values. The algebra is written
+once, on rows. A ``PLFunction`` is a checked row: ``make_phi``, ``envelope``
+and ``decompose`` give PLFunctions, and ``negate`` and ``compose`` give a
+PLFunction for PLFunctions and an unchecked row for rows, which is how the
+samplers draw contractions.
 
-A ``PLTable`` holds many such functions, one per row, and ``pl_eval``
-evaluates every row at its own points with the arithmetic of one
-``PLFunction`` call; a ``PLFunction`` evaluates as a one-row table. The
-contraction families of the verifier's proof chain have closed-form tables.
+A ``PLTable`` holds many rows, and ``pl_eval`` evaluates every row at its
+own points with the arithmetic of one ``PLFunction`` call; a ``PLFunction``
+evaluates as a one-row table. ``pl_table`` checks every row of a table as
+``PLFunction`` checks one. The contraction families of the verifier's proof
+chain have closed-form tables.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -36,14 +42,62 @@ def _snap_slope(s: float) -> float:
     return s
 
 
+def _padded(bps, slopes, anchors):
+    """Rows given as their breakpoint sequences, slope sequences and anchors,
+    as the arrays of a table (bps, slopes, anchor, nb), after PLFunction's
+    checks on every row at once, with its errors: NotIncreasing for
+    breakpoints that are not finite or not strictly increasing, ValueError
+    for a row without exactly one slope per interval, for a slope beyond
+    1 + _SLOPE_TOL in magnitude or for an anchor that is not finite. A row
+    with nb[r] < K breakpoints repeats its last breakpoint (0.0 if it has
+    none) and its last slope."""
+    n = len(bps)
+    nb = np.fromiter(map(len, bps), np.intp, n)
+    ends = np.cumsum(nb)
+    k = int(nb.max())
+    # every row's breakpoints one after another, then the 0.0 of the rows
+    # without any; row r's column c is its breakpoint min(c, nb[r] - 1)
+    flat = np.fromiter(chain(chain.from_iterable(bps), (0.0,)), float, ends[-1] + 1)
+    start = np.where(nb > 0, ends - nb, ends[-1])
+    padded = flat[start[:, None] + np.minimum(np.arange(k), np.maximum(nb - 1, 0)[:, None])]
+    if not np.isfinite(padded).all():
+        raise NotIncreasing("breakpoints must be finite")
+    if ((padded[:, 1:] <= padded[:, :-1]) & (np.arange(1, k) < nb[:, None])).any():
+        raise NotIncreasing("breakpoints must be strictly increasing")
+    ns = np.fromiter(map(len, slopes), np.intp, n)
+    if (ns != nb + 1).any():
+        raise ValueError("need exactly one slope per interval")
+    ends = np.cumsum(ns)
+    flat = np.fromiter(chain.from_iterable(slopes), float, ends[-1])
+    slopes = flat[(ends - ns)[:, None] + np.minimum(np.arange(k + 1), nb[:, None])]
+    if (np.abs(slopes) > 1.0 + _SLOPE_TOL).any():
+        raise ValueError("slope magnitude exceeds 1: not a contraction carrier")
+    anchor = np.fromiter(anchors, float, n)
+    if not np.isfinite(anchor).all():
+        raise ValueError("anchor value must be finite")
+    return padded, slopes, anchor, nb
+
+
+def _merge(bps: tuple, slopes: tuple) -> tuple[tuple, tuple]:
+    """Canonical form: the breakpoints between equal adjacent slopes dropped."""
+    keep_bps: list[float] = []
+    keep_slopes: list[float] = [slopes[0]]
+    for b, s in zip(bps, slopes[1:]):
+        if s != keep_slopes[-1]:
+            keep_bps.append(b)
+            keep_slopes.append(s)
+    return tuple(keep_bps), tuple(keep_slopes)
+
+
 @dataclass(frozen=True)
 class PLFunction:
-    """Canonical piecewise-linear function with slopes in [-1, 1].
+    """Canonical piecewise-linear function with slopes in [-1, 1]: a checked row.
 
     ``slopes[i]`` applies on (breakpoints[i-1], breakpoints[i]) with the
     conventions breakpoints[-1] = -inf, breakpoints[len] = +inf; ``anchor`` is
     the value at x = 0. Construction merges adjacent equal slopes and rejects
-    non-increasing breakpoints or slopes beyond magnitude 1.
+    non-increasing breakpoints or slopes beyond magnitude 1. It unpacks to
+    its row, so ``PLFunction(*phi) == phi``.
     """
 
     breakpoints: tuple[float, ...]
@@ -61,20 +115,15 @@ class PLFunction:
             raise ValueError("need exactly one slope per interval")
         if any(abs(s) > 1.0 + _SLOPE_TOL for s in slopes):
             raise ValueError("slope magnitude exceeds 1: not a contraction carrier")
-        slopes = tuple(min(1.0, max(-1.0, s)) for s in slopes)
         if not math.isfinite(self.anchor):
             raise ValueError("anchor value must be finite")
-        # canonical form: drop breakpoints between equal adjacent slopes
-        keep_bps: list[float] = []
-        keep_slopes: list[float] = [slopes[0]]
-        for b, s in zip(bps, slopes[1:]):
-            if s == keep_slopes[-1]:
-                continue
-            keep_bps.append(b)
-            keep_slopes.append(s)
-        object.__setattr__(self, "breakpoints", tuple(keep_bps))
-        object.__setattr__(self, "slopes", tuple(keep_slopes))
+        bps, slopes = _merge(bps, tuple(min(1.0, max(-1.0, s)) for s in slopes))
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "anchor", float(self.anchor))
+
+    def __iter__(self):
+        return iter((self.breakpoints, self.slopes, self.anchor))
 
     @cached_property
     def table(self) -> "PLTable":
@@ -86,44 +135,6 @@ class PLFunction:
         arr = np.asarray(x, dtype=float)
         out = pl_eval(self.table, arr.reshape(1, -1))
         return float(out[0, 0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-    @cached_property
-    def _rel(self) -> tuple[list[float], float]:
-        """The table's rel row and rel0, in Python floats: 0, then the running
-        sum of slopes[i] * (breakpoints[i] - breakpoints[i - 1]) as np.cumsum
-        adds it, and the relative value at 0."""
-        b, s = self.breakpoints, self.slopes
-        rel = [0.0, *accumulate(s[i] * (b[i] - b[i - 1]) for i in range(1, len(b)))]
-        return rel, self._relative(rel, 0.0)
-
-    def _relative(self, rel: list[float], x: float) -> float:
-        b, s = self.breakpoints, self.slopes
-        if not b:
-            return s[0] * x
-        idx = bisect_right(b, x)
-        j = max(idx - 1, 0)
-        return rel[j] + s[idx] * (x - b[j])
-
-    def _at(self, x: float) -> float:
-        """The value at a finite float x, with pl_eval's arithmetic bit for bit."""
-        rel, rel0 = self._rel
-        return self.anchor + (self._relative(rel, x) - rel0)
-
-    def slope_at(self, x: float) -> float:
-        """Slope on the interval containing x (right interval at a kink)."""
-        return self.slopes[bisect_right(self.breakpoints, x)]
-
-    def approx_equal(self, other: "PLFunction", tol: float = 1e-12) -> bool:
-        if len(self.breakpoints) != len(other.breakpoints):
-            return False
-        return (
-            abs(self.anchor - other.anchor) <= tol
-            and all(
-                abs(a - b) <= tol * (1.0 + abs(a))
-                for a, b in zip(self.breakpoints, other.breakpoints)
-            )
-            and all(abs(a - b) <= tol for a, b in zip(self.slopes, other.slopes))
-        )
 
 
 @dataclass(frozen=True)
@@ -173,12 +184,11 @@ def _rel_at(t: PLTable, x: np.ndarray) -> np.ndarray:
         return t.slopes[:, :1] * x
     # idx = the number of breakpoints <= x, the +inf padding included, by
     # one comparison of every point with every breakpoint of its row; the
-    # points go a slice at a time, so it holds at most _COMPARE booleans
+    # breakpoints lead, so the count adds whole (N, m) slabs, and the points
+    # go a slice at a time, so it holds at most _COMPARE booleans
     width = max(1, _COMPARE // (n_rows * k))
-    parts = [
-        np.count_nonzero(t.bps[:, None, :] <= x[:, s : s + width, None], axis=2)
-        for s in range(0, max(x.shape[1], 1), width)
-    ]
+    bps = t.bps.T[:, :, None]
+    parts = [(bps <= x[:, s : s + width]).sum(axis=0) for s in range(0, max(x.shape[1], 1), width)]
     idx = parts[0] if len(parts) == 1 else np.hstack(parts)
     j = np.maximum(idx - 1, 0)
     rows = np.arange(n_rows)[:, None]
@@ -194,27 +204,22 @@ def pl_eval(t: PLTable, x: np.ndarray) -> np.ndarray:
     return t.anchor[:, None] + (_rel_at(t, x) - t.rel0[:, None])
 
 
-def pl_table(phis) -> PLTable:
-    """The given functions as the rows of one table."""
-    k = max(len(p.breakpoints) for p in phis)
-    bps = [p.breakpoints + (p.breakpoints or (0.0,))[-1:] * (k - len(p.breakpoints)) for p in phis]
-    slopes = [p.slopes + p.slopes[-1:] * (k - len(p.breakpoints)) for p in phis]
-    return PLTable.build(
-        np.array(bps).reshape(len(phis), k),
-        np.array(slopes),
-        np.array([p.anchor for p in phis]),
-        np.array([len(p.breakpoints) for p in phis]),
-    )
+def pl_table(rows) -> PLTable:
+    """Canonical rows (breakpoints, slopes, anchor), or PLFunctions, as the
+    rows of one table. Every row is checked as ``PLFunction`` checks one,
+    with its errors, in one pass over the table."""
+    bps, slopes, anchors = zip(*rows)
+    return PLTable.build(*_padded(bps, slopes, anchors))
 
 
 def _compact(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each array with the kept entries of each row moved to its front and
     the row's last kept entry repeated after them, then the number kept."""
-    order = np.argsort(~keep, axis=1, kind="stable")
-    count = np.count_nonzero(keep, axis=1)
-    last = np.minimum(np.arange(keep.shape[1]), np.maximum(count - 1, 0)[:, None])
-    at = np.take_along_axis(order, last, axis=1)
-    return *(np.take_along_axis(a, at, axis=1) for a in arrays), count
+    order = (~keep).argsort(axis=1, kind="stable")
+    count = keep.sum(axis=1)
+    rows = np.arange(keep.shape[0])[:, None]
+    at = order[rows, np.minimum(np.arange(keep.shape[1]), np.maximum(count - 1, 0)[:, None])]
+    return *(a[rows, at] for a in arrays), count
 
 
 def family_table(kinks: np.ndarray, slopes) -> PLTable:
@@ -232,13 +237,14 @@ def alternating_table(kinks: np.ndarray) -> PLTable:
 
 
 def _check_increasing(kinks: np.ndarray) -> None:
-    if np.any(kinks[:, 1:] <= kinks[:, :-1]):
+    if (kinks[:, 1:] <= kinks[:, :-1]).any():
         raise NotIncreasing("breakpoints must be strictly increasing")
 
 
 def folded_table(kinks: np.ndarray) -> PLTable:
-    """compose(make_phi(row), 0 v id) for every row of nonnegative, strictly
-    increasing kinks (N, k): 0 up to 0, then make_phi(row).
+    """compose(make_phi(row), 0 v id) for every row of one or two
+    nonnegative, strictly increasing kinks (N, k): 0 up to 0, then
+    make_phi(row).
 
     The closed form of what ``compose`` builds, with its merging of
     near-coincident breakpoints and the sign of its flat slope: -0.0 when a
@@ -246,30 +252,39 @@ def folded_table(kinks: np.ndarray) -> PLTable:
     """
     _check_increasing(kinks)
     n_rows, k = kinks.shape
-    # compose's candidates: 0 and the positive kinks, deduplicated in order
-    cand = np.concatenate([np.zeros((n_rows, 1)), kinks], axis=1)
-    keep = np.ones((n_rows, k + 1), dtype=bool)
-    last = cand[:, 0]
-    for c in range(1, k + 1):
-        x = cand[:, c]
-        keep[:, c] = (x > 0.0) & (x - last > _MERGE_TOL * (1.0 + np.abs(x)))
-        last = np.where(keep[:, c], x, last)
-    cand, n_cand = _compact(keep, cand)
-    # make_phi's slope at compose's representative point right of each
-    # candidate, and the flat slope: make_phi's slope at 0, times 0
-    inside = np.arange(k + 1) < n_cand[:, None] - 1
-    nxt = np.concatenate([cand[:, 1:], cand[:, -1:]], axis=1)
-    reps = np.where(inside, 0.5 * (cand + nxt), cand + 1.0)
-    parity = np.count_nonzero(kinks[:, None, :] <= reps[:, :, None], axis=2) % 2
-    right = np.where(parity == 0, 1.0, -1.0)
-    flat = np.where(np.count_nonzero(kinks <= 0.0, axis=1) % 2 == 0, 0.0, -0.0)
-    # canonical form: drop a candidate whose right slope repeats the last one
-    last = flat
-    for c in range(k + 1):
-        keep[:, c] = (c < n_cand) & (right[:, c] != last)
-        last = np.where(keep[:, c], right[:, c], last)
-    bps, right, nb = _compact(keep, cand, right)
-    slopes = np.concatenate([flat[:, None], right], axis=1)
+    if not 1 <= k <= 2:
+        raise ValueError("a folded table has one or two kinks a row")
+    # compose's candidates are 0 and the kinks; a kink is kept when it lies
+    # beyond the last kept candidate by more than the merge tolerance: the
+    # first kink is compared with 0, the second with the first when that is
+    # kept, else with 0
+    tol = _MERGE_TOL * (1.0 + np.abs(kinks))
+    keep = kinks > tol
+    keep[:, 1:] = kinks[:, 1:] - np.where(keep[:, :-1], kinks[:, :-1], 0.0) > tol[:, 1:]
+    cand = np.zeros((n_rows, k + 1))
+    cand[:, 1:] = kinks
+    # the next kept kink right of each candidate (inf after the last)
+    nxt = np.full((n_rows, k + 1), np.inf)
+    nxt[:, :-1] = np.minimum.accumulate(np.where(keep, kinks, np.inf)[:, ::-1], axis=1)[:, ::-1]
+    # make_phi's slope at 0, which the flat slope is 0 times, and right of
+    # each candidate at compose's representative point: the midpoint to the
+    # next kept candidate, or 1 past the last
+    points = np.zeros((n_rows, k + 2))
+    points[:, 1:] = np.where(nxt < np.inf, 0.5 * (cand + nxt), cand + 1.0)
+    odd = (kinks[:, None, :] <= points[:, :, None]).sum(axis=2) % 2 == 1
+    flat = np.where(odd[:, 0], -0.0, 0.0)
+    right = np.where(odd[:, 1:], -1.0, 1.0)
+    # canonical form: a kept kink is a breakpoint when its right slope
+    # differs from that of the kept candidate before it, which for the
+    # second kink is the first when that is kept, else 0
+    before = right[:, :-1].copy()
+    before[:, 1:] = np.where(keep[:, :-1], right[:, 1:-1], right[:, :-2])
+    out = np.ones((n_rows, k + 1), dtype=bool)
+    out[:, 1:] = keep & (right[:, 1:] != before)
+    bps, right, nb = _compact(out, cand, right)
+    slopes = np.empty((n_rows, k + 2))
+    slopes[:, 0] = flat
+    slopes[:, 1:] = right
     return PLTable.build(bps, slopes, np.zeros(n_rows), nb)
 
 
@@ -284,17 +299,26 @@ class ContractionClass:
         return f"F({self.k})" if self.kind == "F" else self.kind
 
 
-def negate(phi: PLFunction) -> PLFunction:
-    """-phi; used to realize G = {id, -id} o (F0 u F1 u F2)."""
-    return PLFunction(phi.breakpoints, tuple(-s for s in phi.slopes), -phi.anchor)
+def _like(phi, row):
+    """The row, checked as a PLFunction when phi is one."""
+    return PLFunction(*row) if isinstance(phi, PLFunction) else row
+
+
+def negate(phi):
+    """-phi, of a PLFunction or a row; used to realize G = {id, -id} o (F0 u F1 u F2)."""
+    bps, slopes, anchor = phi
+    return _like(phi, (bps, tuple(-s for s in slopes), -anchor))
+
+
+def _alternating(bps: tuple) -> tuple:
+    """The row of make_phi(bps), for a tuple of floats."""
+    return bps, ((1.0, -1.0) * (len(bps) // 2 + 1))[: len(bps) + 1], 0.0
 
 
 def make_phi(breakpoints) -> PLFunction:
     """The alternating contraction with the given kinks: slope (-1)^i on the
     i-th interval, value 0 at 0. make_phi([]) is the identity."""
-    bps = [float(b) for b in breakpoints]
-    slopes = tuple(1.0 if i % 2 == 0 else -1.0 for i in range(len(bps) + 1))
-    return PLFunction(tuple(bps), slopes, 0.0)
+    return PLFunction(*_alternating(tuple(float(b) for b in breakpoints)))
 
 
 def is_normal_contraction(phi: PLFunction) -> bool:
@@ -323,21 +347,45 @@ def _dedupe_sorted(xs: list[float]) -> list[float]:
     return out
 
 
-def compose(outer: PLFunction, inner: PLFunction) -> PLFunction:
-    """Exact pointwise composition outer(inner(x)) in canonical form.
+def _evaluator(row):
+    """The row's value at a finite float x, as a function of x, with
+    pl_eval's arithmetic bit for bit: the relative values at the breakpoints
+    are 0, then the running sum of slopes[i] * (b[i] - b[i - 1]) as np.cumsum
+    adds it."""
+    b, s, anchor = row
+    if not b:
+        rel0 = s[0] * 0.0
+        return lambda x: anchor + (s[0] * x - rel0)
+    rel = [0.0, *accumulate(s[i] * (b[i] - b[i - 1]) for i in range(1, len(b)))]
+    idx = bisect_right(b, 0.0)
+    j = max(idx - 1, 0)
+    rel0 = rel[j] + s[idx] * (0.0 - b[j])
+
+    def at(x: float) -> float:
+        idx = bisect_right(b, x)
+        j = max(idx - 1, 0)
+        return anchor + ((rel[j] + s[idx] * (x - b[j])) - rel0)
+
+    return at
+
+
+def compose(outer, inner):
+    """Exact pointwise composition outer(inner(x)) in canonical form, of two
+    PLFunctions (a PLFunction) or of two rows (a row).
 
     Breakpoints are inner's kinks plus, on every strictly monotone affine
     piece of inner, the preimages of outer's kinks; zero-slope pieces of
     inner map whole intervals to one value and produce no preimages.
     """
-    in_bps = list(inner.breakpoints)
+    out_bps, out_slopes, _ = outer
+    in_bps, in_slopes, _ = inner
+    inner_at = _evaluator(inner)
     candidates = list(in_bps)
-    out_bps = outer.breakpoints
     if out_bps:
         bounds = [-math.inf, *in_bps, math.inf]
         # inner at its kinks; at 0 when it has none (one affine piece)
-        at = [inner._at(x) for x in in_bps or [0.0]]
-        for p, s in enumerate(inner.slopes):
+        at = [inner_at(x) for x in in_bps or [0.0]]
+        for p, s in enumerate(in_slopes):
             if s == 0.0:
                 continue
             lo_x, hi_x = bounds[p], bounds[p + 1]
@@ -365,8 +413,12 @@ def compose(outer: PLFunction, inner: PLFunction) -> PLFunction:
         )
     else:
         reps = [0.0]
-    slopes = tuple(_snap_slope(outer.slope_at(inner._at(x)) * inner.slope_at(x)) for x in reps)
-    return PLFunction(tuple(candidates), slopes, outer._at(inner._at(0.0)))
+    slopes = tuple(
+        _snap_slope(out_slopes[bisect_right(out_bps, inner_at(x))] * in_slopes[bisect_right(in_bps, x)])
+        for x in reps
+    )
+    anchor = _evaluator(outer)(inner_at(0.0))
+    return _like(outer, (*_merge(tuple(candidates), slopes), anchor))
 
 
 def recompose(factors: list[PLFunction], residual: PLFunction) -> PLFunction:
@@ -466,21 +518,28 @@ def envelope(samples, radius: float) -> PLFunction:
         raise InconsistentSamples("sample values are not 1-Lipschitz consistent")
     if 0.0 not in ys or vs[ys.index(0.0)] != 0.0:
         raise InconsistentSamples("samples must contain the origin pair (0, 0)")
+    return PLFunction(*_zigzag(ys, vs, R))
 
+
+def _zigzag(ys: list[float], vs: list[float], R: float) -> tuple:
+    """The row of envelope's zigzag on [-R, R], for sorted, distinct sample
+    positions ys with values vs that envelope accepts."""
     # prefix/suffix minima: on (y_i, y_i+1) the envelope is
     # min(x + left[i], -x + right[i + 1])
-    left = list(accumulate((v - y for y, v in pts), _np_min))
-    right = list(accumulate((v + y for y, v in reversed(pts)), _np_min))[::-1]
+    left = list(accumulate((v - y for y, v in zip(ys, vs)), _np_min))
+    right = list(accumulate((v + y for y, v in zip(ys[::-1], vs[::-1])), _np_min))[::-1]
     kinks: list[float] = []
     after: list[float] = []  # the slope right of each kink
-    for i, y in enumerate(ys):
-        cross = 0.5 * (right[i + 1] - left[i]) if i + 1 < len(ys) else math.inf
+    for i in range(len(ys) - 1):
+        y, cross = ys[i], 0.5 * (right[i + 1] - left[i])
         kinks.append(y)
         after.append(1.0 if cross > y else -1.0)  # rises right of the sample
-        if y < cross < (ys[i + 1] if i + 1 < len(ys) else math.inf):
+        if y < cross < ys[i + 1]:
             kinks.append(cross)  # and falls right of the crossing
             after.append(-1.0)
+    kinks.append(ys[-1])  # rises right of the last sample
+    after.append(1.0)
     lo, hi = bisect_right(kinks, -R), bisect_left(kinks, R)
     first = after[lo - 1] if lo else -1.0  # the slope just right of -R
     # anchor 0 pins value 0 at the origin sample
-    return PLFunction((-R, *kinks[lo:hi], R), (-1.0, first, *after[lo:hi], 1.0), 0.0)
+    return (*_merge((-R, *kinks[lo:hi], R), (-1.0, first, *after[lo:hi], 1.0)), 0.0)

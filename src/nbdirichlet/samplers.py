@@ -13,7 +13,11 @@ radius are laws on a fixed number of uniform words, written over arrays:
 ``alpha_values`` pairs of words to radii. So a sweep builds the fields and
 radii of many samples from one ``rng.random((rows, words))`` block, and
 ``sample_alpha`` draws one radius through the same law. Contractions are
-drawn one at a time, by ``random()`` and ``integers()`` calls.
+drawn one at a time, by ``random()`` and ``integers()`` calls (a run of
+``random()`` calls as one ``rng.random(k)``, which reads the same words), as
+canonical rows ``(breakpoints, slopes, anchor)`` built with the row algebra
+of ``contraction``: no ``PLFunction`` is made, and the table the rows go
+into checks them (``contraction.pl_table``).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import PLFunction, compose, envelope, make_phi, negate
+from .contraction import PLFunction, _alternating, _zigzag, compose, negate
 from .errors import as_real, require_int
 
 
@@ -99,25 +103,23 @@ def sample_alpha(rng: np.random.Generator) -> float:
     return float(alpha_values(rng.random(2)))
 
 
-def sample_f_k(
-    rng: np.random.Generator, max_k: int, span: float
-) -> PLFunction:
+def sample_f_k(rng: np.random.Generator, max_k: int, span: float) -> tuple:
+    """The row of make_phi(bps) for k <= max_k uniform breakpoints in
+    [-span, span], drawn again until they are distinct."""
     k = int(rng.integers(0, max_k + 1))
     while True:
-        bps = sorted(2.0 * span * rng.random() - span for _ in range(k))
+        bps = sorted([2.0 * span * u - span for u in rng.random(k).tolist()])
         if all(b1 < b2 for b1, b2 in zip(bps, bps[1:])):
-            return make_phi(bps)
+            return _alternating(tuple(bps))
 
 
-def sample_g_element(rng: np.random.Generator, span: float) -> PLFunction:
+def sample_g_element(rng: np.random.Generator, span: float) -> tuple:
     """One generator: (id or -id) composed with an F_j, j <= 2."""
     phi = sample_f_k(rng, 2, span)
     return negate(phi) if rng.random() < 0.5 else phi
 
 
-def sample_g_composition(
-    rng: np.random.Generator, max_depth: int, span: float
-) -> PLFunction:
+def sample_g_composition(rng: np.random.Generator, max_depth: int, span: float) -> tuple:
     depth = int(rng.integers(1, max_depth + 1))
     phi = sample_g_element(rng, span)
     for _ in range(depth - 1):
@@ -125,21 +127,24 @@ def sample_g_composition(
     return phi
 
 
-def sample_envelope_contraction(
-    rng: np.random.Generator, n_points: int, span: float
-) -> PLFunction:
+def sample_envelope_contraction(rng: np.random.Generator, n_points: int, span: float) -> tuple:
     """Envelope of a random 1-Lipschitz sample set anchored at (0, 0)."""
-    ys = sorted({*(2.0 * span * rng.random() - span for _ in range(n_points)), 0.0})
-    vals = [0.0] * len(ys)
+    ys = sorted({*(2.0 * span * u - span for u in rng.random(n_points).tolist()), 0.0})
     i0 = ys.index(0.0)
+    # the slopes of the gaps right of the origin outwards, then left of it
+    u = [2.0 * w - 1.0 for w in rng.random(len(ys) - 1).tolist()]
+    vals = [0.0] * len(ys)
     for i in range(i0 + 1, len(ys)):  # integrate bounded slopes from origin
-        vals[i] = vals[i - 1] + (2.0 * rng.random() - 1.0) * (ys[i] - ys[i - 1])
+        vals[i] = vals[i - 1] + u[i - i0 - 1] * (ys[i] - ys[i - 1])
     for i in range(i0 - 1, -1, -1):
-        vals[i] = vals[i + 1] - (2.0 * rng.random() - 1.0) * (ys[i + 1] - ys[i])
-    return envelope(list(zip(ys, vals)), span + 1.0)
+        vals[i] = vals[i + 1] - u[len(ys) - 2 - i] * (ys[i + 1] - ys[i])
+    return _zigzag(ys, vals, span + 1.0)
 
 
-def sample_contraction(rng: np.random.Generator) -> PLFunction:
+def sample_contraction(rng: np.random.Generator) -> tuple:
+    """One contraction row: F_k with k <= MAX_BREAKPOINTS (half the draws), a
+    composition of at most MAX_DEPTH generators (three in ten), else an
+    envelope of ENVELOPE_POINTS samples."""
     draw = rng.random()
     if draw < 0.5:
         return sample_f_k(rng, MAX_BREAKPOINTS, BREAKPOINT_RANGE)

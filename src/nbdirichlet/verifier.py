@@ -24,10 +24,12 @@ takes n + 2 words, a scalar one to three. A group runs as one pass over
 chunks of samples. For each chunk, every check draws one
 ``rng.random((rows, words))`` block from its own RNG stream and builds its
 fields ((N, n) arrays) and scalars from the block's columns; a check with a
-contraction draws all of them, one sample at a time, before its first
-block. Blocks drawn one after another equal one block of all their rows, so
-the chunking does not show. Scalars go to the kernels as (N, 1) columns and
-contractions as one ``PLTable`` per kernel call; checks that share a kernel
+contraction draws all of them, one sample at a time and each as a canonical
+row (breakpoints, slopes, anchor), before its first block. Blocks drawn one
+after another equal one block of all their rows, so the chunking does not
+show. Scalars go to the kernels as (N, 1) columns and contractions as one
+``PLTable`` per kernel call, which checks every row; a row becomes a
+``PLFunction`` only when a witness records it. Checks that share a kernel
 run as one call over their rows, one check after another. A form
 kernel returns its energy arguments and a combiner; the energy arguments of
 every kernel of the chunk go through one ``energy_of_values`` call, and each
@@ -157,6 +159,7 @@ def _straddle(lo: float, hi: float) -> tuple[_Law, ...]:
     return (_Law(lambda n: 2, draw), _F)
 
 
+_MINUS_ID = tuple(negate(make_phi([])))  # the row of -id
 _FORCED_TS = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])
 
 
@@ -178,22 +181,22 @@ def _sampler(check: "Check", rng: np.random.Generator, n: int, n_samples: int) -
     """The check's samples on n points, a chunk at a time and in order: a
     function from the chunk's sample indices, (N,), to the chunk's parameters
     by key, fields as (N, n) arrays, scalars as (N,) arrays and contractions
-    as a list. It draws one block a chunk, so the chunking does not show.
-    A check with a contraction draws all of them, one sample at a time,
-    before its first block; -id is always the first, so an asymmetry
+    as a list of rows. It draws one block a chunk, so the chunking does not
+    show. A check with a contraction draws all of them, one sample at a
+    time, before its first block; -id is always the first, so an asymmetry
     surfaces there as well."""
     phis = None
     if "phi" in check.keys:
         phis = [sample_contraction(rng) for _ in range(n_samples)]
-        phis[0] = negate(make_phi([]))
-    widths = [law.width(n) for law in check.sample]
-    cuts = np.cumsum(widths)[:-1]
+        phis[0] = _MINUS_ID
+    bounds = np.cumsum([0] + [law.width(n) for law in check.sample]).tolist()
+    columns = list(zip(check.sample, bounds, bounds[1:]))
 
     def draw(idx: np.ndarray) -> dict:
-        words = np.split(rng.random((len(idx), sum(widths))), cuts, axis=1)
+        words = rng.random((len(idx), bounds[-1]))
         params = {}
-        for law, u in zip(check.sample, words):
-            params.update(law.draw(u, n, idx))
+        for law, lo, hi in columns:
+            params.update(law.draw(words[:, lo:hi], n, idx))
         if phis is not None:
             params["phi"] = phis[idx[0] : idx[-1] + 1]
         return params
@@ -262,8 +265,10 @@ def _two_rises(a, b, c, d):
 
 
 def _viol_contraction(phi, f):
-    # phi on f and on -f: at phi = -id this is |E(f) - E(-f)|
-    return (pl_eval(phi, f), f, pl_eval(phi, -f), -f), _two_rises
+    # phi on f and on -f, in one evaluation: at phi = -id this is |E(f) - E(-f)|
+    neg = -f
+    both = pl_eval(phi, np.concatenate([f, neg], axis=1))
+    return (both[:, : f.shape[1]], f, both[:, f.shape[1] :], neg), _two_rises
 
 
 # the fold families: kinks are (N, k) rows; sigma and psi of fold2 are fixed
@@ -430,10 +435,10 @@ IDENTITY_NAMES = tuple(c.name for c in CHECKS if c.group == "identity")
 
 
 def _encode(value):
-    """Witness form of a sampled parameter: arrays as lists, contractions as
-    breakpoint/slope dicts, floats as they are."""
-    if isinstance(value, PLFunction):
-        return pl_to_witness(value)
+    """Witness form of a sampled parameter: arrays as lists, contraction rows
+    as the breakpoint/slope dicts of their PLFunctions, floats as they are."""
+    if isinstance(value, tuple):
+        return pl_to_witness(PLFunction(*value))
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
@@ -442,7 +447,7 @@ def _decode(key: str, value, space: MeasureSpace):
     against the target's space, scalars must be finite ints or floats (not
     bools); a bad one raises ValueError."""
     if key == "phi":
-        return pl_from_witness(value)
+        return tuple(pl_from_witness(value))
     if key in ("f", "g"):
         return make_field(space, value).values
     return as_real(f"witness parameter {key!r}", value)
@@ -450,13 +455,13 @@ def _decode(key: str, value, space: MeasureSpace):
 
 def _column(values: list):
     """One parameter of a list of samples, as a sampler gives it."""
-    if isinstance(values[0], PLFunction):
+    if isinstance(values[0], tuple):  # contraction rows
         return values
     return np.stack(values) if isinstance(values[0], np.ndarray) else np.array(values, dtype=float)
 
 
 def _args(params: dict) -> dict:
-    """Parameters by key as the kernels take them: contractions as one
+    """Parameters by key as the kernels take them: contraction rows as one
     table, scalars as (N, 1) columns."""
     return {
         k: pl_table(v) if isinstance(v, list) else v[:, None] if v.ndim == 1 else v
@@ -645,7 +650,7 @@ def counterexample_demo() -> CheckResult:
         }
     )
     (check,) = (c for c in CHECKS if c.group == "contraction")
-    params = {"phi": negate(make_phi([])), "f": -np.arange(11) / 10.0}
+    params = {"phi": _MINUS_ID, "f": -np.arange(11) / 10.0}
     witness = _witness(check, form, params)
     witness["energy_f"] = form.energy_of_values(params["f"])
     witness["energy_neg_f"] = form.energy_of_values(-params["f"])

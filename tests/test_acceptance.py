@@ -17,7 +17,7 @@ import pytest
 
 from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.cli import run
-from nbdirichlet.contraction import make_phi, recompose, decompose, classify
+from nbdirichlet.contraction import PLFunction, make_phi, recompose, decompose, classify
 from nbdirichlet.flow import FlowConfig, evolve, prox_step
 from nbdirichlet.forms import make_form
 from nbdirichlet.lattice_ops import h_alpha, project_band
@@ -98,6 +98,7 @@ def test_criterion2_envelope_convergence():
             phi = sample_g_composition(rng, 3, 4.0)
         else:
             phi = sample_envelope_contraction(rng, 9, 4.0)
+        phi = PLFunction(*phi)
         for n in range(2, 9):
             step = 2.0 ** (-n)
             ys = np.arange(-4.0, 4.0 + step / 2, step)

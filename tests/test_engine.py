@@ -281,6 +281,7 @@ X1X2 = [
     (0.0, 0.05), (0.0, 3.0), (0.0, 1e-13),  # the x1 = 0 branch
     (1.0, 1.05), (1.0, np.nextafter(1.0, 2.0)), (1.0, 1.0 + 1e-13), (2.0, 2.0 + 5e-12),  # x2 just above x1
     (1e-13, 2.0), (1e-13, 1.5e-13), (0.3, 4.0),
+    (8e-13, 1.5e-12),  # x1 merges into 0 and x2 does not, though it lies within merge range of x1
 ]
 
 
@@ -302,9 +303,23 @@ def test_fold2_tables_equal_make_phi_and_compose():
     for slopes in ((0.0, -1.0, 1.0), (1.0, -1.0, 0.0)):
         assert table_rows(family_table(kinks, slopes)) == table_rows(
             pl_table([PLFunction(k, slopes, 0.0) for k in X1X2]))
+    with pytest.raises(ValueError):
+        folded_table(np.array([[1.0, 2.0, 3.0]]))
     straddle = np.array([[-0.5, 0.5], [-3.0, 0.05], [-1e-13, 1e-13]])
     assert table_rows(alternating_table(straddle)) == table_rows(
         pl_table([make_phi(list(k)) for k in straddle]))
+
+
+def test_folded_tables_equal_compose_on_near_coincident_kinks():
+    # kinks at 0, within the merge tolerance of 0 or of each other, a float
+    # apart, or far apart, in every combination
+    pool = [0.0, 1e-13, 5e-13, 8e-13, 1e-12, 1.2e-12, 1.5e-12, 2e-12, 2.5e-12, 1.0,
+            np.nextafter(1.0, 2.0), 1.0 + 1e-13, 1.0 + 2e-12, 1.0 + 3e-12, 2.0, 3.0]
+    rng = np.random.default_rng(8)
+    for k in (1, 2):
+        kinks = np.array([np.sort(rng.choice(pool, k, replace=False)) for _ in range(300)])
+        want = [compose(make_phi(list(row)), POS_PART) for row in kinks]
+        assert table_rows(folded_table(kinks)) == table_rows(pl_table(want)), k
 
 
 def test_table_evaluation_equals_plfunction_call():

@@ -2,23 +2,31 @@
 numpy's uniform(lo, hi) is lo + (hi - lo) * random() on the same stream, so
 every sampled value keeps its bits. These tests hold the uniform calls, one
 sample at a time, as the reference for the samplers and for the laws that
-map blocks of words to fields and band radii."""
+map blocks of words to fields and band radii. The contraction samplers draw
+canonical rows with the row algebra; the reference builds PLFunctions with
+make_phi, negate, compose and envelope."""
 
 import math
 
 import numpy as np
 import pytest
 
-from nbdirichlet.contraction import envelope, make_phi
+from nbdirichlet.contraction import PLFunction, compose, envelope, make_phi, negate, pl_table
 from nbdirichlet.samplers import (
     AMPLITUDE,
+    BREAKPOINT_RANGE,
+    ENVELOPE_POINTS,
+    MAX_BREAKPOINTS,
+    MAX_DEPTH,
     P_RAMP,
     P_STEP,
     field_values,
     sample_alpha,
+    sample_contraction,
     sample_envelope_contraction,
     sample_f_k,
 )
+from nbdirichlet.verifier import _MINUS_ID
 
 SEEDS = range(300)
 
@@ -90,8 +98,32 @@ def _uniform_sample_envelope_contraction(rng, n_points, span):
     return envelope(list(zip(ys, vals)), span + 1.0)
 
 
+def _uniform_sample_g_composition(rng, max_depth, span):
+    def element():
+        phi = _uniform_sample_f_k(rng, 2, span)
+        return negate(phi) if rng.uniform() < 0.5 else phi
+
+    depth = int(rng.integers(1, max_depth + 1))
+    phi = element()
+    for _ in range(depth - 1):
+        phi = compose(element(), phi)
+    return phi
+
+
+def _uniform_sample_contraction(rng):
+    """The contraction sampler's law, drawn as PLFunctions; the family
+    (0 F_k, 1 composition, 2 envelope) with it."""
+    draw = rng.uniform()
+    if draw < 0.5:
+        return 0, _uniform_sample_f_k(rng, MAX_BREAKPOINTS, BREAKPOINT_RANGE)
+    if draw < 0.8:
+        return 1, _uniform_sample_g_composition(rng, MAX_DEPTH, BREAKPOINT_RANGE)
+    return 2, _uniform_sample_envelope_contraction(rng, ENVELOPE_POINTS, BREAKPOINT_RANGE)
+
+
 def _pl_bits(phi):
-    return np.array([*phi.breakpoints, *phi.slopes, phi.anchor]).view(np.int64).tolist()
+    bps, slopes, anchor = phi
+    return np.array([*bps, *slopes, anchor]).view(np.int64).tolist()
 
 
 def test_samplers_equal_their_uniform_forms_bit_for_bit():
@@ -106,6 +138,32 @@ def test_samplers_equal_their_uniform_forms_bit_for_bit():
         assert _pl_bits(sample_envelope_contraction(b, 9, 5.0)) == _pl_bits(
             _uniform_sample_envelope_contraction(a, 9, 5.0))
         assert a.random() == b.random()
+
+
+def _table_bytes(t):
+    return [getattr(t, f).tobytes() for f in ("bps", "slopes", "rel", "rel0", "anchor", "nb")]
+
+
+def test_contraction_rows_equal_plfunctions_bit_for_bit():
+    # 40 draws a stream, the first replaced by the forced -id as the
+    # normal-contraction check does: each row is the PLFunction the
+    # reference builds, in canonical form (PLFunction(*row) keeps its bits,
+    # the signs of zero slopes and anchors included), and the table of the
+    # rows is the table of the PLFunctions
+    families = set()
+    for seed in range(250):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = [_uniform_sample_contraction(a) for _ in range(40)]
+        families.update(family for family, _ in drawn)
+        want = [negate(make_phi([]))] + [phi for _, phi in drawn[1:]]
+        rows = [sample_contraction(b) for _ in range(40)]
+        rows[0] = _MINUS_ID
+        for row, phi in zip(rows, want):
+            assert _pl_bits(row) == _pl_bits(phi), seed
+            assert _pl_bits(PLFunction(*row)) == _pl_bits(row), seed
+        assert _table_bytes(pl_table(rows)) == _table_bytes(pl_table(want)), seed
+        assert a.random() == b.random()
+    assert families == {0, 1, 2}
 
 
 # -- the field law on blocks -----------------------------------------------------

@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from nbdirichlet.contraction import classify, decompose, make_phi
+from nbdirichlet.contraction import PLFunction, classify, decompose, make_phi
 from nbdirichlet.errors import PreconditionFailed, SpaceMismatch
 from nbdirichlet.forms import make_form
 from nbdirichlet.measure import make_field
@@ -228,7 +228,7 @@ def test_decomposition_chain_consistency():
     form = graph_form()
     rng = check_rng(3, "chain")
     for _ in range(40):
-        phi = sample_contraction(rng)
+        phi = PLFunction(*sample_contraction(rng))
         if classify(phi).kind != "F":
             continue
         factors, residual = decompose(phi)
