@@ -16,7 +16,8 @@ A ``PLTable`` holds many rows, and ``pl_eval`` evaluates every row at its
 own points with the arithmetic of one ``PLFunction`` call; a ``PLFunction``
 evaluates as a one-row table. ``pl_table`` checks every row of a table as
 ``PLFunction`` checks one. The contraction families of the verifier's proof
-chain have closed-form tables.
+chain have closed-form tables, and ``closed_form_table`` builds the rows of
+several of them as one table.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ def _padded(bps, slopes, anchors):
     as the arrays of a table (bps, slopes, anchor, nb), after PLFunction's
     checks on every row at once, with its errors: NotIncreasing for
     breakpoints that are not finite or not strictly increasing, ValueError
-    for a row without exactly one slope per interval, for a slope beyond
-    1 + _SLOPE_TOL in magnitude or for an anchor that is not finite. A row
-    with nb[r] < K breakpoints repeats its last breakpoint (0.0 if it has
-    none) and its last slope."""
+    for a row without exactly one slope per interval, for a slope that is NaN
+    or beyond 1 + _SLOPE_TOL in magnitude or for an anchor that is not
+    finite. A row with nb[r] < K breakpoints repeats its last breakpoint (0.0
+    if it has none) and its last slope."""
     n = len(bps)
     nb = np.fromiter(map(len, bps), np.intp, n)
     ends = np.cumsum(nb)
@@ -70,7 +71,7 @@ def _padded(bps, slopes, anchors):
     ends = np.cumsum(ns)
     flat = np.fromiter(chain.from_iterable(slopes), float, ends[-1])
     slopes = flat[(ends - ns)[:, None] + np.minimum(np.arange(k + 1), nb[:, None])]
-    if (np.abs(slopes) > 1.0 + _SLOPE_TOL).any():
+    if not (np.abs(slopes) <= 1.0 + _SLOPE_TOL).all():  # a NaN fails too
         raise ValueError("slope magnitude exceeds 1: not a contraction carrier")
     anchor = np.fromiter(anchors, float, n)
     if not np.isfinite(anchor).all():
@@ -96,8 +97,8 @@ class PLFunction:
     ``slopes[i]`` applies on (breakpoints[i-1], breakpoints[i]) with the
     conventions breakpoints[-1] = -inf, breakpoints[len] = +inf; ``anchor`` is
     the value at x = 0. Construction merges adjacent equal slopes and rejects
-    non-increasing breakpoints or slopes beyond magnitude 1. It unpacks to
-    its row, so ``PLFunction(*phi) == phi``.
+    non-increasing breakpoints and slopes that are NaN or beyond magnitude 1.
+    It unpacks to its row, so ``PLFunction(*phi) == phi``.
     """
 
     breakpoints: tuple[float, ...]
@@ -113,7 +114,7 @@ class PLFunction:
             raise NotIncreasing("breakpoints must be strictly increasing")
         if len(slopes) != len(bps) + 1:
             raise ValueError("need exactly one slope per interval")
-        if any(abs(s) > 1.0 + _SLOPE_TOL for s in slopes):
+        if not all(abs(s) <= 1.0 + _SLOPE_TOL for s in slopes):  # a NaN fails too
             raise ValueError("slope magnitude exceeds 1: not a contraction carrier")
         if not math.isfinite(self.anchor):
             raise ValueError("anchor value must be finite")
@@ -224,15 +225,13 @@ def _compact(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def family_table(kinks: np.ndarray, slopes) -> PLTable:
     """PLFunction(row, slopes, 0.0) for every row of strictly increasing
-    kinks (N, k), for k + 1 slopes of which no two adjacent are equal."""
-    _check_increasing(kinks)
-    n_rows = kinks.shape[0]
-    row = np.asarray(slopes, dtype=float)
-    return PLTable.build(kinks, np.broadcast_to(row, (n_rows, row.size)), np.zeros(n_rows))
+    kinks (N, k), k >= 1, for k + 1 slopes of which no two adjacent are
+    equal."""
+    return closed_form_table([(kinks, slopes)])
 
 
 def alternating_table(kinks: np.ndarray) -> PLTable:
-    """make_phi(row) for every row of strictly increasing kinks (N, k)."""
+    """make_phi(row) for every row of strictly increasing kinks (N, k), k >= 1."""
     return family_table(kinks, np.resize([1.0, -1.0], kinks.shape[1] + 1))
 
 
@@ -250,6 +249,42 @@ def folded_table(kinks: np.ndarray) -> PLTable:
     near-coincident breakpoints and the sign of its flat slope: -0.0 when a
     kink sits at 0.
     """
+    return closed_form_table([(kinks, None)])
+
+
+def closed_form_table(parts) -> PLTable:
+    """The rows of family_table(kinks, slopes), or of folded_table(kinks)
+    where slopes is None, for each (kinks, slopes) of parts in turn, as one
+    table built once; a row evaluates the same whatever the other rows. A
+    row with fewer breakpoints than the widest repeats its last breakpoint
+    and slope."""
+    bps, slopes, nb = [], [], []
+    for kinks, pattern in parts:
+        if pattern is None:
+            b, s, c = _folded(kinks)
+        else:
+            _check_increasing(kinks)
+            b, c = kinks, np.full(len(kinks), kinks.shape[1])
+            s = np.broadcast_to(np.asarray(pattern, dtype=float), (len(kinks), len(pattern)))
+        bps.append(b)
+        slopes.append(s)
+        nb.append(c)
+    k = max(b.shape[1] for b in bps)
+
+    def widen(a: np.ndarray, width: int) -> np.ndarray:
+        return a[:, np.minimum(np.arange(width), a.shape[1] - 1)]
+
+    nb = np.concatenate(nb)
+    return PLTable.build(
+        np.concatenate([widen(b, k) for b in bps]),
+        np.concatenate([widen(s, k + 1) for s in slopes]),
+        np.zeros(len(nb)),
+        nb,
+    )
+
+
+def _folded(kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of folded_table(kinks) as (breakpoints, slopes, nb)."""
     _check_increasing(kinks)
     n_rows, k = kinks.shape
     if not 1 <= k <= 2:
@@ -285,7 +320,7 @@ def folded_table(kinks: np.ndarray) -> PLTable:
     slopes = np.empty((n_rows, k + 2))
     slopes[:, 0] = flat
     slopes[:, 1:] = right
-    return PLTable.build(bps, slopes, np.zeros(n_rows), nb)
+    return bps, slopes, nb
 
 
 @dataclass(frozen=True)

@@ -22,26 +22,30 @@ of its parameters, and a batched kernel. A law maps a fixed number of
 uniform words per sample to some of its parameters: a field on n points
 takes n + 2 words, a scalar one to three. A group runs as one pass over
 chunks of samples. For each chunk, every check draws one
-``rng.random((rows, words))`` block from its own RNG stream and builds its
-fields ((N, n) arrays) and scalars from the block's columns; a check with a
+``rng.random((rows, words))`` block from its own RNG stream; a check with a
 contraction draws all of them, one sample at a time and each as a canonical
 row (breakpoints, slopes, anchor), before its first block. Blocks drawn one
 after another equal one block of all their rows, so the chunking does not
-show. Scalars go to the kernels as (N, 1) columns and contractions as one
+show. Everything after the draws runs once per chunk. Each law runs once,
+over the stacked columns of every check that uses it (f and g are one
+field law), and gives each check its fields ((N, n) arrays) and scalars.
+Scalars go to the kernels as (N, 1) columns and contractions as one
 ``PLTable`` per kernel call, which checks every row; a row becomes a
 ``PLFunction`` only when a witness records it. Checks that share a kernel
-run as one call over their rows, one check after another. A form
-kernel returns its energy arguments and a combiner; the energy arguments of
-every kernel of the chunk go through one ``energy_of_values`` call, and each
-combiner maps its slice of the energies to its violations with the float
-operations of the inequality, in its order. Identity kernels return their
-violations. Each row is computed on its own, so the bits do not depend on
-the chunking or the grouping, and each check folds its slice of the
-violations into its worst sample (``_fold``) and its result (``_sweep``).
-The witness takes its fields from its rows of the chunk's arrays.
-``replay`` calls the same kernel on a one-row batch. The kernel's keyword
-arguments name the witness keys, so the sweep, the witness and ``replay``
-all follow from the row.
+run as one call over their rows, one check after another. A form kernel
+returns its energy arguments and a combiner. An energy argument may be a
+deferred evaluation of a fold family's table (``_Apply``): the deferred
+evaluations of every kernel of the chunk run as one table of all their rows
+and one ``pl_eval``. The energy arguments then go through one
+``energy_of_values`` call, and each combiner maps its rows of the energies
+to its violations with the float operations of the inequality, in its
+order. Identity kernels return their violations. Each row is computed on
+its own, so the bits do not depend on the chunking or the grouping. The
+pass folds the chunk's violations, one row a check, into each check's worst
+sample (``_fold``), copying a check's parameters only when its worst
+changes, and then into its result (``_sweep``). ``replay`` calls the same
+kernel on a one-row batch. The kernel's keyword arguments name the witness
+keys, so the sweep, the witness and ``replay`` all follow from the row.
 
 To add a check, write its batched kernel, which takes the sampled
 parameters and returns (energy arguments, combiner), or the violations for
@@ -61,9 +65,7 @@ import numpy as np
 
 from .contraction import (
     PLFunction,
-    alternating_table,
-    family_table,
-    folded_table,
+    closed_form_table,
     make_phi,
     negate,
     pl_eval,
@@ -115,101 +117,89 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# parameter samplers. A sample's parameters follow laws on a fixed number of
+# parameter laws. A sample's parameters follow laws on a fixed number of
 # uniform words: a field on n points takes n + 2, the scalars a few. A chunk
 # of a check's samples is one rng.random((rows, words)) block, a sample a
-# row, each law its columns in the order of the sampler's laws. A forced row
-# takes its words like any other, so the layout does not depend on it.
+# row, each law its columns in the order of the check's laws. A forced row
+# takes its words like any other, so the layout does not depend on it. Laws
+# with the same draw are one law on other columns (f and g), and a pass
+# draws each law once over the columns of every check that uses it.
 
 
 @dataclass(frozen=True)
 class _Law:
     """The law of some of a sample's parameters."""
 
+    keys: tuple[str, ...]  # the parameters it gives
     width: Callable  # n -> the words a sample takes on n points
-    draw: Callable  # (words (N, width), n, sample indices (N,)) -> parameters by key
+    draw: Callable  # (words (N, width), n, sample indices (N,)) -> its parameters, in key order
 
 
-def _field(key: str) -> _Law:
-    return _Law(lambda n: n + 2, lambda u, n, idx: {key: field_values(u, n)})
+def _fields(u, n, idx) -> tuple:
+    return (field_values(u, n),)
 
 
-_F, _G = _field("f"), _field("g")
-_ALPHA = _Law(lambda n: 2, lambda u, n, idx: {"alpha": alpha_values(u)})
+_F = _Law(("f",), lambda n: n + 2, _fields)
+_G = _Law(("g",), _F.width, _fields)
+_ALPHA = _Law(("alpha",), lambda n: 2, lambda u, n, idx: (alpha_values(u),))
 
 
-def _x(u, n, idx) -> dict:
+def _x(u, n, idx) -> tuple:
     # the degenerate branch x = 0 is always exercised
-    return {"x": np.where(idx == 0, 0.0, 2.0 * AMPLITUDE * u[:, 0])}
+    return (np.where(idx == 0, 0.0, 2.0 * AMPLITUDE * u[:, 0]),)
 
 
-def _onesided(u, n, idx) -> dict:
+def _onesided(u, n, idx) -> tuple:
     x1 = np.where(u[:, 0] < 0.15, 0.0, AMPLITUDE * u[:, 1])
-    return {"x1": x1, "x2": x1 + (0.05 + (AMPLITUDE - 0.05) * u[:, 2])}
+    return x1, x1 + (0.05 + (AMPLITUDE - 0.05) * u[:, 2])
 
 
 def _straddle(lo: float, hi: float) -> tuple[_Law, ...]:
     """x1 < 0 < x2 with -x1/x2 drawn from [lo, hi]: below 1 is the stated
     assumption x2 > -x1, above 1 the mirrored configuration."""
 
-    def draw(u, n, idx) -> dict:
+    def draw(u, n, idx) -> tuple:
         x2 = 0.05 + (AMPLITUDE - 0.05) * u[:, 0]
-        return {"x1": -x2 * (lo + (hi - lo) * u[:, 1]), "x2": x2}
+        return -x2 * (lo + (hi - lo) * u[:, 1]), x2
 
-    return (_Law(lambda n: 2, draw), _F)
+    return (_Law(("x1", "x2"), lambda n: 2, draw), _F)
 
 
 _MINUS_ID = tuple(negate(make_phi([])))  # the row of -id
 _FORCED_TS = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])
 
 
-def _ts(u, n, idx) -> dict:
+def _ts(u, n, idx) -> tuple:
     ts = np.where(u.sum(axis=1, keepdims=True) > 1.0, 1.0 - u, u)  # reflect onto the simplex
     forced = idx < len(_FORCED_TS)
     ts[forced] = _FORCED_TS[idx[forced]]
-    return {"t": ts[:, 0], "s": ts[:, 1]}
+    return ts[:, 0], ts[:, 1]
 
 
 _FG = (_F, _G)
 _FGA = (_F, _G, _ALPHA)
-_X_F = (_Law(lambda n: 1, _x), _F)
-_ONESIDED = (_Law(lambda n: 3, _onesided), _F)
-_TWIST = (*_FGA, _Law(lambda n: 2, _ts))
+_X_F = (_Law(("x",), lambda n: 1, _x), _F)
+_ONESIDED = (_Law(("x1", "x2"), lambda n: 3, _onesided), _F)
+_STRADDLE = _straddle(0.02, 0.98)
+_STRADDLE_MIRROR = _straddle(1.05, 3.0)
+_TWIST = (*_FGA, _Law(("t", "s"), lambda n: 2, _ts))
 
 
-def _sampler(check: "Check", rng: np.random.Generator, n: int, n_samples: int) -> Callable:
-    """The check's samples on n points, a chunk at a time and in order: a
-    function from the chunk's sample indices, (N,), to the chunk's parameters
-    by key, fields as (N, n) arrays, scalars as (N,) arrays and contractions
-    as a list of rows. It draws one block a chunk, so the chunking does not
-    show. A check with a contraction draws all of them, one sample at a
-    time, before its first block; -id is always the first, so an asymmetry
-    surfaces there as well."""
-    phis = None
-    if "phi" in check.keys:
-        phis = [sample_contraction(rng) for _ in range(n_samples)]
-        phis[0] = _MINUS_ID
-    bounds = np.cumsum([0] + [law.width(n) for law in check.sample]).tolist()
-    columns = list(zip(check.sample, bounds, bounds[1:]))
-
-    def draw(idx: np.ndarray) -> dict:
-        words = rng.random((len(idx), bounds[-1]))
-        params = {}
-        for law, lo, hi in columns:
-            params.update(law.draw(words[:, lo:hi], n, idx))
-        if phis is not None:
-            params["phi"] = phis[idx[0] : idx[-1] + 1]
-        return params
-
-    return draw
+def _contractions(rng: np.random.Generator, n_samples: int) -> list:
+    """A check's contractions, drawn one sample at a time before its first
+    block; -id is always the first, so an asymmetry surfaces there as well."""
+    phis = [sample_contraction(rng) for _ in range(n_samples)]
+    phis[0] = _MINUS_ID
+    return phis
 
 
 # ---------------------------------------------------------------------------
 # batched violation kernels; used identically by the sweeps and by replay().
 # Fields are (N, n) arrays, scalars (N, 1) columns, contractions PLTables. A
-# form kernel returns its energy arguments, (N, n) arrays, and a combiner
-# that maps their (N,) energies to the N violations with the float
-# operations in a fixed order; an identity kernel returns the violations.
+# form kernel returns its energy arguments, (N, n) arrays or deferred table
+# evaluations (_Apply), and a combiner that maps their (N,) energies to the
+# N violations with the float operations in a fixed order; an identity
+# kernel returns the violations.
 
 
 def _pymax(first, *rest):
@@ -278,12 +268,65 @@ _SIGMA_FOLD2_ONESIDED = (0.0, -1.0, 1.0)  # 0 up to x1, x1 - y, y + x1 - 2 x2
 _PSI_FOLD2_STRADDLE = (1.0, -1.0, 0.0)  # y - 2 x1 below x1, -y, then -x2
 
 
+@dataclass(frozen=True, eq=False)
+class _Apply:
+    """pl_eval of a fold family's table at the fields f, deferred until
+    _applied evaluates every one of a kernel call together. The table is
+    family_table(kinks, slopes), or folded_table(kinks) when slopes is None;
+    -a is the negated values of a."""
+
+    slopes: tuple | None
+    kinks: np.ndarray  # (N, k)
+    f: np.ndarray  # (N, n)
+    of: "_Apply | None" = None  # the evaluation this one negates
+
+    def __neg__(self) -> "_Apply":
+        return _Apply(self.slopes, self.kinks, self.f, self) if self.of is None else self.of
+
+    def __len__(self) -> int:
+        return len(self.f)
+
+
+def _alternating_at(kinks, f) -> _Apply:
+    """make_phi(kinks) at f, row by row."""
+    k = kinks.shape[1]
+    return _Apply(((1.0, -1.0) * (k // 2 + 1))[: k + 1], kinks, f)
+
+
+def _folded_at(kinks, f) -> _Apply:
+    """make_phi(kinks) composed with 0 v id at f, row by row."""
+    return _Apply(None, kinks, f)
+
+
+def _applied(args: list) -> list:
+    """The energy arguments with every deferred evaluation replaced by its
+    values: the evaluations of one family stacked, every family's rows in
+    one table (closed_form_table) and one pl_eval. Each row is computed on
+    its own, so the values are those of an eager pl_eval, bit for bit."""
+    families: dict = {}
+    for a in args:
+        if isinstance(a, _Apply):
+            base = a if a.of is None else a.of
+            families.setdefault((base.slopes, base.kinks.shape[1]), {})[base] = None
+    if not families:
+        return args
+    order = [a for family in families.values() for a in family]
+    table = closed_form_table([
+        (np.concatenate([a.kinks for a in family]), slopes)
+        for (slopes, _), family in families.items()
+    ])
+    values = pl_eval(table, np.concatenate([a.f for a in order]))
+    ends = np.cumsum([len(a) for a in order]).tolist()
+    at = {a: values[stop - len(a) : stop] for a, stop in zip(order, ends)}
+    return [
+        a if not isinstance(a, _Apply) else at[a] if a.of is None else -at[a.of] for a in args
+    ]
+
+
 def _viol_fold1_lattice_split(f, x):
     # join/meet split of the pair (f, sigma o f): the join is 0 v f and the
     # meet is the one-fold contraction applied to f
-    return (
-        pl_eval(alternating_table(x), f), np.maximum(f, 0.0), f, pl_eval(folded_table(x), f)
-    ), _split
+    return (_alternating_at(x, f), np.maximum(f, 0.0), f, _folded_at(x, f)), _split
 
 
 def _fold1_chain(a, b, c, d):
@@ -293,22 +336,22 @@ def _fold1_chain(a, b, c, d):
 
 def _viol_fold1_clamp_chain(f, x):
     # symmetry, then the clamp split at band radius 2x, then symmetry again
-    sf = pl_eval(folded_table(x), f)
+    sf = _folded_at(x, f)
     pf = np.maximum(f, 0.0)
     return (sf, -sf, pf, -pf), _fold1_chain
 
 
 def _viol_fold1_conclusion(f, x):
-    return (pl_eval(alternating_table(x), f), f), _rise
+    return (_alternating_at(x, f), f), _rise
 
 
 def _viol_fold2_onesided_clamp_split(f, x1, x2):
     kinks = np.hstack([x1, x2])
     return (
-        pl_eval(folded_table(kinks), f),
+        _folded_at(kinks, f),
         np.maximum(f - x1, 0.0),
         np.maximum(f, 0.0),
-        pl_eval(family_table(kinks, _SIGMA_FOLD2_ONESIDED), f),
+        _Apply(_SIGMA_FOLD2_ONESIDED, kinks, f),
     ), _split
 
 
@@ -319,28 +362,23 @@ def _fold2_onesided_chain(a, b, c, d):
 
 
 def _viol_fold2_onesided_clamp_chain(f, x1, x2):
-    sf = pl_eval(family_table(np.hstack([x1, x2]), _SIGMA_FOLD2_ONESIDED), f)
+    sf = _Apply(_SIGMA_FOLD2_ONESIDED, np.hstack([x1, x2]), f)
     return (np.maximum(f - x1, 0.0), np.minimum(x1 - f, 0.0), sf, -sf), _fold2_onesided_chain
 
 
 def _viol_fold2_onesided_lattice_split(f, x1, x2):
     kinks = np.hstack([x1, x2])
-    return (
-        pl_eval(alternating_table(kinks), f), np.maximum(f, 0.0), pl_eval(folded_table(kinks), f), f
-    ), _split
+    return (_alternating_at(kinks, f), np.maximum(f, 0.0), _folded_at(kinks, f), f), _split
 
 
 def _viol_fold2_conclusion(f, x1, x2):
-    return (pl_eval(alternating_table(np.hstack([x1, x2])), f), f), _rise
+    return (_alternating_at(np.hstack([x1, x2]), f), f), _rise
 
 
 def _viol_fold2_straddle_clamp_split(f, x1, x2):
     kinks = np.hstack([x1, x2])
     return (
-        pl_eval(alternating_table(kinks), f),
-        np.minimum(f, x2),
-        f,
-        pl_eval(family_table(kinks, _PSI_FOLD2_STRADDLE), f),
+        _alternating_at(kinks, f), np.minimum(f, x2), f, _Apply(_PSI_FOLD2_STRADDLE, kinks, f)
     ), _split
 
 
@@ -387,7 +425,7 @@ class Check:
 
     name: str
     group: str  # a key of TOLERANCES
-    sample: tuple[_Law, ...]  # the laws of its parameters but phi (see _sampler), in word order
+    sample: tuple[_Law, ...]  # the laws of its parameters but phi (_contractions), in word order
     kernel: Callable  # (**stacked parameters) -> (energy arguments, combiner), or violations
 
     @cached_property
@@ -413,13 +451,12 @@ CHECKS = (
     Check("proof_fold2_onesided_lattice_split", "proof", _ONESIDED,
           _viol_fold2_onesided_lattice_split),
     Check("proof_fold2_onesided_conclusion", "proof", _ONESIDED, _viol_fold2_conclusion),
-    Check("proof_fold2_straddle_clamp_split", "proof", _straddle(0.02, 0.98),
+    Check("proof_fold2_straddle_clamp_split", "proof", _STRADDLE,
           _viol_fold2_straddle_clamp_split),
-    Check("proof_fold2_straddle_conclusion", "proof", _straddle(0.02, 0.98),
-          _viol_fold2_conclusion),
-    Check("proof_fold2_straddle_clamp_split_mirror", "proof", _straddle(1.05, 3.0),
+    Check("proof_fold2_straddle_conclusion", "proof", _STRADDLE, _viol_fold2_conclusion),
+    Check("proof_fold2_straddle_clamp_split_mirror", "proof", _STRADDLE_MIRROR,
           _viol_fold2_straddle_clamp_split),
-    Check("proof_fold2_straddle_conclusion_mirror", "proof", _straddle(1.05, 3.0),
+    Check("proof_fold2_straddle_conclusion_mirror", "proof", _STRADDLE_MIRROR,
           _viol_fold2_conclusion),
     Check("identity_halfsum", "identity", _FGA, _viol_identity_halfsum),
     Check("identity_twist", "identity", _TWIST, _viol_identity_twist),
@@ -471,17 +508,20 @@ def _args(params: dict) -> dict:
 
 def _evaluate(target, batches: list[tuple[Callable, dict]]) -> list[np.ndarray]:
     """The violations of each (kernel, kernel arguments) batch. On a form,
+    the deferred table evaluations of every batch run together (_applied),
     the energy arguments of every batch go through one energy_of_values
-    call, and each batch's combiner maps its slice of the energies; on a
-    space (the identities) the kernels give the violations."""
+    call, and each batch's combiner maps the rows of its slice of the
+    energies; on a space (the identities) the kernels give the violations."""
     parts = [kernel(**params) for kernel, params in batches]
     if isinstance(target, MeasureSpace):
         return parts
-    energies = target.energy_of_values(np.concatenate([a for args, _ in parts for a in args]))
+    energies = target.energy_of_values(
+        np.concatenate(_applied([a for args, _ in parts for a in args]))
+    )
     out, start = [], 0
     for args, combine in parts:
         stop = start + len(args) * len(args[0])
-        out.append(combine(*np.split(energies[start:stop], len(args))))
+        out.append(combine(*energies[start:stop].reshape(len(args), -1)))
         start = stop
     return out
 
@@ -502,24 +542,24 @@ def _witness(check: Check, target, params: dict) -> dict:
     return {"check": check.name, **head, **{k: _encode(params[k]) for k in check.keys}}
 
 
-def _fold(best: tuple, violations: np.ndarray, params: dict) -> tuple:
-    """A check's (worst, params, finite) after the next chunk of its
-    violations and parameters: the first non-finite sample, or else the
-    first sample at the maximum, which is what a loop over the samples
-    keeping the first strict maximum, and stopping at a non-finite one,
-    keeps."""
-    worst, _, finite = best
-    if not finite:
-        return best
-    bad = np.flatnonzero(~np.isfinite(violations))
-    i = int(bad[0]) if bad.size else int(np.argmax(violations))
-    if bad.size or violations[i] > worst:
-        row = {  # each field its own copy of the row, not a view of the chunk
-            k: v[i] if isinstance(v, list) else v[i].copy() if v.ndim == 2 else float(v[i])
-            for k, v in params.items()
-        }
-        return float(violations[i]), row, not bad.size
-    return best
+def _fold(best: list, violations: np.ndarray, params: list[dict]) -> None:
+    """Each check's (worst, params, finite) after the next chunk of the
+    pass, its violations (checks, N) and each check's parameters: the first
+    non-finite sample, or else the first sample at the maximum, which is
+    what a loop over the samples keeping the first strict maximum, and
+    stopping at a non-finite one, keeps. A check's row is copied only when
+    its worst changes."""
+    finite = np.isfinite(violations)
+    # the first non-finite sample of a row if it has one, else its first maximum
+    at = np.argmax(np.where(finite, violations, np.inf), axis=1).tolist()
+    for j, i in enumerate(at):
+        worst, _, ok = best[j]
+        if ok and (not finite[j, i] or violations[j, i] > worst):
+            row = {  # each field its own copy of the row, not a view of the chunk
+                k: v[i] if isinstance(v, list) else v[i].copy() if v.ndim == 2 else float(v[i])
+                for k, v in params[j].items()
+            }
+            best[j] = (float(violations[j, i]), row, bool(finite[j, i]))
 
 
 def _sweep(check: Check, target, cfg: SuiteConfig, best: tuple) -> CheckResult:
@@ -533,30 +573,52 @@ def _run(group: str, target, cfg: SuiteConfig) -> list[CheckResult]:
     """Run a group's checks on a form (or a space, for identities) over
     cfg.n_samples seeded samples each, in one pass over chunks of samples.
 
-    For each chunk, every check draws its samples from its own stream;
+    For each chunk, every check draws one block from its own stream; each
+    law runs once over the stacked columns of every check that uses it;
     checks that share a kernel run as one kernel call over their rows, one
-    check after another; one energy evaluation serves every kernel; and each
-    check folds its slice of the violations into its result.
+    check after another; the deferred table evaluations of every kernel run
+    as one, and one energy evaluation serves every kernel; and the pass
+    folds the chunk's violations, one row a check, into the results.
     """
     checks = [c for c in CHECKS if c.group == group]
     space = target if group == "identity" else target.space
     n = space.n
-    draws = [_sampler(c, check_rng(cfg.seed, c.name), n, cfg.n_samples) for c in checks]
+    rngs = [check_rng(cfg.seed, c.name) for c in checks]
+    phis = [
+        _contractions(r, cfg.n_samples) if "phi" in c.keys else None
+        for c, r in zip(checks, rngs)
+    ]
+    # each law's draw -> (check, first column, last column, keys) of its uses
+    uses: dict[Callable, list] = {}
+    widths = []
+    for j, c in enumerate(checks):
+        lo = 0
+        for law in c.sample:
+            uses.setdefault(law.draw, []).append((j, lo, lo + law.width(n), law.keys))
+            lo += law.width(n)
+        widths.append(lo)
     kernels = dict.fromkeys(c.kernel for c in checks)
     batches = [[j for j, c in enumerate(checks) if c.kernel is k] for k in kernels]
     rows = max(1, _CHUNK_VALUES // (n * len(checks)))
     best = [(-math.inf, None, True)] * len(checks)
     for start in range(0, cfg.n_samples, rows):
         idx = np.arange(start, min(start + rows, cfg.n_samples))
-        params = [draw(idx) for draw in draws]
+        size = len(idx)
+        blocks = [r.random((size, w)) for r, w in zip(rngs, widths)]
+        params = [{} if p is None else {"phi": p[start : start + size]} for p in phis]
+        for draw, cols in uses.items():
+            words = np.concatenate([blocks[j][:, lo:hi] for j, lo, hi, _ in cols])
+            values = draw(words, n, np.tile(idx, len(cols)))
+            for pos, (j, _, _, keys) in enumerate(cols):
+                params[j].update(zip(keys, (v[pos * size : (pos + 1) * size] for v in values)))
         args = [
             _args({k: _concat([params[j][k] for j in b]) for k in checks[b[0]].keys})
             for b in batches
         ]
-        violations = _evaluate(target, list(zip(kernels, args)))
-        for b, v in zip(batches, violations):
-            for pos, j in enumerate(b):
-                best[j] = _fold(best[j], v[pos * len(idx) : (pos + 1) * len(idx)], params[j])
+        violations = np.empty((len(checks), size))
+        for b, v in zip(batches, _evaluate(target, list(zip(kernels, args)))):
+            violations[b] = v.reshape(len(b), size)
+        _fold(best, violations, params)
     return [_sweep(c, target, cfg, b) for c, b in zip(checks, best)]
 
 

@@ -94,6 +94,8 @@ def test_slope_magnitude_guard():
     ((1.0,), (1.0, -1.5), 0.0),  # |slope| > 1
     ((), (-1.0 - 2e-9,), 0.0),
     ((1.0,), (1.0, -1.0), np.inf),  # anchor not finite
+    ((1.0,), (1.0, np.nan), 0.0),  # a NaN slope
+    ((), (np.nan,), 0.0),
 ])
 def test_table_checks_each_row_as_plfunction_does(row):
     # a row is checked where a table is built, with PLFunction's errors

@@ -14,11 +14,14 @@ from nbdirichlet import samplers, verifier
 from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.contraction import (
     PLFunction,
+    PLTable,
     alternating_table,
+    closed_form_table,
     compose,
     family_table,
     folded_table,
     make_phi,
+    negate,
     pl_eval,
     pl_table,
 )
@@ -37,10 +40,23 @@ def bits(a) -> list:
 
 
 def columns(check, space, cfg, n):
-    """The first n samples of the check's sweep as one block: its
-    parameters by key, a row or an entry each."""
-    sampler = verifier._sampler(check, check_rng(cfg.seed, check.name), space.n, cfg.n_samples)
-    return sampler(np.arange(n))
+    """The first n samples of the check's sweep, drawn for this check
+    alone: its parameters by key, a row or an entry each. A check with a
+    contraction draws all cfg.n_samples of them first, -id the first; then
+    the check's own block of n rows is cut into its laws' columns, and each
+    law is applied on its own."""
+    rng = check_rng(cfg.seed, check.name)
+    params = {}
+    if "phi" in check.keys:
+        params["phi"] = [samplers.sample_contraction(rng) for _ in range(cfg.n_samples)][:n]
+        params["phi"][0] = tuple(negate(make_phi([])))
+    words = rng.random((n, sum(law.width(space.n) for law in check.sample)))
+    lo = 0
+    for law in check.sample:
+        hi = lo + law.width(space.n)
+        params.update(zip(law.keys, law.draw(words[:, lo:hi], space.n, np.arange(n))))
+        lo = hi
+    return params
 
 
 def draw(check, space, cfg, n):
@@ -119,6 +135,17 @@ def test_chunked_non_finite_witness_is_the_first(monkeypatch):
     assert chunked.witness == whole.witness and not whole.passed
 
 
+def eager(arg):
+    """A kernel's energy argument, with a deferred table evaluation done on
+    its own: its family's table and one pl_eval, negated if it is."""
+    if not isinstance(arg, verifier._Apply):
+        return arg
+    if arg.of is not None:
+        return -eager(arg.of)
+    table = folded_table(arg.kinks) if arg.slopes is None else family_table(arg.kinks, arg.slopes)
+    return pl_eval(table, arg.f)
+
+
 def _reference_sweep(check, target, cfg):
     """One check on its own, as the sweep ran before a group shared its
     pass: every sample from the check's stream, one kernel call, each energy
@@ -135,7 +162,7 @@ def _reference_sweep(check, target, cfg):
     out = check.kernel(**stacked)
     if check.group != "identity":
         args, combine = out
-        out = combine(*(target.energy_of_values(a) for a in args))
+        out = combine(*(target.energy_of_values(eager(a)) for a in args))
     worst, at = -math.inf, None
     for i, v in enumerate(out.tolist()):
         if not math.isfinite(v) or v > worst:
@@ -320,6 +347,51 @@ def test_folded_tables_equal_compose_on_near_coincident_kinks():
         kinks = np.array([np.sort(rng.choice(pool, k, replace=False)) for _ in range(300)])
         want = [compose(make_phi(list(row)), POS_PART) for row in kinks]
         assert table_rows(folded_table(kinks)) == table_rows(pl_table(want)), k
+
+
+def test_deferred_table_evaluations_equal_eager_ones(monkeypatch):
+    # the six fold families in one call, k = 1 and k = 2, with the forced
+    # x = 0 rows, kinks within the merge tolerance of 0 or of each other,
+    # and negated evaluations: one table and one pl_eval give every
+    # evaluation the bits of its own table and pl_eval
+    rng = np.random.default_rng(11)
+    one = np.array(X)[:, None]
+    two = np.array(X1X2)
+    straddle = np.array([[-0.5, 0.5], [-3.0, 0.05], [-1e-13, 1e-13], [-2.0, 1e-12]])
+
+    def fields(kinks):
+        f = rng.uniform(-4.0, 4.0, (len(kinks), 7))
+        f[:, :kinks.shape[1]] = kinks  # at the kinks, at 0 and at -0
+        f[:, -2:] = [0.0, -0.0]
+        return f
+
+    f1, f2 = fields(one), fields(two)
+    apps = [
+        verifier._alternating_at(one, f1),
+        verifier._folded_at(one, f1),
+        verifier._alternating_at(two, f2),
+        verifier._folded_at(two, f2),
+        verifier._Apply(verifier._SIGMA_FOLD2_ONESIDED, two, fields(two)),
+        verifier._Apply(verifier._PSI_FOLD2_STRADDLE, straddle, fields(straddle)),
+        verifier._alternating_at(straddle, fields(straddle)),
+        verifier._folded_at(one[::-1], fields(one)),  # a second evaluation of one family
+    ]
+    assert -(-apps[0]) is apps[0]
+    args = [*apps, -apps[1], -apps[4], f2, -apps[5]]
+    calls = []
+    build, evaluate = PLTable.build.__func__, verifier.pl_eval
+    monkeypatch.setattr(PLTable, "build", classmethod(
+        lambda cls, *a: calls.append("build") or build(cls, *a)))
+    monkeypatch.setattr(verifier, "pl_eval", lambda *a: calls.append("pl_eval") or evaluate(*a))
+    got = verifier._applied(args)
+    monkeypatch.undo()
+    assert calls == ["build", "pl_eval"] and got[-2] is f2
+    assert [bits(g) for g in got] == [bits(eager(a)) for a in args]
+    # the table itself holds every family's rows as its own table does
+    parts = [(one, None), (two, None), (one, (1.0, -1.0)), (two, (1.0, -1.0, 1.0)),
+             (two, verifier._SIGMA_FOLD2_ONESIDED), (straddle, verifier._PSI_FOLD2_STRADDLE)]
+    own = [folded_table(k) if s is None else family_table(k, s) for k, s in parts]
+    assert table_rows(closed_form_table(parts)) == [r for t in own for r in table_rows(t)]
 
 
 def test_table_evaluation_equals_plfunction_call():

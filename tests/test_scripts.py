@@ -69,3 +69,21 @@ def test_dump_outputs_script_is_deterministic(tmp_path):
         assert len(codes) == len(first) == (2 if workload == "sweep" else 4), codes
         expected = "1" if workload == "sweep" else "0"
         assert all(line.split()[-1] == expected for line in codes), codes
+
+
+def test_time_sweep_units_script():
+    # one JSON line: the minimum time a job takes, per kind and in total
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "time_sweep_units.py"), "--workload", "sweep",
+         "--seed", "29", "--units", "3", "--rounds", "1"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    (line,) = proc.stdout.splitlines()
+    out = json.loads(line)
+    assert (out["workload"], out["seed"], out["units"], out["rounds"], out["jobs"]) == (
+        "sweep", 29, 3, 1, 3)
+    assert out["ms_per_job"] > 0 and sum(out["kinds"].values()) > 0
