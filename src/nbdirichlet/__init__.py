@@ -9,16 +9,12 @@ property-testing harness for the order/contraction criteria.
 from types import ModuleType as _ModuleType
 
 from .contraction import (
-    ContractionClass,
     PLFunction,
-    classify,
     compose,
     decompose,
     envelope,
-    is_normal_contraction,
     make_phi,
     negate,
-    recompose,
 )
 from .errors import (
     BadSpec,

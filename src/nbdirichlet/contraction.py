@@ -5,12 +5,13 @@ canonical form: strictly increasing breakpoints, one slope per interval with
 no two adjacent slopes equal, and the value at 0. The module builds the
 alternating-slope family F_k (slopes +1, -1, ... starting at +1, anchored to
 0 at 0), composes piecewise-linear functions exactly, factors any F_k
-element into two-breakpoint pieces, and approximates arbitrary contractions
-through lower Lipschitz envelopes of sampled values. The algebra is written
-once, on rows. A ``PLFunction`` is a checked row: ``make_phi``, ``envelope``
-and ``decompose`` give PLFunctions, and ``negate`` and ``compose`` give a
-PLFunction for PLFunctions and an unchecked row for rows, which is how the
-samplers draw contractions.
+element (a row that is make_phi's for its breakpoints) into two-breakpoint
+pieces by algebra on the breakpoints alone, and approximates arbitrary
+contractions through lower Lipschitz envelopes of sampled values. The
+algebra is written once, on rows. A ``PLFunction`` is a checked row:
+``make_phi``, ``envelope`` and ``decompose`` give PLFunctions, and
+``negate`` and ``compose`` give a PLFunction for PLFunctions and an
+unchecked row for rows, which is how the samplers draw contractions.
 
 A ``PLTable`` holds many rows, and ``pl_eval`` evaluates every row at its
 own points with the arithmetic of one ``PLFunction`` call; a ``PLFunction``
@@ -157,7 +158,7 @@ class PLTable:
     nb: np.ndarray      # (N,)
 
     @classmethod
-    def build(cls, bps, slopes, anchor, nb=None) -> "PLTable":
+    def build(cls, bps, slopes, anchor, nb) -> "PLTable":
         """Tables of canonical rows: strictly increasing breakpoints and
         adjacent slopes that differ. A row with nb[r] < K breakpoints repeats
         its last breakpoint and slope after them (any breakpoint if it has
@@ -166,10 +167,7 @@ class PLTable:
         rel = np.zeros((n_rows, k))
         if k > 1:  # padding adds zero-length pieces
             rel[:, 1:] = np.cumsum(slopes[:, 1:-1] * np.diff(bps, axis=1), axis=1)
-        if nb is None:
-            nb = np.full(n_rows, k)
-        else:
-            bps = np.where(np.arange(k) < nb[:, None], bps, np.inf)
+        bps = np.where(np.arange(k) < nb[:, None], bps, np.inf)
         table = cls(bps, slopes, rel, np.zeros(n_rows), anchor, nb)
         object.__setattr__(table, "rel0", _rel_at(table, np.zeros((n_rows, 1)))[:, 0])
         return table
@@ -223,41 +221,20 @@ def _compact(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return *(a[rows, at] for a in arrays), count
 
 
-def family_table(kinks: np.ndarray, slopes) -> PLTable:
-    """PLFunction(row, slopes, 0.0) for every row of strictly increasing
-    kinks (N, k), k >= 1, for k + 1 slopes of which no two adjacent are
-    equal."""
-    return closed_form_table([(kinks, slopes)])
-
-
-def alternating_table(kinks: np.ndarray) -> PLTable:
-    """make_phi(row) for every row of strictly increasing kinks (N, k), k >= 1."""
-    return family_table(kinks, np.resize([1.0, -1.0], kinks.shape[1] + 1))
-
-
 def _check_increasing(kinks: np.ndarray) -> None:
     if (kinks[:, 1:] <= kinks[:, :-1]).any():
         raise NotIncreasing("breakpoints must be strictly increasing")
 
 
-def folded_table(kinks: np.ndarray) -> PLTable:
-    """compose(make_phi(row), 0 v id) for every row of one or two
-    nonnegative, strictly increasing kinks (N, k): 0 up to 0, then
-    make_phi(row).
-
-    The closed form of what ``compose`` builds, with its merging of
-    near-coincident breakpoints and the sign of its flat slope: -0.0 when a
-    kink sits at 0.
-    """
-    return closed_form_table([(kinks, None)])
-
-
 def closed_form_table(parts) -> PLTable:
-    """The rows of family_table(kinks, slopes), or of folded_table(kinks)
-    where slopes is None, for each (kinks, slopes) of parts in turn, as one
-    table built once; a row evaluates the same whatever the other rows. A
-    row with fewer breakpoints than the widest repeats its last breakpoint
-    and slope."""
+    """The rows of each (kinks, slopes) of parts in turn, for strictly
+    increasing kinks (N, k), as one table built once; a row evaluates the
+    same whatever the other rows. Row r is PLFunction(kinks[r], slopes, 0.0)
+    for k + 1 slopes of which no two adjacent are equal or, where slopes is
+    None, compose(make_phi(kinks[r]), 0 v id) for one or two nonnegative
+    kinks, with compose's merging of near-coincident breakpoints and -0.0 as
+    its flat slope when a kink sits at 0. A row with fewer breakpoints than
+    the widest repeats its last breakpoint and slope."""
     bps, slopes, nb = [], [], []
     for kinks, pattern in parts:
         if pattern is None:
@@ -284,7 +261,7 @@ def closed_form_table(parts) -> PLTable:
 
 
 def _folded(kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of folded_table(kinks) as (breakpoints, slopes, nb)."""
+    """closed_form_table's folded rows for kinks as (breakpoints, slopes, nb)."""
     _check_increasing(kinks)
     n_rows, k = kinks.shape
     if not 1 <= k <= 2:
@@ -303,7 +280,7 @@ def _folded(kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nxt[:, :-1] = np.minimum.accumulate(np.where(keep, kinks, np.inf)[:, ::-1], axis=1)[:, ::-1]
     # make_phi's slope at 0, which the flat slope is 0 times, and right of
     # each candidate at compose's representative point: the midpoint to the
-    # next kept candidate, or 1 past the last
+    # next kept candidate, or a point past the last
     points = np.zeros((n_rows, k + 2))
     points[:, 1:] = np.where(nxt < np.inf, 0.5 * (cand + nxt), cand + 1.0)
     odd = (kinks[:, None, :] <= points[:, :, None]).sum(axis=2) % 2 == 1
@@ -323,17 +300,6 @@ def _folded(kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bps, slopes, nb
 
 
-@dataclass(frozen=True)
-class ContractionClass:
-    """Classification tag: F(k), G, GeneralNormal or NotNormal."""
-
-    kind: str  # "F" | "G" | "GeneralNormal" | "NotNormal"
-    k: int | None = None
-
-    def __str__(self) -> str:
-        return f"F({self.k})" if self.kind == "F" else self.kind
-
-
 def _like(phi, row):
     """The row, checked as a PLFunction when phi is one."""
     return PLFunction(*row) if isinstance(phi, PLFunction) else row
@@ -345,33 +311,20 @@ def negate(phi):
     return _like(phi, (bps, tuple(-s for s in slopes), -anchor))
 
 
+def _alternating_slopes(k: int) -> tuple:
+    """The slopes of F_k: +1, -1, ... on its k + 1 intervals."""
+    return ((1.0, -1.0) * (k // 2 + 1))[: k + 1]
+
+
 def _alternating(bps: tuple) -> tuple:
     """The row of make_phi(bps), for a tuple of floats."""
-    return bps, ((1.0, -1.0) * (len(bps) // 2 + 1))[: len(bps) + 1], 0.0
+    return bps, _alternating_slopes(len(bps)), 0.0
 
 
 def make_phi(breakpoints) -> PLFunction:
     """The alternating contraction with the given kinks: slope (-1)^i on the
     i-th interval, value 0 at 0. make_phi([]) is the identity."""
     return PLFunction(*_alternating(tuple(float(b) for b in breakpoints)))
-
-
-def is_normal_contraction(phi: PLFunction) -> bool:
-    """True iff every |slope| <= 1 (guaranteed by the carrier) and phi(0) = 0."""
-    return phi.anchor == 0.0 and all(abs(s) <= 1.0 for s in phi.slopes)
-
-
-def classify(phi: PLFunction) -> ContractionClass:
-    """F(k) for exact alternating +1/-1 slopes starting at +1; G for unit
-    slopes with at most two kinks; GeneralNormal for other contractions."""
-    if not is_normal_contraction(phi):
-        return ContractionClass("NotNormal")
-    slopes = phi.slopes
-    if all(s == (1.0 if i % 2 == 0 else -1.0) for i, s in enumerate(slopes)):
-        return ContractionClass("F", len(phi.breakpoints))
-    if all(abs(s) == 1.0 for s in slopes) and len(phi.breakpoints) <= 2:
-        return ContractionClass("G")
-    return ContractionClass("GeneralNormal")
 
 
 def _dedupe_sorted(xs: list[float]) -> list[float]:
@@ -441,10 +394,11 @@ def compose(outer, inner):
     candidates = _dedupe_sorted(sorted(candidates))
     # slopes from representative interior points of each interval
     if candidates:
+        # the end points step past their candidate by more than its rounding
         reps = (
-            [candidates[0] - 1.0]
+            [candidates[0] - (1.0 + abs(candidates[0]))]
             + [0.5 * (a + b) for a, b in zip(candidates, candidates[1:])]
-            + [candidates[-1] + 1.0]
+            + [candidates[-1] + (1.0 + abs(candidates[-1]))]
         )
     else:
         reps = [0.0]
@@ -454,14 +408,6 @@ def compose(outer, inner):
     )
     anchor = _evaluator(outer)(inner_at(0.0))
     return _like(outer, (*_merge(tuple(candidates), slopes), anchor))
-
-
-def recompose(factors: list[PLFunction], residual: PLFunction) -> PLFunction:
-    """Rebuild residual o factors[0] o ... o factors[-1] (factors[-1] first)."""
-    result = residual
-    for fac in factors:
-        result = compose(result, fac)
-    return result
 
 
 def _peel(bps: list[float]) -> tuple[tuple[float, float], list[float]]:
@@ -489,32 +435,16 @@ def decompose(phi: PLFunction) -> tuple[list[PLFunction], PLFunction]:
     Returns (factors, residual) with residual in F_0 u F_1 and
     phi = residual o factors[0] o ... o factors[-1] pointwise; factors[-1]
     (the first factor the recursion emits, the minimal-gap pair) is applied
-    first. The factorisation is checked against the composition oracle on
-    a dense grid.
+    first. Raises NotAlternating unless phi is make_phi of its breakpoints.
     """
-    tag = classify(phi)
-    if tag.kind != "F":
-        raise NotAlternating(f"decompose needs an F_k input, got {tag}")
+    if tuple(phi) != _alternating(phi.breakpoints):
+        raise NotAlternating("decompose needs an F_k input: slopes +1, -1, ... and value 0 at 0")
     bps = list(phi.breakpoints)
     emitted: list[PLFunction] = []
     while len(bps) >= 2:
         pair, bps = _peel(bps)
         emitted.append(make_phi(pair))
-    residual = make_phi(bps)
-    factors = emitted[::-1]
-    rebuilt = recompose(factors, residual)
-    if phi.breakpoints:
-        span = max(phi.breakpoints[-1] - phi.breakpoints[0], 1.0)
-        lo, hi = phi.breakpoints[0] - span, phi.breakpoints[-1] + span
-    else:
-        lo, hi = -1.0, 1.0
-    grid = np.linspace(lo, hi, 257)
-    err = float(np.max(np.abs(rebuilt(grid) - phi(grid))))
-    if err > 1e-9 * (1.0 + max(abs(lo), abs(hi))):
-        raise NotAlternating(
-            f"factorisation failed oracle validation (max error {err:.3e})"
-        )
-    return factors, residual
+    return emitted[::-1], make_phi(bps)
 
 
 def _np_min(a: float, b: float) -> float:

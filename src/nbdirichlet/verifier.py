@@ -65,6 +65,7 @@ import numpy as np
 
 from .contraction import (
     PLFunction,
+    _alternating_slopes,
     closed_form_table,
     make_phi,
     negate,
@@ -263,7 +264,7 @@ def _viol_contraction(phi, f):
 
 # the fold families: kinks are (N, k) rows; sigma and psi of fold2 are fixed
 # slope patterns, sigma of fold1 and psi of the one-sided fold2 are
-# make_phi(kinks) composed with 0 v id (folded_table)
+# make_phi(kinks) composed with 0 v id (closed_form_table's folded rows)
 _SIGMA_FOLD2_ONESIDED = (0.0, -1.0, 1.0)  # 0 up to x1, x1 - y, y + x1 - 2 x2
 _PSI_FOLD2_STRADDLE = (1.0, -1.0, 0.0)  # y - 2 x1 below x1, -y, then -x2
 
@@ -272,8 +273,8 @@ _PSI_FOLD2_STRADDLE = (1.0, -1.0, 0.0)  # y - 2 x1 below x1, -y, then -x2
 class _Apply:
     """pl_eval of a fold family's table at the fields f, deferred until
     _applied evaluates every one of a kernel call together. The table is
-    family_table(kinks, slopes), or folded_table(kinks) when slopes is None;
-    -a is the negated values of a."""
+    closed_form_table([(kinks, slopes)]), folded where slopes is None; -a is
+    the negated values of a."""
 
     slopes: tuple | None
     kinks: np.ndarray  # (N, k)
@@ -289,8 +290,7 @@ class _Apply:
 
 def _alternating_at(kinks, f) -> _Apply:
     """make_phi(kinks) at f, row by row."""
-    k = kinks.shape[1]
-    return _Apply(((1.0, -1.0) * (k // 2 + 1))[: k + 1], kinks, f)
+    return _Apply(_alternating_slopes(kinks.shape[1]), kinks, f)
 
 
 def _folded_at(kinks, f) -> _Apply:

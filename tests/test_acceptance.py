@@ -10,14 +10,14 @@ The true relation is covered by the midpoint law below.
 
 import json
 import time
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 import pytest
 
 from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.cli import run
-from nbdirichlet.contraction import PLFunction, make_phi, recompose, decompose, classify
+from nbdirichlet.contraction import PLFunction, compose, decompose, make_phi
 from nbdirichlet.flow import FlowConfig, evolve, prox_step
 from nbdirichlet.forms import make_form
 from nbdirichlet.lattice_ops import h_alpha, project_band
@@ -73,8 +73,8 @@ def test_criterion1_decomposition_roundtrip():
         phi = make_phi(bps)
         factors, residual = decompose(phi)
         assert len(factors) == k // 2
-        assert all(classify(f).kind == "F" and classify(f).k == 2 for f in factors)
-        err = float(np.max(np.abs(recompose(factors, residual)(grid) - phi(grid))))
+        assert all(f == make_phi(f.breakpoints) and len(f.breakpoints) == 2 for f in factors)
+        err = float(np.max(np.abs(reduce(compose, factors, residual)(grid) - phi(grid))))
         worst = max(worst, err)
     elapsed = time.time() - t0
     report("1 (decomposition round-trip)", worst <= 1e-9 and elapsed < 10,

@@ -105,6 +105,14 @@ def test_decompose_command(capsys):
     assert "residual: [2]" in out
 
 
+def test_decompose_command_at_large_magnitudes(capsys):
+    # the factorisation is exact past 2**53 too, so the command prints it
+    assert run(["decompose", "--breakpoints", "-1e300,-5e299,1e300"]) == 0
+    out = capsys.readouterr().out
+    assert "factor 0: [-1.0000000000000001e+300, -5.0000000000000003e+299]" in out
+    assert "residual: [1.0000000000000001e+300]" in out
+
+
 def test_decompose_rejects_bad_input(capsys):
     assert run(["decompose", "--breakpoints", "2,1"]) == 2
     assert run(["decompose", "--breakpoints", "a,b"]) == 2

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,18 +10,14 @@ from nbdirichlet import contraction
 from nbdirichlet.contraction import (
     PLFunction,
     _peel,
-    alternating_table,
-    classify,
+    closed_form_table,
     compose,
     decompose,
     envelope,
-    family_table,
-    is_normal_contraction,
     make_phi,
     negate,
     pl_eval,
     pl_table,
-    recompose,
 )
 from nbdirichlet.errors import InconsistentSamples, NotAlternating, NotIncreasing
 from nbdirichlet.samplers import sample_contraction, sample_envelope_contraction
@@ -125,6 +122,13 @@ def test_compose_example():
     assert got == want
 
 
+def test_compose_past_two_to_the_53():
+    # 1e16 - 1.0 rounds back onto 1e16, so the slope left of a kink there is
+    # read further out
+    assert compose(make_phi([]), make_phi([1e16])) == make_phi([1e16])
+    assert compose(make_phi([-1e16]), make_phi([])) == make_phi([-1e16])
+
+
 @given(breakpoint_lists(max_k=5), breakpoint_lists(max_k=5))
 @settings(max_examples=150, deadline=None)
 def test_compose_pointwise_oracle(bps_out, bps_in):
@@ -155,31 +159,8 @@ def test_eval_exact_at_anchor():
     for _ in range(50):
         phi = random_phi(rng)
         assert phi(0.0) == 0.0
-
-
-def test_classify_examples():
-    assert str(classify(make_phi([]))) == "F(0)"
-    assert classify(negate(make_phi([]))).kind == "G"
-    assert str(classify(make_phi([3]))) == "F(1)"
-    assert classify(PLFunction((), (0.5,), 0.0)).kind == "GeneralNormal"
-    assert classify(PLFunction((), (1.0,), 1.0)).kind == "NotNormal"
-
-
-def test_classify_make_phi_always_fk():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        phi = random_phi(rng)
-        tag = classify(phi)
-        assert tag.kind == "F" and tag.k == len(phi.breakpoints)
-
-
-def test_is_normal_contraction_examples():
-    assert is_normal_contraction(make_phi([3]))
-    assert not is_normal_contraction(PLFunction((), (1.0,), 1.0))
     plateau = PLFunction((-1.0, 1.0), (1.0, 0.0, 1.0), 0.5)
-    assert plateau(0.0) == 0.5 and not is_normal_contraction(plateau)
-    through_origin = PLFunction((-1.0, 1.0), (1.0, 0.0, 1.0), 0.0)
-    assert is_normal_contraction(through_origin)
+    assert plateau(0.0) == 0.5
 
 
 def test_decompose_base_cases():
@@ -208,6 +189,8 @@ def test_decompose_rejects_non_alternating():
         decompose(negate(make_phi([])))
     with pytest.raises(NotAlternating):
         decompose(PLFunction((0.0,), (0.0, 1.0), 0.0))
+    with pytest.raises(NotAlternating):
+        decompose(PLFunction((), (1.0,), 1.0))  # F_0's slope, anchored at 1
 
 
 def test_decompose_roundtrip_random():
@@ -220,9 +203,10 @@ def test_decompose_roundtrip_random():
         phi = make_phi(bps)
         factors, residual = decompose(phi)
         assert len(factors) == k // 2
-        assert all(classify(f).k == 2 for f in factors)
-        assert classify(residual).k == k - 2 * (k // 2)
-        rebuilt = recompose(factors, residual)
+        assert all(f == make_phi(f.breakpoints) and len(f.breakpoints) == 2 for f in factors)
+        assert residual == make_phi(residual.breakpoints)
+        assert len(residual.breakpoints) == k - 2 * (k // 2)
+        rebuilt = reduce(compose, factors, residual)
         assert np.max(np.abs(rebuilt(GRID) - phi(GRID))) <= 1e-9
 
 
@@ -234,9 +218,15 @@ def test_decompose_with_exactly_equal_gaps():
         [-1.0, 0.0, 1.0],
     ):
         phi = make_phi(bps)
-        factors, residual = decompose(phi)  # validates internally
-        rebuilt = recompose(factors, residual)
+        factors, residual = decompose(phi)
+        rebuilt = reduce(compose, factors, residual)
         assert np.max(np.abs(rebuilt(GRID) - phi(GRID))) <= 1e-9
+
+
+@pytest.mark.parametrize("bps", [[1e16, 3e16], [-1e300, -5e299, 1e300]])
+def test_decompose_roundtrip_at_large_magnitudes(bps):
+    phi = make_phi(bps)
+    assert reduce(compose, *decompose(phi)) == phi
 
 
 def peel_with_tail(phi):
@@ -363,7 +353,7 @@ def test_envelope_properties(seed, n_pts):
     R = 4.0
     e = envelope(list(zip(ys, vals)), R)
     assert e(0.0) == 0.0
-    assert is_normal_contraction(e)
+    assert e.anchor == 0.0 and all(abs(s) <= 1.0 for s in e.slopes)
     xs = np.linspace(-R, R, 801)
     ex = e(xs)
     # 1-Lipschitz and below every sample cone, equal at the samples
@@ -385,7 +375,7 @@ def test_envelope_near_coincident_grid_points():
     R = 6.0
     e = envelope(list(zip(ys, vals)), R)
     assert e(0.0) == 0.0
-    assert is_normal_contraction(e)
+    assert e.anchor == 0.0 and all(abs(s) <= 1.0 for s in e.slopes)
     xs = np.linspace(-R, R, 801)
     ex = e(xs)
     assert np.all(np.abs(np.diff(ex)) <= np.diff(xs) + 1e-12)
@@ -520,9 +510,9 @@ def test_rel_at_equals_the_reference_on_padded_empty_and_full_rows():
     rng = np.random.default_rng(23)
     kinks = np.sort(rng.uniform(-5.0, 5.0, (30, 3)), axis=1)
     tables = {
-        "full": alternating_table(kinks),
-        "full, broadcast slopes": family_table(kinks, (0.0, -1.0, 1.0, -0.5)),
-        "full, one kink": alternating_table(kinks[:, :1]),
+        "full": closed_form_table([(kinks, (1.0, -1.0, 1.0, -1.0))]),
+        "full, broadcast slopes": closed_form_table([(kinks, (0.0, -1.0, 1.0, -0.5))]),
+        "full, one kink": closed_form_table([(kinks[:, :1], (1.0, -1.0))]),
         "padded": pl_table([make_phi(row[: i % 4]) for i, row in enumerate(kinks) if i % 4]),
         "padded and empty": pl_table([make_phi(row[: i % 4]) for i, row in enumerate(kinks)]),
         "empty": pl_table([make_phi([]), negate(make_phi([]))] * 5),

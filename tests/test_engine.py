@@ -15,11 +15,8 @@ from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.contraction import (
     PLFunction,
     PLTable,
-    alternating_table,
     closed_form_table,
     compose,
-    family_table,
-    folded_table,
     make_phi,
     negate,
     pl_eval,
@@ -142,8 +139,7 @@ def eager(arg):
         return arg
     if arg.of is not None:
         return -eager(arg.of)
-    table = folded_table(arg.kinks) if arg.slopes is None else family_table(arg.kinks, arg.slopes)
-    return pl_eval(table, arg.f)
+    return pl_eval(closed_form_table([(arg.kinks, arg.slopes)]), arg.f)
 
 
 def _reference_sweep(check, target, cfg):
@@ -314,26 +310,27 @@ X1X2 = [
 
 def test_fold1_tables_equal_make_phi_and_compose():
     kinks = np.array(X)[:, None]
-    assert table_rows(alternating_table(kinks)) == table_rows(pl_table([make_phi([x]) for x in X]))
+    assert table_rows(closed_form_table([(kinks, (1.0, -1.0))])) == table_rows(
+        pl_table([make_phi([x]) for x in X]))
     want = [compose(make_phi([x]), POS_PART) for x in X]
-    assert table_rows(folded_table(kinks)) == table_rows(pl_table(want))
+    assert table_rows(closed_form_table([(kinks, None)])) == table_rows(pl_table(want))
     # x = 0: the flat piece has slope -0.0
     assert bits(want[0].slopes) == bits([-0.0, -1.0])
 
 
 def test_fold2_tables_equal_make_phi_and_compose():
     kinks = np.array(X1X2)
-    assert table_rows(alternating_table(kinks)) == table_rows(
+    assert table_rows(closed_form_table([(kinks, (1.0, -1.0, 1.0))])) == table_rows(
         pl_table([make_phi(list(k)) for k in X1X2]))
-    assert table_rows(folded_table(kinks)) == table_rows(
+    assert table_rows(closed_form_table([(kinks, None)])) == table_rows(
         pl_table([compose(make_phi(list(k)), POS_PART) for k in X1X2]))
     for slopes in ((0.0, -1.0, 1.0), (1.0, -1.0, 0.0)):
-        assert table_rows(family_table(kinks, slopes)) == table_rows(
+        assert table_rows(closed_form_table([(kinks, slopes)])) == table_rows(
             pl_table([PLFunction(k, slopes, 0.0) for k in X1X2]))
     with pytest.raises(ValueError):
-        folded_table(np.array([[1.0, 2.0, 3.0]]))
+        closed_form_table([(np.array([[1.0, 2.0, 3.0]]), None)])
     straddle = np.array([[-0.5, 0.5], [-3.0, 0.05], [-1e-13, 1e-13]])
-    assert table_rows(alternating_table(straddle)) == table_rows(
+    assert table_rows(closed_form_table([(straddle, (1.0, -1.0, 1.0))])) == table_rows(
         pl_table([make_phi(list(k)) for k in straddle]))
 
 
@@ -346,7 +343,7 @@ def test_folded_tables_equal_compose_on_near_coincident_kinks():
     for k in (1, 2):
         kinks = np.array([np.sort(rng.choice(pool, k, replace=False)) for _ in range(300)])
         want = [compose(make_phi(list(row)), POS_PART) for row in kinks]
-        assert table_rows(folded_table(kinks)) == table_rows(pl_table(want)), k
+        assert table_rows(closed_form_table([(kinks, None)])) == table_rows(pl_table(want)), k
 
 
 def test_deferred_table_evaluations_equal_eager_ones(monkeypatch):
@@ -390,7 +387,7 @@ def test_deferred_table_evaluations_equal_eager_ones(monkeypatch):
     # the table itself holds every family's rows as its own table does
     parts = [(one, None), (two, None), (one, (1.0, -1.0)), (two, (1.0, -1.0, 1.0)),
              (two, verifier._SIGMA_FOLD2_ONESIDED), (straddle, verifier._PSI_FOLD2_STRADDLE)]
-    own = [folded_table(k) if s is None else family_table(k, s) for k, s in parts]
+    own = [closed_form_table([part]) for part in parts]
     assert table_rows(closed_form_table(parts)) == [r for t in own for r in table_rows(t)]
 
 
