@@ -49,7 +49,6 @@ from .measure import Field, MeasureSpace, make_field
 from .samplers import (
     SuiteConfig,
     check_rng,
-    sample_alpha,
     sample_contraction,
 )
 from .verifier import (

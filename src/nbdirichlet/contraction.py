@@ -15,8 +15,8 @@ unchecked row for rows, which is how the samplers draw contractions.
 
 A ``PLTable`` holds many rows, and ``pl_eval`` evaluates every row at its
 own points with the arithmetic of one ``PLFunction`` call; a ``PLFunction``
-evaluates as a one-row table. ``pl_table`` checks every row of a table as
-``PLFunction`` checks one. The contraction families of the verifier's proof
+evaluates as a one-row table, and ``pl_table`` checks every row of a table
+by the row checks that ``PLFunction`` applies to its one. The contraction families of the verifier's proof
 chain have closed-form tables, and ``closed_form_table`` builds the rows of
 several of them as one table.
 """
@@ -46,13 +46,14 @@ def _snap_slope(s: float) -> float:
 
 def _padded(bps, slopes, anchors):
     """Rows given as their breakpoint sequences, slope sequences and anchors,
-    as the arrays of a table (bps, slopes, anchor, nb), after PLFunction's
-    checks on every row at once, with its errors: NotIncreasing for
+    as the arrays of a table (bps, slopes, anchor, nb), after the row checks,
+    which PLFunction shares, on every row at once: NotIncreasing for
     breakpoints that are not finite or not strictly increasing, ValueError
     for a row without exactly one slope per interval, for a slope that is NaN
     or beyond 1 + _SLOPE_TOL in magnitude or for an anchor that is not
-    finite. A row with nb[r] < K breakpoints repeats its last breakpoint (0.0
-    if it has none) and its last slope."""
+    finite, TypeError for an anchor that is not a number. A row with
+    nb[r] < K breakpoints repeats its last breakpoint (0.0 if it has none)
+    and its last slope."""
     n = len(bps)
     nb = np.fromiter(map(len, bps), np.intp, n)
     ends = np.cumsum(nb)
@@ -74,10 +75,9 @@ def _padded(bps, slopes, anchors):
     slopes = flat[(ends - ns)[:, None] + np.minimum(np.arange(k + 1), nb[:, None])]
     if not (np.abs(slopes) <= 1.0 + _SLOPE_TOL).all():  # a NaN fails too
         raise ValueError("slope magnitude exceeds 1: not a contraction carrier")
-    anchor = np.fromiter(anchors, float, n)
-    if not np.isfinite(anchor).all():
+    if not all(map(math.isfinite, anchors)):  # a TypeError for a string or None
         raise ValueError("anchor value must be finite")
-    return padded, slopes, anchor, nb
+    return padded, slopes, np.fromiter(anchors, float, n), nb
 
 
 def _merge(bps: tuple, slopes: tuple) -> tuple[tuple, tuple]:
@@ -97,8 +97,9 @@ class PLFunction:
 
     ``slopes[i]`` applies on (breakpoints[i-1], breakpoints[i]) with the
     conventions breakpoints[-1] = -inf, breakpoints[len] = +inf; ``anchor`` is
-    the value at x = 0. Construction merges adjacent equal slopes and rejects
-    non-increasing breakpoints and slopes that are NaN or beyond magnitude 1.
+    the value at x = 0. Construction converts the entries to floats, checks
+    the row as a table checks each of its rows (``_padded``, with its
+    errors), clamps the slopes to [-1, 1] and merges adjacent equal slopes.
     It unpacks to its row, so ``PLFunction(*phi) == phi``.
     """
 
@@ -109,16 +110,7 @@ class PLFunction:
     def __post_init__(self):
         bps = tuple(float(b) for b in self.breakpoints)
         slopes = tuple(float(s) for s in self.slopes)
-        if not all(map(math.isfinite, bps)):
-            raise NotIncreasing("breakpoints must be finite")
-        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-            raise NotIncreasing("breakpoints must be strictly increasing")
-        if len(slopes) != len(bps) + 1:
-            raise ValueError("need exactly one slope per interval")
-        if not all(abs(s) <= 1.0 + _SLOPE_TOL for s in slopes):  # a NaN fails too
-            raise ValueError("slope magnitude exceeds 1: not a contraction carrier")
-        if not math.isfinite(self.anchor):
-            raise ValueError("anchor value must be finite")
+        _padded((bps,), (slopes,), (self.anchor,))
         bps, slopes = _merge(bps, tuple(min(1.0, max(-1.0, s)) for s in slopes))
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "slopes", slopes)
@@ -221,11 +213,6 @@ def _compact(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return *(a[rows, at] for a in arrays), count
 
 
-def _check_increasing(kinks: np.ndarray) -> None:
-    if (kinks[:, 1:] <= kinks[:, :-1]).any():
-        raise NotIncreasing("breakpoints must be strictly increasing")
-
-
 def closed_form_table(parts) -> PLTable:
     """The rows of each (kinks, slopes) of parts in turn, for strictly
     increasing kinks (N, k), as one table built once; a row evaluates the
@@ -237,10 +224,11 @@ def closed_form_table(parts) -> PLTable:
     the widest repeats its last breakpoint and slope."""
     bps, slopes, nb = [], [], []
     for kinks, pattern in parts:
+        if (kinks[:, 1:] <= kinks[:, :-1]).any():
+            raise NotIncreasing("breakpoints must be strictly increasing")
         if pattern is None:
             b, s, c = _folded(kinks)
         else:
-            _check_increasing(kinks)
             b, c = kinks, np.full(len(kinks), kinks.shape[1])
             s = np.broadcast_to(np.asarray(pattern, dtype=float), (len(kinks), len(pattern)))
         bps.append(b)
@@ -262,7 +250,6 @@ def closed_form_table(parts) -> PLTable:
 
 def _folded(kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """closed_form_table's folded rows for kinks as (breakpoints, slopes, nb)."""
-    _check_increasing(kinks)
     n_rows, k = kinks.shape
     if not 1 <= k <= 2:
         raise ValueError("a folded table has one or two kinks a row")
@@ -280,9 +267,11 @@ def _folded(kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nxt[:, :-1] = np.minimum.accumulate(np.where(keep, kinks, np.inf)[:, ::-1], axis=1)[:, ::-1]
     # make_phi's slope at 0, which the flat slope is 0 times, and right of
     # each candidate at compose's representative point: the midpoint to the
-    # next kept candidate, or a point past the last
+    # next kept candidate, or the point 1 + |c| past the last, which is inf
+    # beyond the largest float and so past every kink, as in compose
     points = np.zeros((n_rows, k + 2))
-    points[:, 1:] = np.where(nxt < np.inf, 0.5 * (cand + nxt), cand + 1.0)
+    with np.errstate(over="ignore"):
+        points[:, 1:] = np.where(nxt < np.inf, 0.5 * cand + 0.5 * nxt, cand + (1.0 + np.abs(cand)))
     odd = (kinks[:, None, :] <= points[:, :, None]).sum(axis=2) % 2 == 1
     flat = np.where(odd[:, 0], -0.0, 0.0)
     right = np.where(odd[:, 1:], -1.0, 1.0)
@@ -397,7 +386,7 @@ def compose(outer, inner):
         # the end points step past their candidate by more than its rounding
         reps = (
             [candidates[0] - (1.0 + abs(candidates[0]))]
-            + [0.5 * (a + b) for a, b in zip(candidates, candidates[1:])]
+            + [0.5 * a + 0.5 * b for a, b in zip(candidates, candidates[1:])]
             + [candidates[-1] + (1.0 + abs(candidates[-1]))]
         )
     else:

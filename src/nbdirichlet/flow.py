@@ -347,7 +347,7 @@ def _certified_step(
     duals = None  # a chain's are read off v; differentiable pieces need none
     if form.n_terms == 0:
         w, duals = u.values, np.zeros(0)  # no pairs, so an empty gap on any pair graph
-    elif form.smooth:
+    elif form.piece.smooth:
         w = _newton_prox(form, u.values, tau, max_inner_iters)
     elif _is_chain(form):
         w = _chain_prox(form, u.values, tau)

@@ -210,10 +210,6 @@ class FormInstance:
     def n_terms(self) -> int:
         return self.coeffs.size
 
-    @property
-    def smooth(self) -> bool:
-        return self.piece.smooth
-
     def diffs(self, values: np.ndarray) -> np.ndarray:
         """D u: the difference u_i - u_j of every pair, in pair order; for
         each row of an (N, n) stack of fields, an (N, n_terms) stack."""
@@ -229,23 +225,22 @@ class FormInstance:
         """E at a field's values (n,), as a float, or at each row of (N, n)
         values, as an (N,) array. Each energy is the exactly rounded sum of
         its terms, so a row's energy does not depend on the other rows; a sum
-        past the largest float is +inf. A stack goes in blocks of rows of
-        about _BLOCK_TERMS terms, each summed by ``_row_sums`` when it holds
-        at least _VECTOR_TERMS terms and by fsum row by row otherwise."""
-        if values.ndim == 1:
-            return _sum_terms((self.coeffs * self.piece.value(self.diffs(values))).tolist())
-        n_rows = values.shape[0]
+        past the largest float is +inf. A field is a stack of one row; a stack
+        goes in blocks of about _BLOCK_TERMS terms, each summed by
+        ``_row_sums`` when it holds at least _VECTOR_TERMS terms, else by fsum."""
+        stack = values if values.ndim == 2 else values[None]
+        n_rows = stack.shape[0]
         blocks = -(-n_rows * self.n_terms // _BLOCK_TERMS)  # rows in about equal blocks
         step = max(1, -(-n_rows // max(blocks, 1)))
         out = np.empty(n_rows)
         for start in range(0, n_rows, step):
             rows = slice(start, start + step)
-            terms = self.coeffs * self.piece.value(self.diffs(values[rows]))
+            terms = self.coeffs * self.piece.value(self.diffs(stack[rows]))
             if terms.size >= _VECTOR_TERMS:
                 out[rows] = _row_sums(terms)
             else:
                 out[rows] = [_sum_terms(row) for row in terms.tolist()]
-        return out
+        return out if values.ndim == 2 else float(out[0])
 
     def descriptor(self) -> dict:
         """The normalised descriptor this form was built from; make_form of it

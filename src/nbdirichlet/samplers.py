@@ -11,13 +11,13 @@ Every check owns a numpy Generator (``check_rng``). A field and a band
 radius are laws on a fixed number of uniform words, written over arrays:
 ``field_values`` maps rows of n + 2 words to fields on n points and
 ``alpha_values`` pairs of words to radii. So a sweep builds the fields and
-radii of many samples from one ``rng.random((rows, words))`` block, and
-``sample_alpha`` draws one radius through the same law. Contractions are
-drawn one at a time, by ``random()`` and ``integers()`` calls (a run of
-``random()`` calls as one ``rng.random(k)``, which reads the same words), as
-canonical rows ``(breakpoints, slopes, anchor)`` built with the row algebra
-of ``contraction``: no ``PLFunction`` is made, and the table the rows go
-into checks them (``contraction.pl_table``).
+radii of many samples from one ``rng.random((rows, words))`` block; one
+radius is ``alpha_values(rng.random(2))``. Contractions are drawn one at a
+time, by ``random()`` and ``integers()`` calls (a run of ``random()`` calls
+as one ``rng.random(k)``, which reads the same words), as canonical rows
+``(breakpoints, slopes, anchor)`` built with the row algebra of
+``contraction``: no ``PLFunction`` is made, and the table the rows go into
+checks them (``contraction.pl_table``).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import PLFunction, _alternating, _zigzag, compose, negate
-from .errors import as_real, require_int
+from .contraction import _alternating, _zigzag, compose, negate
+from .errors import require_int
 
 
 def check_rng(seed: int, name: str) -> np.random.Generator:
@@ -98,11 +98,6 @@ def alpha_values(words: np.ndarray) -> np.ndarray:
     return np.where(words[..., 0] < 0.125, 0.0, np.exp(lo + (hi - lo) * words[..., 1]))
 
 
-def sample_alpha(rng: np.random.Generator) -> float:
-    """One band radius, from two words of rng."""
-    return float(alpha_values(rng.random(2)))
-
-
 def sample_f_k(rng: np.random.Generator, max_k: int, span: float) -> tuple:
     """The row of make_phi(bps) for k <= max_k uniform breakpoints in
     [-span, span], drawn again until they are distinct."""
@@ -151,20 +146,3 @@ def sample_contraction(rng: np.random.Generator) -> tuple:
     if draw < 0.8:
         return sample_g_composition(rng, MAX_DEPTH, BREAKPOINT_RANGE)
     return sample_envelope_contraction(rng, ENVELOPE_POINTS, BREAKPOINT_RANGE)
-
-
-def pl_to_witness(phi: PLFunction) -> dict:
-    return {
-        "breakpoints": list(phi.breakpoints),
-        "slopes": list(phi.slopes),
-        "anchor": phi.anchor,
-    }
-
-
-def pl_from_witness(d: dict) -> PLFunction:
-    """The contraction a witness records; each breakpoint, slope and the
-    anchor must be a finite int or float, or ValueError is raised."""
-    def reals(key: str) -> tuple:
-        return tuple(as_real(f"phi {key}", x) for x in d[key])
-
-    return PLFunction(reals("breakpoints"), reals("slopes"), as_real("phi anchor", d["anchor"]))

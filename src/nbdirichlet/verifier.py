@@ -63,6 +63,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .catalog import instance_catalog
 from .contraction import (
     PLFunction,
     _alternating_slopes,
@@ -76,7 +77,6 @@ from .errors import PreconditionFailed, as_real
 from .forms import FormInstance, make_form
 from .lattice_ops import (
     h_alpha,
-    phi_alpha,
     project_band,
     project_oracle,
     project_order,
@@ -89,8 +89,6 @@ from .samplers import (
     alpha_values,
     check_rng,
     field_values,
-    pl_from_witness,
-    pl_to_witness,
     sample_contraction,
 )
 
@@ -231,19 +229,15 @@ def _viol_minmax(f, g):
 
 
 def _viol_clamp(f, g, alpha):
-    hfg = np.clip(f, g - alpha, g + alpha)
-    hgf = np.clip(g, f - alpha, f + alpha)
-    return (hfg, hgf, f, g), _split
+    return (h_alpha(f, g, alpha), h_alpha(g, f, alpha), f, g), _split
 
 
 def _viol_order_projection(f, g):
-    d = np.maximum(f - g, 0.0)
-    return (f - 0.5 * d, g + 0.5 * d, f, g), _split
+    return (*project_order(f, g), f, g), _split
 
 
 def _viol_band_projection(f, g, alpha):
-    t = phi_alpha(f - g, alpha)
-    return (g + 0.5 * t, f - 0.5 * t, f, g), _split
+    return (*project_band(f, g, alpha), f, g), _split
 
 
 def _viol_symmetry(f):
@@ -473,18 +467,33 @@ IDENTITY_NAMES = tuple(c.name for c in CHECKS if c.group == "identity")
 
 def _encode(value):
     """Witness form of a sampled parameter: arrays as lists, contraction rows
-    as the breakpoint/slope dicts of their PLFunctions, floats as they are."""
+    as the breakpoints, slopes and anchor of their PLFunctions, floats as
+    they are."""
     if isinstance(value, tuple):
-        return pl_to_witness(PLFunction(*value))
+        bps, slopes, anchor = PLFunction(*value)
+        return {"breakpoints": list(bps), "slopes": list(slopes), "anchor": anchor}
     return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _entry(record, key: str, what: str):
+    """record[key], or a ValueError naming the key that record lacks."""
+    try:
+        return record[key]
+    except (KeyError, TypeError):  # a TypeError when record is not a mapping
+        raise ValueError(f"{what} has no entry {key!r}") from None
 
 
 def _decode(key: str, value, space: MeasureSpace):
     """A witness parameter as one sample of the kernels: fields are checked
-    against the target's space, scalars must be finite ints or floats (not
+    against the target's space; scalars, and the entries of a contraction's
+    breakpoints, slopes and anchor, must be finite ints or floats (not
     bools); a bad one raises ValueError."""
     if key == "phi":
-        return tuple(pl_from_witness(value))
+        def reals(k: str) -> tuple:
+            return tuple(as_real(f"phi {k}", x) for x in _entry(value, k, "phi"))
+
+        anchor = as_real("phi anchor", _entry(value, "anchor", "phi"))
+        return tuple(PLFunction(reals("breakpoints"), reals("slopes"), anchor))
     if key in ("f", "g"):
         return make_field(space, value).values
     return as_real(f"witness parameter {key!r}", value)
@@ -697,20 +706,13 @@ def check_identities(
 
 
 def counterexample_demo() -> CheckResult:
-    """The decreasing ramp on the positive-part grid integrand.
+    """The decreasing ramp on the catalog's positive-part grid integrand.
 
-    E(f) = 0 and E(-f) = 1 for f_i = -i/10 on 11 nodes with h = 0.1, so the
-    contraction phi = -id raises the energy; passed is False by design and
-    the witness replays to the exact violation.
+    E(f) = 0 and E(-f) = 1 for f_i = -i/10 on its 11 nodes with h = 0.1, so
+    the contraction phi = -id raises the energy; passed is False by design
+    and the witness replays to the exact violation.
     """
-    form = make_form(
-        {
-            "kind": "local_grid_1d",
-            "nodes": 11,
-            "h": 0.1,
-            "integrand": {"name": "max_positive_part"},
-        }
-    )
+    form = make_form(instance_catalog(0)["grid_max_positive_part"])
     (check,) = (c for c in CHECKS if c.group == "contraction")
     params = {"phi": _MINUS_ID, "f": -np.arange(11) / 10.0}
     witness = _witness(check, form, params)
@@ -721,14 +723,16 @@ def counterexample_demo() -> CheckResult:
 
 
 def replay(witness: dict) -> float:
-    """Re-evaluate the violation a witness records, bit-for-bit."""
-    check = _BY_NAME.get(witness["check"])
+    """Re-evaluate the violation a witness records, bit-for-bit; a witness
+    without a key its check needs raises ValueError."""
+    name = _entry(witness, "check", "witness")
+    check = _BY_NAME.get(name)
     if check is None:
-        raise ValueError(f"unknown check {witness['check']!r} in witness")
+        raise ValueError(f"unknown check {name!r} in witness")
     if check.group == "identity":
-        target = space = MeasureSpace(witness["weights"])
+        target = space = MeasureSpace(_entry(witness, "weights", "witness"))
     else:
-        target = make_form(witness["form"])
+        target = make_form(_entry(witness, "form", "witness"))
         space = target.space
-    params = {k: _decode(k, witness[k], space) for k in check.keys}
+    params = {k: _decode(k, _entry(witness, k, "witness"), space) for k in check.keys}
     return float(_violations(check, target, [params])[0])

@@ -93,12 +93,15 @@ def test_slope_magnitude_guard():
     ((1.0,), (1.0, -1.0), np.inf),  # anchor not finite
     ((1.0,), (1.0, np.nan), 0.0),  # a NaN slope
     ((), (np.nan,), 0.0),
+    ((1.0,), (1.0, -1.0), None),  # anchor not a number
+    ((1.0,), (1.0, -1.0), "0"),
+    ((1.0,), (1.0, -1.0), "x"),
 ])
 def test_table_checks_each_row_as_plfunction_does(row):
     # a row is checked where a table is built, with PLFunction's errors
-    with pytest.raises(ValueError) as want:  # NotIncreasing is a ValueError
+    with pytest.raises((TypeError, ValueError)) as want:  # NotIncreasing is a ValueError
         PLFunction(*row)
-    with pytest.raises(ValueError) as got:
+    with pytest.raises((TypeError, ValueError)) as got:
         pl_table([tuple(make_phi([0.5])), row, tuple(make_phi([]))])
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
@@ -127,6 +130,8 @@ def test_compose_past_two_to_the_53():
     # read further out
     assert compose(make_phi([]), make_phi([1e16])) == make_phi([1e16])
     assert compose(make_phi([-1e16]), make_phi([])) == make_phi([-1e16])
+    # the midpoint of 1e308 and 1.5e308 is taken without their sum, which overflows
+    assert compose(make_phi([]), make_phi([1e308, 1.5e308])) == make_phi([1e308, 1.5e308])
 
 
 @given(breakpoint_lists(max_k=5), breakpoint_lists(max_k=5))
@@ -223,7 +228,7 @@ def test_decompose_with_exactly_equal_gaps():
         assert np.max(np.abs(rebuilt(GRID) - phi(GRID))) <= 1e-9
 
 
-@pytest.mark.parametrize("bps", [[1e16, 3e16], [-1e300, -5e299, 1e300]])
+@pytest.mark.parametrize("bps", [[1e16, 3e16], [-1e300, -5e299, 1e300], [1e308, 1.5e308]])
 def test_decompose_roundtrip_at_large_magnitudes(bps):
     phi = make_phi(bps)
     assert reduce(compose, *decompose(phi)) == phi

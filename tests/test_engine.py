@@ -299,15 +299,18 @@ def table_rows(t):
     ]
 
 
-X = [0.0, 1e-13, 5e-12, 0.05, 1.0, 2.5, 5.999]
+X = [0.0, 1e-13, 5e-12, 0.05, 1.0, 2.5, 5.999, 1.5e308]
 X1X2 = [
     (0.0, 0.05), (0.0, 3.0), (0.0, 1e-13),  # the x1 = 0 branch
     (1.0, 1.05), (1.0, np.nextafter(1.0, 2.0)), (1.0, 1.0 + 1e-13), (2.0, 2.0 + 5e-12),  # x2 just above x1
     (1e-13, 2.0), (1e-13, 1.5e-13), (0.3, 4.0),
     (8e-13, 1.5e-12),  # x1 merges into 0 and x2 does not, though it lies within merge range of x1
+    (1e16, 1e16 + 2),  # x2 merges into x1, and 1 past x1 rounds back onto it
+    (1e308, 1.5e308),  # x1 + x2 and the point past x2 overflow
 ]
 
 
+@pytest.mark.filterwarnings("error")  # a point past the largest float is inf, silently
 def test_fold1_tables_equal_make_phi_and_compose():
     kinks = np.array(X)[:, None]
     assert table_rows(closed_form_table([(kinks, (1.0, -1.0))])) == table_rows(
@@ -318,6 +321,7 @@ def test_fold1_tables_equal_make_phi_and_compose():
     assert bits(want[0].slopes) == bits([-0.0, -1.0])
 
 
+@pytest.mark.filterwarnings("error")  # a point past the largest float is inf, silently
 def test_fold2_tables_equal_make_phi_and_compose():
     kinks = np.array(X1X2)
     assert table_rows(closed_form_table([(kinks, (1.0, -1.0, 1.0))])) == table_rows(

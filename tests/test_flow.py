@@ -315,7 +315,7 @@ def test_certificate_bounds_the_suboptimality(label):
     # certificate that compares w with a few other points reads about 0 there
     make, path = CERTIFIED_PATHS[label]
     form = make()
-    assert path == ("newton" if form.smooth else "chain" if flow._is_chain(form) else "admm")
+    assert path == ("newton" if form.piece.smooth else "chain" if flow._is_chain(form) else "admm")
     tau = 1e-2
     rng = np.random.default_rng(40)
     u = rng.uniform(-1, 1, form.space.n)

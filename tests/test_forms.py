@@ -386,10 +386,10 @@ def test_wide_energy_rows_keep_the_overflow_rule(monkeypatch):
 @pytest.mark.parametrize("n_rows", [1, 7, 150, 401, 2000])
 def test_energy_blocks_do_not_show(monkeypatch, label, n_rows):
     # a stack is summed in blocks, each by fsum or _row_sums after its size;
-    # every row is its field's energy bit for bit, whatever block it is in
+    # every row is the fsum of its own terms bit for bit, whatever block it is in
     form = make_form(instance_catalog(3)[label])
     values = np.random.default_rng(n_rows).uniform(-3.0, 3.0, (n_rows, form.space.n))
-    want = [form.energy_of_values(row) for row in values]
+    want = [_sum_terms((form.coeffs * form.piece.value(form.diffs(row))).tolist()) for row in values]
     sizes = []
     monkeypatch.setattr(forms, "_row_sums", lambda t: sizes.append(t.size) or _row_sums(t))
     got = form.energy_of_values(values)

@@ -20,8 +20,8 @@ from nbdirichlet.samplers import (
     MAX_DEPTH,
     P_RAMP,
     P_STEP,
+    alpha_values,
     field_values,
-    sample_alpha,
     sample_contraction,
     sample_envelope_contraction,
     sample_f_k,
@@ -132,7 +132,7 @@ def test_samplers_equal_their_uniform_forms_bit_for_bit():
         for n in (1, 2, 7, 20):
             want, got = _uniform_sample_values(a, n), field_values(b.random((1, n + 2)), n)[0]
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-        assert np.float64(sample_alpha(b)).view(np.int64) == np.float64(
+        assert np.float64(alpha_values(b.random(2))).view(np.int64) == np.float64(
             _uniform_sample_alpha(a)).view(np.int64)
         assert _pl_bits(sample_f_k(b, 8, 5.0)) == _pl_bits(_uniform_sample_f_k(a, 8, 5.0))
         assert _pl_bits(sample_envelope_contraction(b, 9, 5.0)) == _pl_bits(

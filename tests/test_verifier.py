@@ -214,6 +214,32 @@ def test_replay_takes_only_finite_numbers():
             replay(dict(contraction, phi=dict(phi, **{key: bad})))
 
 
+def test_replay_names_a_missing_or_malformed_key():
+    form = graph_form()
+    contraction = check_normal_contraction(form, CFG).witness
+    phi = contraction["phi"]
+    for witness, message in (
+        ({k: v for k, v in contraction.items() if k != "check"}, "witness has no entry 'check'"),
+        ({k: v for k, v in contraction.items() if k != "f"}, "witness has no entry 'f'"),
+        ({k: v for k, v in contraction.items() if k != "form"}, "witness has no entry 'form'"),
+        (dict(contraction, phi={k: v for k, v in phi.items() if k != "anchor"}),
+         "phi has no entry 'anchor'"),
+        (dict(contraction, phi=[phi["breakpoints"], phi["slopes"], phi["anchor"]]),
+         "phi has no entry"),
+        ([contraction], "witness has no entry 'check'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            replay(witness)
+
+
+def test_replay_takes_the_radii_of_the_lattice_operators():
+    # a clamp witness runs the clamp h_alpha, which refuses a negative radius
+    clamp = next(r.witness for r in check_criteria(graph_form(), CFG) if r.name == "clamp")
+    for name in ("clamp", "band_projection"):
+        with pytest.raises(ValueError, match="alpha"):
+            replay(dict(clamp, check=name, alpha=-1.0))
+
+
 def test_checks_are_deterministic_and_order_independent():
     form = graph_form()
     a = check_normal_contraction(form, CFG)
