@@ -16,9 +16,9 @@ unchecked row for rows, which is how the samplers draw contractions.
 A ``PLTable`` holds many rows, and ``pl_eval`` evaluates every row at its
 own points with the arithmetic of one ``PLFunction`` call; a ``PLFunction``
 evaluates as a one-row table, and ``pl_table`` checks every row of a table
-by the row checks that ``PLFunction`` applies to its one. The contraction families of the verifier's proof
-chain have closed-form tables, and ``closed_form_table`` builds the rows of
-several of them as one table.
+by the row checks that ``PLFunction`` applies to its one. The contraction
+families of the verifier's proof chain have closed-form tables, and
+``closed_form_table`` builds the rows of several of them as one table.
 """
 
 from __future__ import annotations

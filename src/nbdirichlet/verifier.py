@@ -63,7 +63,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import instance_catalog
 from .contraction import (
     PLFunction,
     _alternating_slopes,
@@ -476,11 +475,12 @@ def _encode(value):
 
 
 def _entry(record, key: str, what: str):
-    """record[key], or a ValueError naming the key that record lacks."""
-    try:
-        return record[key]
-    except (KeyError, TypeError):  # a TypeError when record is not a mapping
-        raise ValueError(f"{what} has no entry {key!r}") from None
+    """record[key]; a ValueError if record is not a dict or lacks key."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} is not a mapping, got {type(record).__name__}")
+    if key not in record:
+        raise ValueError(f"{what} has no entry {key!r}")
+    return record[key]
 
 
 def _decode(key: str, value, space: MeasureSpace):
@@ -490,7 +490,10 @@ def _decode(key: str, value, space: MeasureSpace):
     bools); a bad one raises ValueError."""
     if key == "phi":
         def reals(k: str) -> tuple:
-            return tuple(as_real(f"phi {k}", x) for x in _entry(value, k, "phi"))
+            entry = _entry(value, k, "phi")
+            if not isinstance(entry, (list, tuple, np.ndarray)):
+                raise ValueError(f"phi {k} must be a list of real numbers, got {entry!r}")
+            return tuple(as_real(f"phi {k}", x) for x in entry)
 
         anchor = as_real("phi anchor", _entry(value, "anchor", "phi"))
         return tuple(PLFunction(reals("breakpoints"), reals("slopes"), anchor))
@@ -706,13 +709,14 @@ def check_identities(
 
 
 def counterexample_demo() -> CheckResult:
-    """The decreasing ramp on the catalog's positive-part grid integrand.
+    """The decreasing ramp on the positive-part grid integrand.
 
-    E(f) = 0 and E(-f) = 1 for f_i = -i/10 on its 11 nodes with h = 0.1, so
-    the contraction phi = -id raises the energy; passed is False by design
-    and the witness replays to the exact violation.
+    E(f) = 0 and E(-f) = 1 for f_i = -i/10 on 11 nodes with h = 0.1, so the
+    contraction phi = -id raises the energy; passed is False by design and
+    the witness replays to the exact violation.
     """
-    form = make_form(instance_catalog(0)["grid_max_positive_part"])
+    grid = {"kind": "local_grid_1d", "nodes": 11, "h": 0.1}
+    form = make_form({**grid, "integrand": {"name": "max_positive_part"}})
     (check,) = (c for c in CHECKS if c.group == "contraction")
     params = {"phi": _MINUS_ID, "f": -np.arange(11) / 10.0}
     witness = _witness(check, form, params)
@@ -724,7 +728,7 @@ def counterexample_demo() -> CheckResult:
 
 def replay(witness: dict) -> float:
     """Re-evaluate the violation a witness records, bit-for-bit; a witness
-    without a key its check needs raises ValueError."""
+    that is not a dict or lacks a key its check needs raises ValueError."""
     name = _entry(witness, "check", "witness")
     check = _BY_NAME.get(name)
     if check is None:

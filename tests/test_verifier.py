@@ -225,8 +225,12 @@ def test_replay_names_a_missing_or_malformed_key():
         (dict(contraction, phi={k: v for k, v in phi.items() if k != "anchor"}),
          "phi has no entry 'anchor'"),
         (dict(contraction, phi=[phi["breakpoints"], phi["slopes"], phi["anchor"]]),
-         "phi has no entry"),
-        ([contraction], "witness has no entry 'check'"),
+         "phi is not a mapping, got list"),
+        (dict(contraction, phi=dict(phi, breakpoints=0.5)),
+         "phi breakpoints must be a list of real numbers, got 0.5"),
+        (dict(contraction, phi=dict(phi, slopes=None)),
+         "phi slopes must be a list of real numbers, got None"),
+        ([contraction], "witness is not a mapping, got list"),
     ):
         with pytest.raises(ValueError, match=message):
             replay(witness)
