@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 r"""Time the first K units of a perfbench workload in one process, as one
-JSON line of the minimum milliseconds a job takes, per kind and in total.
+JSON line of the minimum milliseconds a job takes, per kind and in total,
+and the process's peak resident set size in MB.
 
     PYTHONPATH=src python scripts/time_sweep_units.py --workload sweep --seed 29 \
         --units 90 --rounds 7
@@ -24,6 +25,7 @@ import itertools
 import json
 import os
 import pathlib
+import resource
 import sys
 import tempfile
 import time
@@ -78,6 +80,8 @@ def main() -> int:
         "jobs": len(jobs),
         "ms_per_job": round(1e3 * sum(best) / len(best), 4),
         "kinds": {k: round(1e3 * sum(v) / len(v), 4) for k, v in sorted(kinds.items())},
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }))
     return 0
 

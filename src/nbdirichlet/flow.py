@@ -18,6 +18,7 @@ L2 metric, by one of three solvers chosen from the form's structure:
   refactored only when residual balancing changes rho, as is the prox weight
   kappa = c * scale / rho. The dual residual s is computed only when the
   primal residual passes or when rho is balanced, every 64 iterations.
+  scipy is imported on the first ADMM step, so nothing else loads it.
 
 Every step carries a certificate: an upper bound on F(v) - min F, where
 F(w) = E(w) + ||w - u||^2_m / (2 tau) is the step's objective. F is
@@ -42,10 +43,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, diags
-from scipy.sparse.linalg import splu
 
-from .errors import NoConvergence, SpaceMismatch, require_int
+from .errors import NoConvergence, SpaceMismatch, as_real, require_int
 from .forms import FormInstance
 from .measure import Field, make_field
 
@@ -69,12 +68,12 @@ class FlowConfig:
 
     def __post_init__(self):
         # stored as floats, so an integer gives the bits of the same float
-        object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "inner_tol", float(self.inner_tol))
+        object.__setattr__(self, "tau", as_real("tau", self.tau))
+        object.__setattr__(self, "inner_tol", as_real("inner_tol", self.inner_tol))
         _check_tau(self.tau)
         require_int("n_steps", self.n_steps, 1)
-        if not 0.0 < self.inner_tol < math.inf:
-            raise ValueError("inner_tol must be positive and finite")
+        if not self.inner_tol > 0.0:
+            raise ValueError("inner_tol must be positive")
         require_int("max_inner_iters", self.max_inner_iters, 1)
 
 
@@ -120,8 +119,6 @@ def _newton_prox(
     w is returned and the certificate judges it."""
     m = form.space.weights
     n = m.size
-    ii, jj, c = form.i_idx, form.j_idx, form.coeffs
-    piece = form.piece
     scale = 1.0 + float(np.max(np.abs(m * u))) / tau
     w = u.copy()
     grad = _gradient(form, w, u, tau)
@@ -132,12 +129,7 @@ def _newton_prox(
             raise NoConvergence("Newton prox: the gradient is not finite")
         if gnorm <= 1e-13 * scale:
             return w
-        hz = c * piece.hess(form.diffs(w))
-        H = np.zeros((n, n))
-        np.add.at(H, (ii, ii), hz)
-        np.add.at(H, (jj, jj), hz)
-        np.add.at(H, (ii, jj), -hz)
-        np.add.at(H, (jj, ii), -hz)
+        H = form.laplacian(form.coeffs * form.piece.hess(form.diffs(w)))
         H[np.diag_indices(n)] += m / tau
         try:
             step = np.linalg.solve(H, -grad)
@@ -170,17 +162,15 @@ def _admm_prox(
     computed only where it is read, when the primal residual r passes or when
     rho is balanced, and what depends on rho (the factor and kappa) only when
     rho changes."""
+    from scipy.sparse import csc_matrix, diags  # loaded only when ADMM runs
+    from scipy.sparse.linalg import splu
+
     m = form.space.weights
     n = m.size
-    ii, jj, c = form.i_idx, form.j_idx, form.coeffs
+    c = form.coeffs
     piece = form.piece
-    ones = np.ones(c.size)
     # D^T D summed from its pair entries; CSC, as splu wants it
-    DtD = csc_matrix(
-        (np.concatenate([ones, ones, -ones, -ones]),
-         (np.concatenate([ii, jj, ii, jj]), np.concatenate([ii, jj, jj, ii]))),
-        shape=(n, n),
-    )
+    DtD = csc_matrix(form._laplacian_entries(np.ones(c.size)), shape=(n, n))
     base = diags(m / tau, format="csc")
     cs = c * piece.scale
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, BadWeight, EmptySpace, require_int
+from .errors import BadSpec, BadWeight, EmptySpace, as_real, require_int
 from .measure import MeasureSpace
 
 
@@ -247,27 +247,31 @@ class FormInstance:
         gives the same form. Shared, not copied: do not mutate it."""
         return self._descriptor
 
-    def laplacian(self) -> np.ndarray:
-        """Dense Laplacian of the pair graph weighted by the coefficients; a
-        graph_quadratic energy is u.Lu/2 (used by the resolvent oracle)."""
-        n = self.space.n
-        ii, jj, c = self.i_idx, self.j_idx, self.coeffs
-        # one pass in pair order, so each entry sums its terms as a loop over
-        # the edges would
-        rows = np.stack([ii, jj, ii, jj], axis=1).ravel()
-        cols = np.stack([ii, jj, jj, ii], axis=1).ravel()
-        vals = np.stack([c, c, -c, -c], axis=1).ravel()
-        L = np.zeros((n, n))
-        np.add.at(L, (rows, cols), vals)
+    def _laplacian_entries(self, w: np.ndarray) -> tuple:
+        """The entries (values, (rows, cols)) of D^T diag(w) D for pair
+        weights w, in blocks: w at (i, i), w at (j, j), -w at (i, j), -w at
+        (j, i), each block in pair order; repeated entries add up."""
+        ii, jj = self.i_idx, self.j_idx
+        rows, cols = np.concatenate([ii, jj, ii, jj]), np.concatenate([ii, jj, jj, ii])
+        return np.concatenate([w, w, -w, -w]), (rows, cols)
+
+    def laplacian(self, w: np.ndarray | None = None) -> np.ndarray:
+        """Dense Laplacian D^T diag(w) D of the pair graph with pair weights
+        w, the coefficients by default; a graph_quadratic energy is u.Lu/2
+        (used by the resolvent oracle). Each entry sums its terms in the
+        block order of ``_laplacian_entries``."""
+        vals, at = self._laplacian_entries(self.coeffs if w is None else w)
+        L = np.zeros((self.space.n, self.space.n))
+        np.add.at(L, at, vals)
         return L
 
 
 def _power_piece(p: float, h: float | None = None) -> ScalarPiece:
-    """The piece of a descriptor's exponent p, finite and at least 1: |z|^p,
-    or on a grid of spacing h, h * |z/h|^p / p == (h^(1-p)/p) |z|^p with z the
-    raw difference. At p = 1 both are |z|, the box (-1, 1)."""
-    if not 1.0 <= p < math.inf:
-        raise BadSpec(f"exponent p must be finite and at least 1 (p = 1 is |z|), got {p}")
+    """The piece of a descriptor's exponent p, at least 1: |z|^p, or on a
+    grid of spacing h, h * |z/h|^p / p == (h^(1-p)/p) |z|^p with z the raw
+    difference. At p = 1 both are |z|, the box (-1, 1)."""
+    if not p >= 1.0:
+        raise BadSpec(f"exponent p must be at least 1 (p = 1 is |z|), got {p}")
     if p == 1.0:
         return ScalarPiece(box=(-1.0, 1.0))
     return ScalarPiece(p, 1.0 if h is None else h ** (1.0 - p) / p)
@@ -286,11 +290,11 @@ def _graph_quadratic(spec: dict) -> FormInstance:
     for i, j, w in spec.get("edges", []):
         require_int("an edge endpoint", i, 0)
         require_int("an edge endpoint", j, 0)
-        i, j, w = int(i), int(j), float(w)
+        i, j, w = int(i), int(j), as_real("an edge weight", w)
         if not (i < n and j < n and i != j):
             raise BadSpec(f"edge ({i}, {j}) is not a pair of distinct nodes")
-        if not (np.isfinite(w) and w >= 0.0):
-            raise BadSpec("edge weights must be finite and nonnegative")
+        if not w >= 0.0:
+            raise BadSpec("edge weights must be nonnegative")
         edges.append((i, j, w))
     descriptor = {
         "kind": "graph_quadratic",
@@ -315,7 +319,7 @@ def _nonlocal_psi(spec: dict) -> FormInstance:
         raise BadSpec("psi must be a mapping with a 'name'")
     name = psi_spec.get("name")
     if name == "power":
-        psi = {"name": name, "p": float(psi_spec.get("p", 2.0))}
+        psi = {"name": name, "p": as_real("exponent p", psi_spec.get("p", 2.0))}
         piece = _power_piece(psi["p"])
     elif name == "positive_part":
         piece = ScalarPiece(box=(0.0, 1.0))
@@ -350,15 +354,15 @@ def _local_grid_1d(spec: dict) -> FormInstance:
         raise BadSpec("local_grid_1d descriptor needs 'nodes' and 'h'")
     require_int("a 1D grid's nodes", spec["nodes"], 2)
     nodes = int(spec["nodes"])
-    h = float(spec["h"])
-    if not (np.isfinite(h) and h > 0.0):
+    h = as_real("grid spacing h", spec["h"])
+    if not h > 0.0:
         raise BadSpec("grid spacing h must be positive")
     integrand = dict(spec.get("integrand", {}))
     name = integrand.get("name")
     n_edges = nodes - 1
     coeffs = np.ones(n_edges)
     if name == "abs_power":
-        piece = _power_piece(float(integrand.get("p", 2.0)), h)
+        piece = _power_piece(as_real("exponent p", integrand.get("p", 2.0)), h)
     elif name == "max_positive_part":
         # h * max(z/h, 0) == max(z, 0)
         piece = ScalarPiece(box=(0.0, 1.0))
@@ -390,7 +394,7 @@ def make_form(spec: dict) -> FormInstance:
     """Build and validate a form from its JSON-style descriptor."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise BadSpec("form descriptor must be a mapping with a 'kind'")
-    builder = _BUILDERS.get(spec["kind"])
+    builder = _BUILDERS.get(spec["kind"]) if isinstance(spec["kind"], str) else None
     if builder is None:
         raise BadSpec(f"unknown form kind {spec['kind']!r}")
     try:

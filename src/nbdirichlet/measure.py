@@ -25,7 +25,10 @@ class MeasureSpace:
     __slots__ = ("weights",)
 
     def __init__(self, weights) -> None:
-        arr = np.asarray(weights, dtype=float)
+        try:
+            arr = np.asarray(weights, dtype=float)
+        except (TypeError, ValueError) as exc:  # an entry that is not a number
+            raise BadWeight(f"weights must be real numbers: {exc}") from exc
         if arr.ndim != 1:
             raise BadWeight("weights must be a one-dimensional sequence")
         if arr.size == 0:

@@ -31,26 +31,25 @@ over the stacked columns of every check that uses it (f and g are one
 field law), and gives each check its fields ((N, n) arrays) and scalars.
 Scalars go to the kernels as (N, 1) columns and contractions as one
 ``PLTable`` per kernel call, which checks every row; a row becomes a
-``PLFunction`` only when a witness records it. Checks that share a kernel
-run as one call over their rows, one check after another. A form kernel
-returns its energy arguments and a combiner. An energy argument may be a
-deferred evaluation of a fold family's table (``_Apply``): the deferred
-evaluations of every kernel of the chunk run as one table of all their rows
-and one ``pl_eval``. The energy arguments then go through one
-``energy_of_values`` call, and each combiner maps its rows of the energies
-to its violations with the float operations of the inequality, in its
-order. Identity kernels return their violations. Each row is computed on
-its own, so the bits do not depend on the chunking or the grouping. The
-pass folds the chunk's violations, one row a check, into each check's worst
-sample (``_fold``), copying a check's parameters only when its worst
-changes, and then into its result (``_sweep``). ``replay`` calls the same
-kernel on a one-row batch. The kernel's keyword arguments name the witness
-keys, so the sweep, the witness and ``replay`` all follow from the row.
+``PLFunction`` only when a witness records it. Each check calls its kernel
+once per chunk, on its own rows. A form kernel returns its energy arguments
+and a combiner. An energy argument may be a deferred evaluation of a fold
+family's table (``_Apply``): the deferred evaluations of every kernel of
+the chunk run as one table of all their rows and one ``pl_eval``. The
+energy arguments then go through one ``energy_of_values`` call, and each
+combiner maps its rows of the energies to its violations with the float
+operations of the inequality, in its order. Identity kernels return their
+violations. Each row is computed on its own, so the bits do not depend on
+the chunking or on the other checks of the pass. The pass folds the
+chunk's violations, one row a check, into each check's worst sample
+(``_fold``), copying a check's parameters only when its worst changes, and
+then into its result (``_sweep``). ``replay`` calls the same kernel on a
+one-row batch. The kernel's keyword arguments name the witness keys, so the
+sweep, the witness and ``replay`` all follow from the row.
 
 To add a check, write its batched kernel, which takes the sampled
 parameters and returns (energy arguments, combiner), or the violations for
-an identity, and add one row with the laws of its parameters and its group;
-a check that reuses a kernel shares its calls.
+an identity, and add one row with the laws of its parameters and its group.
 """
 
 from __future__ import annotations
@@ -587,10 +586,10 @@ def _run(group: str, target, cfg: SuiteConfig) -> list[CheckResult]:
 
     For each chunk, every check draws one block from its own stream; each
     law runs once over the stacked columns of every check that uses it;
-    checks that share a kernel run as one kernel call over their rows, one
-    check after another; the deferred table evaluations of every kernel run
-    as one, and one energy evaluation serves every kernel; and the pass
-    folds the chunk's violations, one row a check, into the results.
+    each check calls its kernel on its own rows; the deferred table
+    evaluations of every kernel run as one, and one energy evaluation serves
+    every kernel; and the pass folds the chunk's violations, one row a
+    check, into the results.
     """
     checks = [c for c in CHECKS if c.group == group]
     space = target if group == "identity" else target.space
@@ -609,8 +608,6 @@ def _run(group: str, target, cfg: SuiteConfig) -> list[CheckResult]:
             uses.setdefault(law.draw, []).append((j, lo, lo + law.width(n), law.keys))
             lo += law.width(n)
         widths.append(lo)
-    kernels = dict.fromkeys(c.kernel for c in checks)
-    batches = [[j for j, c in enumerate(checks) if c.kernel is k] for k in kernels]
     rows = max(1, _CHUNK_VALUES // (n * len(checks)))
     best = [(-math.inf, None, True)] * len(checks)
     for start in range(0, cfg.n_samples, rows):
@@ -623,22 +620,9 @@ def _run(group: str, target, cfg: SuiteConfig) -> list[CheckResult]:
             values = draw(words, n, np.tile(idx, len(cols)))
             for pos, (j, _, _, keys) in enumerate(cols):
                 params[j].update(zip(keys, (v[pos * size : (pos + 1) * size] for v in values)))
-        args = [
-            _args({k: _concat([params[j][k] for j in b]) for k in checks[b[0]].keys})
-            for b in batches
-        ]
-        violations = np.empty((len(checks), size))
-        for b, v in zip(batches, _evaluate(target, list(zip(kernels, args)))):
-            violations[b] = v.reshape(len(b), size)
-        _fold(best, violations, params)
+        batches = [(c.kernel, _args(p)) for c, p in zip(checks, params)]
+        _fold(best, np.stack(_evaluate(target, batches)), params)
     return [_sweep(c, target, cfg, b) for c, b in zip(checks, best)]
-
-
-def _concat(parts: list):
-    """One parameter of the checks that share a kernel call, their rows in turn."""
-    if len(parts) == 1:
-        return parts[0]
-    return sum(parts, []) if isinstance(parts[0], list) else np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +714,7 @@ def replay(witness: dict) -> float:
     """Re-evaluate the violation a witness records, bit-for-bit; a witness
     that is not a dict or lacks a key its check needs raises ValueError."""
     name = _entry(witness, "check", "witness")
-    check = _BY_NAME.get(name)
+    check = _BY_NAME.get(name) if isinstance(name, str) else None
     if check is None:
         raise ValueError(f"unknown check {name!r} in witness")
     if check.group == "identity":

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from nbdirichlet import cli
 from nbdirichlet.cli import canonical_json, run
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, name, doc):
@@ -111,6 +117,41 @@ def test_decompose_command_at_large_magnitudes(capsys):
     out = capsys.readouterr().out
     assert "factor 0: [-1.0000000000000001e+300, -5.0000000000000003e+299]" in out
     assert "residual: [1.0000000000000001e+300]" in out
+
+
+def test_commands_without_admm_run_without_scipy(tmp_path):
+    # scipy is imported by the ADMM solver only: decompose, envelope and
+    # verify do not load it, and print and write the same with it blocked
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps([[-1.0, -1.0], [0.0, 0.0], [2.0, -1.5]]))
+    commands = [
+        ["decompose", "--breakpoints", "-1,0,2"],
+        ["envelope", "--samples", str(samples), "--radius", "1.0"],
+        ["verify", str(ROOT / "configs" / "graph_quadratic.json"), "--output", "{out}"],
+    ]
+    script = (
+        "import sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['scipy'] = None\n"
+        "from nbdirichlet.cli import run\n"
+        "code = run(sys.argv[2:])\n"
+        "assert sys.modules.get('scipy') is None, 'scipy was imported'\n"
+        "sys.exit(code)\n"
+    )
+    for argv in commands:
+        seen = []
+        for side in ("free", "blocked"):
+            out = tmp_path / f"{side}.json"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, side, *(a.format(out=out) for a in argv)],
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert not proc.stderr, proc.stderr
+            report = out.read_bytes() if out.exists() else None
+            seen.append((proc.returncode, proc.stdout.replace(str(out), "OUT"), report))
+        assert seen[0] == seen[1], argv
+        assert seen[0][0] in (0, 1)
 
 
 def test_decompose_rejects_bad_input(capsys):
@@ -277,6 +318,19 @@ ABS_GRID = {"kind": "local_grid_1d", "nodes": 5, "h": 0.25, "integrand": {"name"
         ("verify", {"forms": [{**TWO_NODES, "edges": [[0.9, 1.2, 1.0]]}]}),
         ("verify", {"forms": [{"kind": "graph_quadratic", "nodes": True}]}),
         ("verify", {"forms": [{**TWO_NODES, "nodes": 5, "node_weights": [1.0, 2.0]}]}),
+        # a bool or a string is not a number: no tau = 1.0 from true, no |z|
+        # from "p": true, no edge weight 1.5 from "1.5"
+        ("flow", {"form": TWO_NODES, "flow": {"tau": True}}),
+        ("flow", {"form": TWO_NODES, "flow": {"tau": "0.5"}}),
+        ("flow", {"form": TWO_NODES, "flow": {"inner_tol": True}}),
+        ("flow", {"form": TWO_NODES, "flow": {"inner_tol": "1e-9"}}),
+        ("verify", {"forms": [{**ABS_GRID, "h": True}]}),
+        ("verify", {"forms": [{**ABS_GRID, "h": "0.25"}]}),
+        ("verify", {"forms": [{**ABS_GRID, "integrand": {"name": "abs_power", "p": True}}]}),
+        ("verify", {"forms": [{"kind": "nonlocal_psi", "kernel": [[0, 1], [1, 0]],
+                               "psi": {"name": "power", "p": "2"}}]}),
+        ("verify", {"forms": [{**TWO_NODES, "edges": [[0, 1, "1.5"]]}]}),
+        ("verify", {"forms": [{**TWO_NODES, "edges": [[0, 1, True]]}]}),
     ],
 )
 def test_typed_config_errors_exit_2(tmp_path, command, doc):

@@ -221,6 +221,18 @@ def test_diffs_adjoint_is_the_transpose_of_diffs():
         assert np.max(np.abs(form.diffs_adjoint(y) - D.T @ y)) <= 1e-12, label
 
 
+def test_laplacian_is_d_transpose_w_d():
+    # integer weights keep every sum exact, so any summation order gives the
+    # same bits; pair weights other than the coefficients, as Newton's Hessian
+    rng = np.random.default_rng(4)
+    for label, desc in instance_catalog(0).items():
+        form = make_form(desc)
+        D = form.diffs(np.eye(form.space.n)).T  # row e is D's row for pair e
+        w = rng.integers(-3, 9, form.n_terms).astype(float)
+        assert np.array_equal(form.laplacian(w), D.T @ np.diag(w) @ D), label
+        assert np.array_equal(form.laplacian(np.ones(form.n_terms)), D.T @ D), label
+
+
 @pytest.mark.parametrize("p", [1.25, 1.5, 1.75, 3.0])
 def test_power_prox_matches_scalar_root_finder(p):
     from scipy.optimize import brentq

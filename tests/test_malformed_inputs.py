@@ -1,0 +1,131 @@
+"""Malformed input fails with a typed error, whatever leaf is wrong.
+
+One to three leaves of a catalog descriptor, of a verify or flow config, or
+of a witness are replaced by values of the wrong type or out of range. The
+CLI returns 0, 1 or 2 and never raises, and says ``error:`` when it returns
+2; ``make_form`` raises only its typed errors; ``replay`` returns a float or
+raises ValueError.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import pathlib
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nbdirichlet.catalog import instance_catalog
+from nbdirichlet.cli import run
+from nbdirichlet.errors import BadSpec, BadWeight, EmptySpace
+from nbdirichlet.forms import make_form
+from nbdirichlet.samplers import SuiteConfig
+from nbdirichlet.verifier import check_identities, counterexample_demo, replay, verify_form
+
+BAD_LEAVES = [
+    None, True, False, "", "x", "1.5", [], {}, [[1.0]], [[], [0]], 0, -1, -2.5,
+    math.nan, math.inf, -math.inf, 1e308,
+]
+
+_CATALOG = instance_catalog(0)
+# small sizes: a mutation can only lower them or make them invalid
+_DESCRIPTORS = [_CATALOG[k] for k in ("graph_quadratic_20", "nonlocal_abs", "grid_abs_p4",
+                                      "grid_finsler", "grid_max_positive_part")]
+
+
+def _witnesses() -> list:
+    cfg = SuiteConfig(n_samples=3)
+    form = make_form({"kind": "local_grid_1d", "nodes": 4, "h": 0.5,
+                      "integrand": {"name": "abs_power", "p": 2}})
+    results = {r.name: r for r in verify_form(form, cfg) + check_identities(cfg)}
+    names = ("minmax", "clamp", "normal_contraction", "proof_fold1_conclusion",
+             "proof_fold2_straddle_clamp_split", "identity_twist")
+    return [counterexample_demo().witness] + [results[k].witness for k in names]
+
+
+_WITNESSES = _witnesses()
+
+
+def _targets() -> list:
+    targets = [("make_form", d) for d in _DESCRIPTORS]
+    targets += [("verify", {"seed": 1, "forms": [d], "suite": {"n_samples": 3}})
+                for d in _DESCRIPTORS]
+    targets += [
+        ("flow", {"seed": 2, "form": d,
+                  "flow": {"tau": 0.05, "n_steps": 2, "inner_tol": 1e-9, "max_inner_iters": 2000}})
+        for d in _DESCRIPTORS
+    ]
+    targets.append(("flow", {"form": {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]},
+                             "initial": [1.0, 0.0], "flow": {"tau": 0.5, "n_steps": 2}}))
+    return targets + [("replay", w) for w in _WITNESSES]
+
+
+def _leaves(doc, path=()):
+    """The paths of every leaf of a JSON document: its scalars and its empty
+    containers."""
+    items = list(doc.items() if isinstance(doc, dict) else enumerate(doc)
+                 if isinstance(doc, list) else ())
+    if not items:
+        yield path
+    for k, v in items:
+        yield from _leaves(v, (*path, k))
+
+
+def _mutated(doc, paths, values):
+    doc = copy.deepcopy(doc)
+    for path, value in zip(paths, values):
+        *head, last = path
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        parent[last] = copy.deepcopy(value)
+    return doc
+
+
+@st.composite
+def _cases(draw):
+    what, doc = draw(st.sampled_from(_targets()))
+    paths = draw(st.lists(st.sampled_from(list(_leaves(doc))), min_size=1, max_size=3,
+                          unique=True))
+    values = draw(st.lists(st.sampled_from(BAD_LEAVES), min_size=len(paths),
+                           max_size=len(paths)))
+    return what, _mutated(doc, paths, values)
+
+
+def _check(what, doc):
+    if what == "make_form":
+        try:
+            make_form(doc)
+        except (BadSpec, BadWeight, EmptySpace):
+            pass
+    elif what == "replay":
+        try:
+            assert isinstance(replay(doc), float)
+        except ValueError:
+            pass
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            config = pathlib.Path(tmp, "config.json")
+            config.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run([what, str(config), "--output", str(pathlib.Path(tmp, "out"))])
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert "error:" in err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_cases())
+# a form kind or a witness's check that is not a string, which is unhashable
+@example(("verify", {"forms": [{"kind": [], "nodes": 3, "h": 0.1}]}))
+@example(("flow", {"form": {"kind": {}, "nodes": 3, "h": 0.1}}))
+@example(("replay", {**_WITNESSES[1], "check": ["minmax"]}))
+@example(("replay", {**_WITNESSES[1], "check": {}}))
+# a space weight that numpy cannot read as a float
+@example(("replay", {**_WITNESSES[-1], "weights": [{}, *_WITNESSES[-1]["weights"][1:]]}))
+def test_malformed_leaves_fail_with_typed_errors(case):
+    _check(*case)

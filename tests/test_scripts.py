@@ -72,7 +72,8 @@ def test_dump_outputs_script_is_deterministic(tmp_path):
 
 
 def test_time_sweep_units_script():
-    # one JSON line: the minimum time a job takes, per kind and in total
+    # one JSON line: the minimum time a job takes, per kind and in total, and
+    # the peak resident set size
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "time_sweep_units.py"), "--workload", "sweep",
          "--seed", "29", "--units", "3", "--rounds", "1"],
@@ -87,3 +88,4 @@ def test_time_sweep_units_script():
     assert (out["workload"], out["seed"], out["units"], out["rounds"], out["jobs"]) == (
         "sweep", 29, 3, 1, 3)
     assert out["ms_per_job"] > 0 and sum(out["kinds"].values()) > 0
+    assert out["peak_rss_mb"] > 0
