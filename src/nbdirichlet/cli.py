@@ -22,7 +22,6 @@ from .errors import (
     BadSpec,
     BadWeight,
     EmptySpace,
-    InconsistentSamples,
     NoConvergence,
     NotIncreasing,
     require_int,
@@ -228,13 +227,12 @@ def _cmd_decompose(args) -> int:
 def _cmd_envelope(args) -> int:
     try:
         with open(args.samples) as fh:
-            data = json.load(fh)
-        samples = [(float(y), float(v)) for y, v in data]
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+            samples = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"samples file must be JSON [[y, value], ...]: {exc}") from exc
     try:
         pl = envelope(samples, args.radius)
-    except (InconsistentSamples, ValueError) as exc:
+    except ValueError as exc:  # InconsistentSamples too
         raise ConfigError(str(exc)) from exc
     print(f"breakpoints: [{', '.join(_fmt_float(b) for b in pl.breakpoints)}]")
     print(f"slopes: [{', '.join(_fmt_float(s) for s in pl.slopes)}]")

@@ -31,7 +31,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import InconsistentSamples, NotAlternating, NotIncreasing
+from .errors import InconsistentSamples, NotAlternating, NotIncreasing, as_real, as_reals
 
 _MERGE_TOL = 1e-12  # breakpoints closer than this (relative) are one kink
 _SLOPE_TOL = 1e-9   # slack allowed before |slope| <= 1 is declared violated
@@ -183,8 +183,6 @@ def _rel_at(t: PLTable, x: np.ndarray) -> np.ndarray:
     idx = parts[0] if len(parts) == 1 else np.hstack(parts)
     j = np.maximum(idx - 1, 0)
     rows = np.arange(n_rows)[:, None]
-    if t.nb.all():  # j is a breakpoint of every row, not its +inf padding
-        return t.rel[rows, j] + t.slopes[rows, idx] * (x - t.bps[rows, j])
     empty = (t.nb == 0)[:, None]  # the rows without breakpoints are linear
     bj = np.where(empty, 0.0, t.bps[rows, j])
     return np.where(empty, t.slopes[:, :1] * x, t.rel[rows, j] + t.slopes[rows, idx] * (x - bj))
@@ -254,10 +252,10 @@ def _folded(kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not 1 <= k <= 2:
         raise ValueError("a folded table has one or two kinks a row")
     # compose's candidates are 0 and the kinks; a kink is kept when it lies
-    # beyond the last kept candidate by more than the merge tolerance: the
-    # first kink is compared with 0, the second with the first when that is
-    # kept, else with 0
-    tol = _MERGE_TOL * (1.0 + np.abs(kinks))
+    # beyond the last kept candidate by more than the merge tolerance, relative
+    # to the larger magnitude, which is the kink's: the first kink is compared
+    # with 0, the second with the first when that is kept, else with 0
+    tol = _MERGE_TOL * np.abs(kinks)
     keep = kinks > tol
     keep[:, 1:] = kinks[:, 1:] - np.where(keep[:, :-1], kinks[:, :-1], 0.0) > tol[:, 1:]
     cand = np.zeros((n_rows, k + 1))
@@ -319,7 +317,7 @@ def make_phi(breakpoints) -> PLFunction:
 def _dedupe_sorted(xs: list[float]) -> list[float]:
     out: list[float] = []
     for x in xs:
-        if not out or x - out[-1] > _MERGE_TOL * (1.0 + abs(x)):
+        if not out or x - out[-1] > _MERGE_TOL * max(abs(x), abs(out[-1])):
             out.append(x)
     return out
 
@@ -445,29 +443,29 @@ def _np_min(a: float, b: float) -> float:
 def envelope(samples, radius: float) -> PLFunction:
     """Lower 1-Lipschitz envelope x -> min_i value_i + |x - y_i| on [-R, R].
 
-    ``samples`` is an iterable of finite (y, value) pairs with distinct y,
-    containing the origin sample (0, 0) and consistent up to a rounding
-    slack: |value_i - value_j| <= |y_i - y_j|. Consistency leaves only the
-    neighbours' cones on a gap (y_i, y_i+1), so the envelope is a zigzag of
+    ``samples`` is a sequence of (y, value) pairs read by ``as_reals``, with
+    distinct y, the origin sample (0, 0) among them, consistent up to a slack
+    1e-12 max|y|: |value_i - value_j| <= |y_i - y_j|. Consistency leaves only
+    the neighbours' cones on a gap (y_i, y_i+1), so the envelope is a zigzag of
     slopes +1 and -1: it equals value_i at y_i and rises from there until it
     meets the fall to y_i+1 at c_i = ((value_i+1 + y_i+1) - (value_i - y_i)) / 2
     (a gap that c_i lies outside has one slope). The slope is -1 left of the
     first sample and +1 right of the last, also outside [-R, R].
     """
-    pts = sorted((float(y), float(v)) for y, v in samples)
-    if not pts:
-        raise InconsistentSamples("need at least one sample")
-    R = float(radius)
-    if not math.isfinite(R) or R <= 0.0:
+    try:
+        pts = as_reals("sample positions and values", samples)
+    except ValueError as exc:
+        raise InconsistentSamples(str(exc)) from exc
+    if pts.shape[1:] != (2,) or not pts.size:
+        raise InconsistentSamples("need one or more samples, each a (y, value) pair")
+    R = as_real("radius", radius)
+    if R <= 0.0:
         raise ValueError("radius must be positive and finite")
-    ys = [p[0] for p in pts]
-    vs = [p[1] for p in pts]
-    if not all(map(math.isfinite, ys + vs)):
-        raise InconsistentSamples("sample positions and values must be finite")
+    ys, vs = map(list, zip(*sorted(pts.tolist())))
     gaps = [b - a for a, b in zip(ys, ys[1:])]
     if any(g <= 0.0 for g in gaps):
         raise InconsistentSamples("sample positions must be distinct")
-    slack = 1e-12 * (1.0 + max(map(abs, ys)))
+    slack = 1e-12 * max(map(abs, ys))
     if any(abs(b - a) > g + slack for a, b, g in zip(vs, vs[1:], gaps)):
         raise InconsistentSamples("sample values are not 1-Lipschitz consistent")
     if 0.0 not in ys or vs[ys.index(0.0)] != 0.0:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the integer check of the
-config dataclasses and the number check of values from outside."""
+"""Exception types shared across the package, the integer check of config
+dataclasses and the number checks of values from outside, scalar and array."""
 
 import math
 
@@ -64,3 +64,16 @@ def as_real(name: str, value) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return x
+
+
+def as_reals(name: str, values) -> np.ndarray:
+    """values as a new float array of their shape: a float or integer array
+    is copied, anything else read entry by entry by ``as_real``'s rule (not a
+    bool, a string or None); raise ValueError unless every entry is finite."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        obj = np.asarray(values, dtype=object)  # each entry as it was given
+        values = np.reshape([x if type(x) is float else as_real(name, x) for x in obj.flat], obj.shape)
+    arr = np.array(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr

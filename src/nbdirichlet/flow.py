@@ -372,7 +372,11 @@ def prox_certificate(
     bound. On a chain they default to the prefix sums of m (v - u) / tau,
     or the box face where Dv is not zero; other pair graphs need them, and a
     differentiable piece ignores them. ``objective`` is F(v), if the caller
-    has already summed it; the gap sums it otherwise."""
+    has already summed it; the gap sums it otherwise. tau and the spaces of
+    u and v are checked as prox_step checks them."""
+    _check_tau(tau)
+    _check_space(form, u)
+    _check_space(form, v)
     m = form.space.weights
     box = form.piece.box
     if box is None:

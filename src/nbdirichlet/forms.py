@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, BadWeight, EmptySpace, as_real, require_int
+from .errors import BadSpec, BadWeight, EmptySpace, as_real, as_reals, require_int
 from .measure import MeasureSpace
 
 
@@ -312,7 +312,7 @@ def _nonlocal_psi(spec: dict) -> FormInstance:
     """E(u) = sum over ordered pairs w[x, y] psi(u(x) - u(y))."""
     if "kernel" not in spec:
         raise BadSpec("nonlocal_psi descriptor needs 'kernel'")
-    K = np.asarray(spec["kernel"], dtype=float)
+    K = as_reals("a kernel weight", spec["kernel"])
     weights = spec.get("node_weights", np.ones(K.shape[0] if K.ndim == 2 else 0))
     psi_spec = spec.get("psi", {"name": "power", "p": 2.0})
     if not isinstance(psi_spec, dict):
@@ -330,8 +330,8 @@ def _nonlocal_psi(spec: dict) -> FormInstance:
     n = space.n
     if K.shape != (n, n):
         raise BadSpec(f"kernel must be an {n}x{n} matrix")
-    if not np.all(np.isfinite(K)) or np.any(K < 0.0):
-        raise BadSpec("kernel weights must be finite and nonnegative")
+    if np.any(K < 0.0):
+        raise BadSpec("kernel weights must be nonnegative")
     descriptor = {
         "kind": "nonlocal_psi",
         "nodes": n,
@@ -367,8 +367,8 @@ def _local_grid_1d(spec: dict) -> FormInstance:
         # h * max(z/h, 0) == max(z, 0)
         piece = ScalarPiece(box=(0.0, 1.0))
     elif name == "finsler_weighted":
-        a = np.array(integrand.get("weights", coeffs), dtype=float)
-        if a.shape != (n_edges,) or not np.all(np.isfinite(a)) or np.any(a <= 0):
+        a = as_reals("a Finsler weight", integrand.get("weights", coeffs))
+        if a.shape != (n_edges,) or np.any(a <= 0):
             raise BadSpec("finsler_weighted needs one positive weight per edge")
         # h * a |z/h| == a |z|
         piece = ScalarPiece(box=(-1.0, 1.0))

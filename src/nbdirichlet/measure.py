@@ -1,22 +1,16 @@
-"""Finite weighted measure spaces and the one check of values from outside.
+"""Finite weighted measure spaces and fields on them.
 
 A ``MeasureSpace`` is a finite point set {0, ..., n-1} with strictly positive
-weights m(x). A ``Field`` is one finite real value per point: it validates
-values that come from outside (a flow's initial datum, a witness's fields)
-and keeps a read-only copy. The kernels and solvers work on plain arrays.
+weights m(x), a ``Field`` one finite real value per point (a flow's initial
+datum, a witness's field), each a read-only copy of numbers read by
+``errors.as_reals``. The kernels and solvers work on plain arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadWeight, EmptySpace, SpaceMismatch, as_real
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
+from .errors import BadWeight, EmptySpace, SpaceMismatch, as_reals
 
 
 class MeasureSpace:
@@ -26,16 +20,17 @@ class MeasureSpace:
 
     def __init__(self, weights) -> None:
         try:
-            arr = np.asarray(weights, dtype=float)
-        except (TypeError, ValueError) as exc:  # an entry that is not a number
-            raise BadWeight(f"weights must be real numbers: {exc}") from exc
+            arr = as_reals("a weight", weights)
+        except ValueError as exc:
+            raise BadWeight(str(exc)) from exc
         if arr.ndim != 1:
             raise BadWeight("weights must be a one-dimensional sequence")
         if arr.size == 0:
             raise EmptySpace("a measure space needs at least one point")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise BadWeight("weights must be finite and strictly positive")
-        object.__setattr__(self, "weights", _readonly(arr))
+        if np.any(arr <= 0.0):
+            raise BadWeight("weights must be strictly positive")
+        arr.flags.writeable = False
+        object.__setattr__(self, "weights", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("MeasureSpace is immutable")
@@ -59,25 +54,18 @@ class MeasureSpace:
 class Field:
     """A real-valued function on a MeasureSpace, one finite value per point.
 
-    The values are a float or integer array, or a sequence of ints and
-    floats; a bool, a string or None is not a value. Raises SpaceMismatch
-    for the wrong shape and ValueError for any other bad value."""
+    The values are read by ``as_reals``: a float or integer array, or a
+    sequence of ints and floats; a bool, a string or None is not a value.
+    Raises SpaceMismatch for the wrong shape and ValueError for any other
+    bad value."""
 
     __slots__ = ("space", "values")
 
     def __init__(self, space: MeasureSpace, values) -> None:
-        arr = values
-        if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
-            arr = np.asarray(values, dtype=object)  # each entry as it was given
+        arr = as_reals("a field value", values)
         if arr.shape != (space.n,):
-            raise SpaceMismatch(
-                f"field has {arr.size} values for a space of {space.n} points"
-            )
-        if arr.dtype == object:
-            arr = [x if type(x) is float else as_real("a field value", x) for x in arr]
-        arr = _readonly(arr)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("field values must be finite")
+            raise SpaceMismatch(f"field has {arr.size} values for a space of {space.n} points")
+        arr.flags.writeable = False
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", arr)
 

@@ -71,7 +71,7 @@ from .contraction import (
     pl_eval,
     pl_table,
 )
-from .errors import PreconditionFailed, as_real
+from .errors import PreconditionFailed, as_real, as_reals
 from .forms import FormInstance, make_form
 from .lattice_ops import (
     h_alpha,
@@ -486,13 +486,14 @@ def _decode(key: str, value, space: MeasureSpace):
     """A witness parameter as one sample of the kernels: fields are checked
     against the target's space; scalars, and the entries of a contraction's
     breakpoints, slopes and anchor, must be finite ints or floats (not
-    bools); a bad one raises ValueError."""
+    bools, by ``as_real`` and ``as_reals``); a bad one raises ValueError."""
     if key == "phi":
         def reals(k: str) -> tuple:
             entry = _entry(value, k, "phi")
-            if not isinstance(entry, (list, tuple, np.ndarray)):
+            entries = as_reals(f"phi {k}", entry) if isinstance(entry, (list, tuple, np.ndarray)) else None
+            if entries is None or entries.ndim != 1:
                 raise ValueError(f"phi {k} must be a list of real numbers, got {entry!r}")
-            return tuple(as_real(f"phi {k}", x) for x in entry)
+            return tuple(entries.tolist())
 
         anchor = as_real("phi anchor", _entry(value, "anchor", "phi"))
         return tuple(PLFunction(reals("breakpoints"), reals("slopes"), anchor))

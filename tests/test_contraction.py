@@ -132,6 +132,11 @@ def test_compose_past_two_to_the_53():
     assert compose(make_phi([-1e16]), make_phi([])) == make_phi([-1e16])
     # the midpoint of 1e308 and 1.5e308 is taken without their sum, which overflows
     assert compose(make_phi([]), make_phi([1e308, 1.5e308])) == make_phi([1e308, 1.5e308])
+    # and read closer in: kinks 1e-13 apart are two kinks at any scale
+    for scale in (1.0, 1e-200):
+        phi = make_phi([0.0, 1e-13 * scale])
+        assert compose(make_phi([]), phi) == phi and compose(phi, make_phi([])) == phi
+    assert reduce(compose, *decompose(make_phi([7.6e-122, 4.3e-99]))) == make_phi([7.6e-122, 4.3e-99])
 
 
 @given(breakpoint_lists(max_k=5), breakpoint_lists(max_k=5))
@@ -141,6 +146,29 @@ def test_compose_pointwise_oracle(bps_out, bps_in):
     comp = compose(outer, inner)
     xs = np.linspace(-25, 25, 401)
     assert np.max(np.abs(comp(xs) - outer(inner(xs)))) <= 1e-12 * 26
+
+
+@st.composite
+def scaled_breakpoints(draw, max_k=8):
+    """One to max_k distinct breakpoints s * u, u on a grid of step 2^-20 in
+    (-1, 1), for one scale s, log-uniform in [1e-300, 1e300]."""
+    grid = draw(st.lists(st.integers(-(2**20) + 1, 2**20 - 1), min_size=1, max_size=max_k,
+                         unique=True))
+    scale = 10.0 ** draw(st.floats(min_value=-300.0, max_value=300.0))
+    return [scale * (g / 2**20) for g in sorted(grid)]
+
+
+@given(scaled_breakpoints())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_decompose_round_trip_at_every_scale(bps):
+    # the merge tolerance is relative, so the round trip does not depend on
+    # the units of x: within 64 ulps of the largest |breakpoint|, at the
+    # breakpoints, at 0, at +-max|b| and between neighbouring breakpoints
+    phi = make_phi(bps)
+    rebuilt = reduce(compose, *decompose(phi))
+    top = max(map(abs, bps))
+    xs = np.array([*bps, 0.0, -top, top, *(0.5 * a + 0.5 * b for a, b in zip(bps, bps[1:]))])
+    assert np.max(np.abs(rebuilt(xs) - phi(xs))) <= 64 * np.spacing(top)
 
 
 def test_compose_through_zero_slope_plateau():
@@ -288,6 +316,19 @@ def test_envelope_preconditions():
     for bad in ((np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0), (-np.inf, 0.0), (1.0, np.inf)):
         with pytest.raises(InconsistentSamples):
             envelope([(0.0, 0.0), bad], 2.0)
+    # the consistency slack is relative to the sample positions: a slope of
+    # 50 between samples 1e-14 apart is no contraction
+    with pytest.raises(InconsistentSamples, match="1-Lipschitz"):
+        envelope([(0.0, 0.0), (1e-14, 5e-13)], 1.0)
+    # samples are numbers that as_reals takes, in (y, value) pairs
+    for samples in ([(0.0, 0.0), (True, 0.5)], [(0.0, 0.0), (1.0, "0.5")], [(0.0, None)],
+                    np.array([[False, False]]), [(0.0, 0.0, 0.0)], [0.0], [], [[0.0, 0.0], [1.0]]):
+        with pytest.raises(InconsistentSamples):
+            envelope(samples, 2.0)
+    for radius in (True, "2", np.nan):
+        with pytest.raises(ValueError, match="radius"):
+            envelope([(0.0, 0.0)], radius)
+    assert envelope(np.array([[0, 0], [1, 1]]), 2) == envelope([(0.0, 0.0), (1.0, 1.0)], 2.0)
 
 
 def brute_envelope(samples, xs):

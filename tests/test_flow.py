@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nbdirichlet import flow
-from nbdirichlet.errors import NoConvergence
+from nbdirichlet.errors import NoConvergence, SpaceMismatch
 from nbdirichlet.flow import (
     FlowConfig,
     evolve,
@@ -12,7 +12,7 @@ from nbdirichlet.flow import (
 )
 from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.forms import make_form
-from nbdirichlet.measure import make_field
+from nbdirichlet.measure import MeasureSpace, make_field
 
 
 def two_node():
@@ -384,6 +384,27 @@ def test_exact_resolvent_rejects_what_it_cannot_solve():
     for tau in (0.0, -0.1, np.inf, np.nan):
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             exact_graph_resolvent(form, u, tau)
+
+
+def test_prox_certificate_checks_its_inputs_as_prox_step_does():
+    # no bound for a step that prox_step refuses: a negative or zero tau
+    # gave a negative bound or NaN, and a field off the form's space a bound
+    # or a bare numpy error
+    form = two_node()
+    u = make_field(form.space, [1.0, 0.0])
+    for tau in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            flow.prox_certificate(form, u, u, tau)
+    elsewhere = make_field(MeasureSpace([1.0, 2.0]), [1.0, 0.0])
+    longer = make_field(MeasureSpace([1.0, 1.0, 1.0]), [1.0, 0.0, 0.0])
+    grid = make_form({"kind": "local_grid_1d", "nodes": 3, "h": 0.5,
+                      "integrand": {"name": "max_positive_part"}})
+    on_grid = make_field(grid.space, [1.0, 0.0, -1.0])
+    for target, v, w in ((form, elsewhere, u), (form, u, elsewhere), (form, longer, u),
+                         (form, u, longer), (grid, u, on_grid), (grid, on_grid, u)):
+        with pytest.raises(SpaceMismatch):
+            flow.prox_certificate(target, v, w, 0.5)
+    assert 0.0 < flow.prox_certificate(form, u, u, 0.5) < np.inf
 
 
 def test_trace_csv_schema(tmp_path):

@@ -97,6 +97,28 @@ def test_make_form_guards():
         make_form({"kind": "local_grid_1d", "nodes": 9, "h": 0.1, "integrand": {"name": "abs_power", "p": np.inf}})
 
 
+def test_pair_coefficients_are_numbers():
+    # a kernel entry or a Finsler weight is a finite int or float, as a
+    # field value is: a bool, a string or None is not read as a number
+    grid = {"kind": "local_grid_1d", "nodes": 3, "h": 0.5}
+    for bad in (True, False, "1.5", None, [1.0], np.nan, np.inf, np.True_):
+        with pytest.raises(BadSpec, match="kernel weight"):
+            make_form({"kind": "nonlocal_psi", "kernel": [[0, bad], [1, 0]]})
+        with pytest.raises(BadSpec, match="Finsler weight"):
+            make_form({**grid, "integrand": {"name": "finsler_weighted", "weights": [1.0, bad]}})
+    with pytest.raises(BadSpec):
+        make_form({"kind": "nonlocal_psi", "kernel": np.array([[False, True], [True, False]])})
+    with pytest.raises(BadSpec):
+        make_form({**grid, "integrand": {"name": "finsler_weighted", "weights": np.array([True, True])}})
+    # integer arrays and numpy scalars are numbers, and normalise as lists do
+    for kernel in (np.array([[0, 2], [1, 0]]), [[0, np.int64(2)], [1.0, 0]]):
+        form = make_form({"kind": "nonlocal_psi", "kernel": kernel})
+        assert form.descriptor()["kernel"] == [[0.0, 2.0], [1.0, 0.0]]
+    for weights in (np.array([1, 2]), [np.float64(1.0), 2]):
+        form = make_form({**grid, "integrand": {"name": "finsler_weighted", "weights": weights}})
+        assert form.coeffs.tolist() == form.descriptor()["integrand"]["weights"] == [1.0, 2.0]
+
+
 def test_eval_form_examples():
     g = graph2()
     assert g.energy_of_values(np.array([1.0, 0.0])) == 0.5

@@ -4,7 +4,9 @@ One to three leaves of a catalog descriptor, of a verify or flow config, or
 of a witness are replaced by values of the wrong type or out of range. The
 CLI returns 0, 1 or 2 and never raises, and says ``error:`` when it returns
 2; ``make_form`` raises only its typed errors; ``replay`` returns a float or
-raises ValueError.
+raises ValueError. An entry of an array from outside that is a bool, a
+numeric string or None is never read as a number: the CLI returns 2 and
+``replay`` raises ValueError.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import math
 import pathlib
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -129,3 +132,54 @@ def _check(what, doc):
 @example(("replay", {**_WITNESSES[-1], "weights": [{}, *_WITNESSES[-1]["weights"][1:]]}))
 def test_malformed_leaves_fail_with_typed_errors(case):
     _check(*case)
+
+
+# every array that a config, a witness or a samples file brings in, as
+# (what, document, path of the array): node weights, a kernel row, Finsler
+# weights, a flow's initial datum, an identity witness's space weights and
+# envelope samples
+_ARRAYS = [
+    ("flow", {"form": {"kind": "graph_quadratic", "nodes": 2, "node_weights": [1.0, 2.0],
+                       "edges": [[0, 1, 1.0]]},
+              "initial": [1.0, 0.0], "flow": {"tau": 0.5, "n_steps": 2}}, ("form", "node_weights")),
+    ("flow", {"form": {"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]},
+              "initial": [1.0, 0.0], "flow": {"tau": 0.5, "n_steps": 2}}, ("initial",)),
+    ("verify", {"seed": 1, "forms": [_CATALOG["nonlocal_abs"]], "suite": {"n_samples": 3}},
+     ("forms", 0, "kernel", 3)),
+    ("verify", {"seed": 1, "forms": [_CATALOG["grid_finsler"]], "suite": {"n_samples": 3}},
+     ("forms", 0, "integrand", "weights")),
+    ("replay", _WITNESSES[-1], ("weights",)),
+    ("envelope", [[-1, -0.5], [0, 0], [1.5, 1]], (1,)),
+]
+
+
+@st.composite
+def _bad_entries(draw):
+    what, doc, path = draw(st.sampled_from(_ARRAYS))
+    array = doc
+    for k in path:
+        array = array[k]
+    index = draw(st.integers(min_value=0, max_value=len(array) - 1))
+    bad = draw(st.sampled_from([True, False, "1.5", "0", None]))
+    return what, _mutated(doc, [(*path, index)], [bad])
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_bad_entries())
+def test_array_entries_from_outside_are_numbers(case):
+    what, doc = case
+    if what == "replay":
+        with pytest.raises(ValueError):
+            replay(doc)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp, "input.json"))
+        pathlib.Path(path).write_text(json.dumps(doc))
+        out = str(pathlib.Path(tmp, "out"))
+        argv = (["envelope", "--samples", path, "--radius", "2"] if what == "envelope"
+                else [what, path, "--output", out])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert run(argv) == 2
+        assert err.getvalue().startswith("error:")
+        assert not pathlib.Path(out).exists()

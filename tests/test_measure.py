@@ -25,6 +25,12 @@ def test_make_space_errors():
         MeasureSpace([1.0, -2.0])
     with pytest.raises(BadWeight):
         MeasureSpace([1.0, np.inf])
+    # the entries are read as a field's are: a bool, a string or None is no weight
+    for weights in ([True, "2"], [1.0, True], [1.0, "2"], [1.0, None], np.array([True, True]),
+                    np.array(["1", "2"]), [1.0, [2.0]], [1.0, 10**400]):
+        with pytest.raises(BadWeight):
+            MeasureSpace(weights)
+    assert np.array_equal(MeasureSpace([np.int64(1), np.float64(2.5), 3]).weights, [1.0, 2.5, 3.0])
 
 
 def test_space_mismatch():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nbdirichlet.contraction import PLFunction, decompose, make_phi
-from nbdirichlet.errors import PreconditionFailed, SpaceMismatch
+from nbdirichlet.errors import BadWeight, PreconditionFailed, SpaceMismatch
 from nbdirichlet.forms import make_form
 from nbdirichlet.measure import make_field
 from nbdirichlet.samplers import SuiteConfig, check_rng, sample_contraction
@@ -212,6 +212,21 @@ def test_replay_takes_only_finite_numbers():
     ):
         with pytest.raises(ValueError, match="real number"):
             replay(dict(contraction, phi=dict(phi, **{key: bad})))
+    # a contraction's breakpoints and slopes as numpy arrays read as lists
+    # do, and a bool array or a nested list is no list of numbers
+    arrays = dict(phi, breakpoints=np.array(phi["breakpoints"]), slopes=np.array(phi["slopes"]))
+    assert replay(dict(contraction, phi=arrays)) == replay(contraction)
+    for key, bad, message in (
+        ("slopes", np.array(phi["slopes"]) > 0.0, "phi slopes must be a real number"),
+        ("breakpoints", [phi["breakpoints"]], "phi breakpoints must be a list of real numbers"),
+        ("slopes", np.array([phi["slopes"]]), "phi slopes must be a list of real numbers"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            replay(dict(contraction, phi=dict(phi, **{key: bad})))
+    identity = check_identities(CFG)[0].witness
+    for weights in (np.ones(len(identity["weights"]), dtype=bool), [True] * len(identity["weights"])):
+        with pytest.raises(BadWeight, match="real number"):
+            replay(dict(identity, weights=weights))
 
 
 def test_replay_names_a_missing_or_malformed_key():
