@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 r"""Time the first K units of a perfbench workload in one process, as one
 JSON line of the minimum milliseconds a job takes, per kind and in total,
-and the process's peak resident set size in MB.
+the work done per second of those minimum times, and the process's peak
+resident set size in MB.
 
     PYTHONPATH=src python scripts/time_sweep_units.py --workload sweep --seed 29 \
         --units 90 --rounds 7
@@ -10,7 +11,10 @@ Each round runs every job of the K units once, in order, through
 ``nbdirichlet.cli.run``, as perfbench runs it (BLAS pinned to one thread,
 stdout discarded); a job's time is its fastest round, and a kind's time the
 mean of its jobs' times. Rounds interleave the jobs instead of repeating one
-job back to back. Configs are written before the first round and outputs go
+job back to back. ``work_per_s`` is the total work over the total of the
+jobs' times, with work counted as perfbench counts it: the prox steps a flow
+job's config asks for, and the samples a verify report tested, summed over
+its checks. Configs are written before the first round and outputs go
 to a temporary directory, so only the CLI calls are timed. The units come
 from this checkout's ``perfbench/workloads.py``, read without writing to
 it; ``nbdirichlet`` comes from ``sys.path``, so pointing PYTHONPATH at
@@ -68,6 +72,13 @@ def main() -> int:
                     t0 = time.perf_counter()
                     run(argv)
                     best[i] = min(best[i], time.perf_counter() - t0)
+        work = 0
+        for _, argv in jobs:
+            if argv[0] == "flow":
+                work += json.loads(pathlib.Path(argv[1]).read_text())["flow"]["n_steps"]
+            else:
+                report = json.loads(pathlib.Path(argv[3]).read_text())
+                work += sum(check["n_tested"] for check in report["checks"])
 
     kinds: dict[str, list[float]] = {}
     for (kind, _), t in zip(jobs, best):
@@ -80,6 +91,7 @@ def main() -> int:
         "jobs": len(jobs),
         "ms_per_job": round(1e3 * sum(best) / len(best), 4),
         "kinds": {k: round(1e3 * sum(v) / len(v), 4) for k, v in sorted(kinds.items())},
+        "work_per_s": round(work / sum(best), 2),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }))

@@ -26,7 +26,7 @@ from .errors import (
     NotIncreasing,
     require_int,
 )
-from .flow import FlowConfig, evolve, trace_to_csv
+from .flow import FLOAT_FORMAT, FlowConfig, evolve, trace_to_csv
 from .forms import make_form
 from .measure import make_field
 from .samplers import SuiteConfig
@@ -35,13 +35,9 @@ from .verifier import CheckResult, check_identities, counterexample_demo, verify
 REPORT_VERSION = 2
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, no spaces, floats at 17 significant
-    digits (non-finite ones as NaN/Infinity, as json.dumps writes them).
+    """Deterministic JSON: sorted keys, no spaces, floats as FLOAT_FORMAT
+    writes them (non-finite ones as NaN/Infinity, as json.dumps writes them).
     Guarantees byte-identical reports for identical inputs."""
     return _canonical(obj, {}, {})
 
@@ -62,8 +58,8 @@ def _finite_floats(obj) -> str | None:
     None for any other list or tuple."""
     if type(obj) is not list or not all(type(v) is float for v in obj):
         return None
-    text = "[" + ",".join([format(v, ".17g") for v in obj]) + "]"
-    # ".17g" writes "nan" or "inf" for a non-finite float and no "n" else
+    text = "[" + ",".join([FLOAT_FORMAT] * len(obj)) % tuple(obj) + "]"
+    # FLOAT_FORMAT writes "nan" or "inf" for a non-finite float and no "n" else
     return None if "n" in text else text
 
 
@@ -73,7 +69,7 @@ def _canonical(obj, memo: dict, keys: dict) -> str:
     document (a report's form descriptor) is encoded once. The ids stay
     valid because every object in memo is reachable from the document."""
     if type(obj) is float:  # the common leaf first
-        return format(obj, ".17g") if math.isfinite(obj) else json.dumps(obj)
+        return FLOAT_FORMAT % obj if math.isfinite(obj) else json.dumps(obj)
     if isinstance(obj, (dict, list, tuple)):
         text = memo.get(id(obj))
         if text is None:
@@ -92,7 +88,7 @@ def _canonical(obj, memo: dict, keys: dict) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj) if math.isfinite(obj) else json.dumps(float(obj))
+        return FLOAT_FORMAT % obj if math.isfinite(obj) else json.dumps(float(obj))
     if obj is None:
         return "null"
     return json.dumps(obj)
@@ -219,8 +215,8 @@ def _cmd_decompose(args) -> int:
     except NotIncreasing as exc:
         raise ConfigError(str(exc)) from exc
     for i, fac in enumerate(factors):
-        print(f"factor {i}: [{', '.join(_fmt_float(b) for b in fac.breakpoints)}]")
-    print(f"residual: [{', '.join(_fmt_float(b) for b in residual.breakpoints)}]")
+        print(f"factor {i}: [{', '.join(FLOAT_FORMAT % b for b in fac.breakpoints)}]")
+    print(f"residual: [{', '.join(FLOAT_FORMAT % b for b in residual.breakpoints)}]")
     return 0
 
 
@@ -234,9 +230,9 @@ def _cmd_envelope(args) -> int:
         pl = envelope(samples, args.radius)
     except ValueError as exc:  # InconsistentSamples too
         raise ConfigError(str(exc)) from exc
-    print(f"breakpoints: [{', '.join(_fmt_float(b) for b in pl.breakpoints)}]")
-    print(f"slopes: [{', '.join(_fmt_float(s) for s in pl.slopes)}]")
-    print(f"value_at_0: {_fmt_float(pl.anchor)}")
+    print(f"breakpoints: [{', '.join(FLOAT_FORMAT % b for b in pl.breakpoints)}]")
+    print(f"slopes: [{', '.join(FLOAT_FORMAT % s for s in pl.slopes)}]")
+    print(f"value_at_0: {FLOAT_FORMAT % pl.anchor}")
     return 0
 
 
@@ -282,7 +278,7 @@ def _cmd_demo(args) -> int:
     _write_report([result], 0, out)
     w = result.witness
     print(
-        f"E(f) = {_fmt_float(w['energy_f'])}, E(-f) = {_fmt_float(w['energy_neg_f'])}: "
+        f"E(f) = {FLOAT_FORMAT % w['energy_f']}, E(-f) = {FLOAT_FORMAT % w['energy_neg_f']}: "
         "reversing the ramp raises the energy, so phi = -id is not contracted"
     )
     return _report_exit([result], out)

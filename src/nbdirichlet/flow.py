@@ -45,8 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, SpaceMismatch, as_real, require_int
-from .forms import FormInstance
+from .forms import FormInstance, _box_residual
 from .measure import Field, make_field
+
+
+# the text of every float the package writes, in reports, trace rows and CLI
+# prints: 17 significant digits, which read back to the same float; a
+# %-template, so a whole row or list is formatted in one operation
+FLOAT_FORMAT = "%.17g"
 
 
 def _check_tau(tau: float) -> None:
@@ -160,8 +166,8 @@ def _admm_prox(
 
     An iteration does only what its iterates need: the dual residual s is
     computed only where it is read, when the primal residual r passes or when
-    rho is balanced, and what depends on rho (the factor and kappa) only when
-    rho changes."""
+    rho is balanced, and what depends on rho (the factor, kappa and a box
+    piece's bounds) only when rho changes."""
     from scipy.sparse import csc_matrix, diags  # loaded only when ADMM runs
     from scipy.sparse.linalg import splu
 
@@ -173,39 +179,47 @@ def _admm_prox(
     DtD = csc_matrix(form._laplacian_entries(np.ones(c.size)), shape=(n, n))
     base = diags(m / tau, format="csc")
     cs = c * piece.scale
+    box = piece.box
+    D, Dt = form.diffs, form.diffs_adjoint
+    amax = np.maximum.reduce  # ndarray.max without its Python wrapper
 
     def factor(rho: float):
-        """The factor of the w-update's matrix and the prox's kappa at rho."""
-        return splu(base + rho * DtD, permc_spec="MMD_AT_PLUS_A"), cs / rho
+        """The w-update's solve and the prox's kappa at rho, and for a box
+        piece the bounds kappa * [lo, hi] of its prox, formed once per rho."""
+        solve = splu(base + rho * DtD, permc_spec="MMD_AT_PLUS_A").solve
+        kappa = cs / rho
+        if box is None:
+            return solve, kappa, None, None
+        return solve, kappa, kappa * box[0], kappa * box[1]
 
     rho = max(float(np.median(cs)), 1e-3)
-    lu, kappa = factor(rho)
+    solve, kappa, lo, hi = factor(rho)
     rhs0 = m * u / tau
     w = u.copy()
-    z = form.diffs(w)
+    z = D(w)
     lam = np.zeros(c.size)
     eps = 1e-13 * (1.0 + float(np.max(np.abs(z))))
     for it in range(1, max_iters + 1):
-        w = lu.solve(rhs0 + rho * form.diffs_adjoint(z - lam))
-        dw = form.diffs(w)
+        w = solve(rhs0 + rho * Dt(z - lam))
+        dw = D(w)
         y = dw + lam
-        z_old, z = z, piece.prox(y, kappa)
+        z_old, z = z, piece.prox(y, kappa) if lo is None else _box_residual(y, lo, hi)
         lam = y - z
-        r = abs(dw - z).max()
+        r = amax(abs(dw - z))
         if it % 64 and not r <= eps:
             continue
-        s = rho * abs(form.diffs_adjoint(z - z_old)).max()
+        s = rho * amax(abs(Dt(z - z_old)))
         if r <= eps and s <= eps:
             return w, _face_multipliers(form, z, rho * lam)
         if it % 64 == 0:  # residual balancing keeps rho in a useful range
             if r > 10.0 * s and rho < 1e8:
                 rho *= 2.0
                 lam /= 2.0
-                lu, kappa = factor(rho)
+                solve, kappa, lo, hi = factor(rho)
             elif s > 10.0 * r and rho > 1e-8:
                 rho /= 2.0
                 lam *= 2.0
-                lu, kappa = factor(rho)
+                solve, kappa, lo, hi = factor(rho)
     raise NoConvergence(f"ADMM prox did not converge in {max_iters} iterations")
 
 
@@ -234,20 +248,20 @@ def _is_chain(form: FormInstance) -> bool:
 
 
 def _cross_from_left(
-    knots: deque, left: tuple, right: tuple, level: float
-) -> tuple[float, tuple]:
+    knots: deque, a: float, b: float, lev: float, lev_right: float, level: float
+) -> tuple[float, float, float, float]:
     """Where the derivative that ``knots`` and the end pieces hold crosses
     ``level``, scanning from its left end; knots left of the crossing are
-    popped. Returns the crossing and the piece (slope, intercept, clip level)
-    holding it."""
-    a, b, lev = left
+    popped. The end pieces share the node terms (a, b), slope and intercept,
+    and clip at lev on the left and lev_right on the right. Returns the
+    crossing and the piece (slope, intercept, clip level) holding it."""
+    a0, b0 = a, b
     while knots and a * knots[0][0] + b + lev < level:
         _, da, db, _, lev = knots.popleft()
         a, b = a + da, b + db
-    if not knots:
-        a, b, lev = right  # the same piece, without the rounding of the sums
-        return (level - lev - b) / a, (a, b, lev)
-    return min((level - lev - b) / a, knots[0][0]), (a, b, lev)  # in its piece despite rounding
+    if not knots:  # the right end piece, without the rounding of the sums
+        return (level - lev_right - b0) / a0, a0, b0, lev_right
+    return min((level - lev - b) / a, knots[0][0]), a, b, lev  # in its piece despite rounding
 
 
 def _chain_prox(form: FormInstance, u: np.ndarray, tau: float) -> np.ndarray:
@@ -273,35 +287,43 @@ def _chain_prox(form: FormInstance, u: np.ndarray, tau: float) -> np.ndarray:
     data are shifted by u_0, so a constant datum comes back exactly.
     """
     lo, hi = form.piece.box
-    w = form.coeffs.tolist()
     shift = u[0]
     slope = form.space.weights / tau
     slopes, icpts = slope.tolist(), (-slope * (u - shift)).tolist()
-    n = u.size
     knots: deque = deque()
-    left = right = (slopes[0], icpts[0], 0.0)
-    t_lo, t_hi = [0.0] * (n - 1), [0.0] * (n - 1)
-    for k in range(n - 1):
-        lo_k, hi_k = w[k] * lo, w[k] * hi
-        t_lo[k], (a, b, lev) = _cross_from_left(knots, left, right, lo_k)
-        knots.appendleft((t_lo[k], a, b, lo_k, lev))
+    # the end pieces: node terms (a_end, b_end), clip levels lev_lo and lev_hi
+    a_end, b_end, lev_lo, lev_hi = slopes[0], icpts[0], 0.0, 0.0
+    t_lo, t_hi = [], []
+    for w_k, a_next, b_next in zip(form.coeffs.tolist(), slopes[1:], icpts[1:]):
+        lo_k, hi_k = w_k * lo, w_k * hi
+        t, a, b, lev = _cross_from_left(knots, a_end, b_end, lev_lo, lev_hi, lo_k)
+        t_lo.append(t)
+        knots.appendleft((t, a, b, lo_k, lev))
         # the same from the right, down to the knot just added at t-_k, where
         # the derivative is lo_k < hi_k
-        a, b, lev = right
+        a, b, lev = a_end, b_end, lev_hi
         while len(knots) > 1 and a * knots[-1][0] + b + lev > hi_k:
             _, da, db, lev, _ = knots.pop()
             a, b = a - da, b - db
-        t_hi[k] = max((hi_k - lev - b) / a, knots[-1][0])  # in its piece despite rounding
-        knots.append((t_hi[k], -a, -b, lev, hi_k))
+        t = max((hi_k - lev - b) / a, knots[-1][0])  # in its piece despite rounding
+        t_hi.append(t)
+        knots.append((t, -a, -b, lev, hi_k))
         # the clipped derivative is lo_k left of t-_k and hi_k right of t+_k;
         # add node k+1's term to both
-        left = (slopes[k + 1], icpts[k + 1], lo_k)
-        right = (slopes[k + 1], icpts[k + 1], hi_k)
-    x = [0.0] * n
-    x[-1] = _cross_from_left(knots, left, right, 0.0)[0]
-    for k in range(n - 2, -1, -1):
-        x[k] = min(max(x[k + 1], t_lo[k]), t_hi[k])
-    return np.array(x) + shift
+        a_end, b_end, lev_lo, lev_hi = a_next, b_next, lo_k, hi_k
+    x = [_cross_from_left(knots, a_end, b_end, lev_lo, lev_hi, 0.0)[0]]
+    for t_lo_k, t_hi_k in zip(reversed(t_lo), reversed(t_hi)):
+        x.append(min(max(x[-1], t_lo_k), t_hi_k))
+    return np.array(x[::-1]) + shift
+
+
+def _chain_multipliers(
+    form: FormInstance, v: np.ndarray, u: np.ndarray, tau: float
+) -> np.ndarray:
+    """A chain's edge multipliers at the step v from u: the prefix sums of
+    m (v - u) / tau, or the box face where Dv is not zero."""
+    m = form.space.weights
+    return _face_multipliers(form, form.diffs(v), np.cumsum(m * (v - u) / tau)[:-1])
 
 
 def prox_step(
@@ -334,18 +356,21 @@ def _certified_step(
     computed once."""
     _check_tau(tau)
     _check_space(form, u)
-    duals = None  # a chain's are read off v; differentiable pieces need none
+    duals = None  # differentiable pieces need none
+    chain = False
     if form.n_terms == 0:
         w, duals = u.values, np.zeros(0)  # no pairs, so an empty gap on any pair graph
     elif form.piece.smooth:
         w = _newton_prox(form, u.values, tau, max_inner_iters)
     elif _is_chain(form):
-        w = _chain_prox(form, u.values, tau)
+        w, chain = _chain_prox(form, u.values, tau), True
     else:
         w, duals = _admm_prox(form, u.values, tau, max_inner_iters)
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NoConvergence("the prox step's state is not finite")
     v = make_field(form.space, w)
+    if chain:  # a chain's multipliers are read off v
+        duals = _chain_multipliers(form, v.values, u.values, tau)
     energy = form.energy_of_values(v.values)
     obj = energy + _proximity(form, v.values, u.values, tau)
     certificate = prox_certificate(form, v, u, tau, duals, obj)
@@ -385,9 +410,7 @@ def prox_certificate(
     if duals is None:
         if not _is_chain(form):
             raise ValueError("the duality gap off a chain needs the edge multipliers")
-        duals = _face_multipliers(
-            form, form.diffs(v.values), np.cumsum(m * (v.values - u.values) / tau)[:-1]
-        )
+        duals = _chain_multipliers(form, v.values, u.values, tau)
     lam = np.clip(duals, form.coeffs * box[0], form.coeffs * box[1])
     t = form.diffs_adjoint(lam)
     dual = math.fsum((lam * form.diffs(u.values)).tolist()) - 0.5 * tau * math.fsum(
@@ -453,15 +476,10 @@ def trace_to_csv(trace: FlowTrace, path: str) -> None:
     """Write one row per state: step, time, energy, residual, v0..v{n-1}."""
     n = trace.states.shape[1]
     cols = ["step", "time", "energy", "residual"] + [f"v{i}" for i in range(n)]
+    row = ",".join(["%d"] + [FLOAT_FORMAT] * (n + 3))
+    tau = trace.config.tau
+    rows = zip(trace.states.tolist(), trace.energies, [0.0] + trace.residuals)
     lines = [",".join(cols)]
-    for k, (state, e) in enumerate(zip(trace.states, trace.energies)):
-        res = 0.0 if k == 0 else trace.residuals[k - 1]
-        row = [str(k), _fmt(k * trace.config.tau), _fmt(e), _fmt(res)]
-        row += [_fmt(x) for x in state]
-        lines.append(",".join(row))
+    lines += [row % (k, k * tau, e, res, *state) for k, (state, e, res) in enumerate(rows)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")

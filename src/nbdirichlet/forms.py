@@ -79,9 +79,15 @@ class ScalarPiece:
         """argmin_t (kappa/scale)*g(t) + (t - y)^2/2, componentwise: the prox
         of coeff*g + rho/2 (t - y)^2 at kappa = coeff*scale/rho."""
         if self.box is not None:  # Moreau: y minus its projection onto kappa*[lo, hi]
-            # y minus np.clip(y, ...), bit for bit, without np.clip's Python wrappers
-            return y - np.minimum(np.maximum(y, kappa * self.box[0]), kappa * self.box[1])
+            return _box_residual(y, kappa * self.box[0], kappa * self.box[1])
         return np.sign(y) * _power_prox_magnitude(np.abs(y), kappa * self.p, self.p)
+
+
+def _box_residual(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """y minus its projection onto [lo, hi], componentwise: the prox of the
+    support function of the box at y. y minus np.clip(y, lo, hi), bit for
+    bit, without np.clip's Python wrappers."""
+    return y - np.minimum(np.maximum(y, lo), hi)
 
 
 def _power_prox_magnitude(a: np.ndarray, kp: np.ndarray, p: float) -> np.ndarray:
@@ -93,31 +99,36 @@ def _power_prox_magnitude(a: np.ndarray, kp: np.ndarray, p: float) -> np.ndarray
     a, bounds the root from above as a does, and is within a factor of the
     root where kp is large; the iteration stops at floating-point resolution.
     """
-    out = np.where(kp == 0.0, a, 0.0)
-    idx = np.flatnonzero((a > 0.0) & (kp > 0.0))
-    if idx.size == 0:
+    active = (a > 0.0) & (kp > 0.0)
+    if not active.all():  # the root is 0 where a = 0 and a where kp = 0
+        out = np.where(kp == 0.0, a, 0.0)
+        idx = np.flatnonzero(active)
+        if idx.size:
+            out[idx] = _power_prox_magnitude(a[idx], kp[idx], p)
         return out
-    a, kp = a[idx], kp[idx]
     q = p - 1.0
     # the residual is known to a rounding of a, which fixes t to about eps/q
     # relative; the last steps jitter there, and the bracket closes there
     rtol = 4.0 * np.finfo(float).eps * (1.0 + 1.0 / q)
+    qkp = q * kp  # 1 + qkp * t^q / t is the residual's derivative
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         hi = np.minimum(a, (a / kp) ** (1.0 / q))
         lo = np.zeros_like(a)
-        t = hi
+        t = hi.copy()  # the bracket is updated in place
         for _ in range(200):
             tq = t**q
             resid = t + kp * tq - a
-            lo = np.where(resid < 0.0, t, lo)
-            hi = np.where(resid > 0.0, t, hi)
-            nxt = t - resid / (1.0 + q * kp * tq / t)
-            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            np.copyto(lo, t, where=resid < 0.0)
+            np.copyto(hi, t, where=resid > 0.0)
+            nxt = t - resid / (1.0 + qkp * tq / t)
+            inside = (nxt >= lo) & (nxt <= hi)
+            if not inside.all():
+                nxt = np.where(inside, nxt, 0.5 * (lo + hi))
             t, step = nxt, np.abs(nxt - t)
-            if np.all((step <= rtol * t) | (hi - lo <= rtol * t)):
+            tol = rtol * t
+            if ((step <= tol) | (hi - lo <= tol)).all():
                 break
-    out[idx] = t
-    return out
+    return t
 
 
 def _sum_terms(terms: list) -> float:
@@ -200,6 +211,7 @@ class FormInstance:
         self.i_idx = i_idx.astype(int)
         self.j_idx = j_idx.astype(int)
         self.coeffs = np.asarray(coeffs, dtype=float)
+        self._ends = np.concatenate([self.i_idx, self.j_idx])  # see diffs
         self.piece = piece
         self.kind = descriptor["kind"]
         self._descriptor = descriptor
@@ -213,6 +225,11 @@ class FormInstance:
     def diffs(self, values: np.ndarray) -> np.ndarray:
         """D u: the difference u_i - u_j of every pair, in pair order; for
         each row of an (N, n) stack of fields, an (N, n_terms) stack."""
+        if values.ndim == 1:  # one take of both ends costs less on a field...
+            m = self.i_idx.size
+            ends = values.take(self._ends)
+            return ends[:m] - ends[m:]
+        # ...and more on a stack, whose halves would be strided
         return values.take(self.i_idx, axis=-1) - values.take(self.j_idx, axis=-1)
 
     def diffs_adjoint(self, y: np.ndarray) -> np.ndarray:

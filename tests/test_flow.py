@@ -563,6 +563,77 @@ def test_chain_prox_agrees_with_admm(integrand, n):
         assert np.array_equal(flow._chain_prox(form, c, tau), c)
 
 
+def _reference_cross_from_left(knots, left, right, level):
+    a, b, lev = left
+    while knots and a * knots[0][0] + b + lev < level:
+        _, da, db, _, lev = knots.popleft()
+        a, b = a + da, b + db
+    if not knots:
+        a, b, lev = right
+        return (level - lev - b) / a, (a, b, lev)
+    return min((level - lev - b) / a, knots[0][0]), (a, b, lev)
+
+
+def _reference_chain_prox(form, u, tau):
+    """_chain_prox as it was before its end pieces stopped being tuples."""
+    from collections import deque
+
+    lo, hi = form.piece.box
+    w = form.coeffs.tolist()
+    shift = u[0]
+    slope = form.space.weights / tau
+    slopes, icpts = slope.tolist(), (-slope * (u - shift)).tolist()
+    n = u.size
+    knots = deque()
+    left = right = (slopes[0], icpts[0], 0.0)
+    t_lo, t_hi = [0.0] * (n - 1), [0.0] * (n - 1)
+    for k in range(n - 1):
+        lo_k, hi_k = w[k] * lo, w[k] * hi
+        t_lo[k], (a, b, lev) = _reference_cross_from_left(knots, left, right, lo_k)
+        knots.appendleft((t_lo[k], a, b, lo_k, lev))
+        a, b, lev = right
+        while len(knots) > 1 and a * knots[-1][0] + b + lev > hi_k:
+            _, da, db, lev, _ = knots.pop()
+            a, b = a - da, b - db
+        t_hi[k] = max((hi_k - lev - b) / a, knots[-1][0])
+        knots.append((t_hi[k], -a, -b, lev, hi_k))
+        left = (slopes[k + 1], icpts[k + 1], lo_k)
+        right = (slopes[k + 1], icpts[k + 1], hi_k)
+    x = [0.0] * n
+    x[-1] = _reference_cross_from_left(knots, left, right, 0.0)[0]
+    for k in range(n - 2, -1, -1):
+        x[k] = min(max(x[k + 1], t_lo[k]), t_hi[k])
+    return np.array(x) + shift
+
+
+@pytest.mark.parametrize("integrand", GRID_INTEGRANDS)
+def test_chain_prox_keeps_the_reference_bits(integrand):
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 50, 500):
+        for tau in (1e-6, 1e-3, 1.0, 1e2):
+            form = chain_grid(integrand, n, rng, decades=12.0)
+            u = rng.uniform(-1.0, 1.0, n)
+            assert np.array_equal(
+                flow._chain_prox(form, u, tau), _reference_chain_prox(form, u, tau)
+            ), (n, tau)
+
+
+def test_trace_csv_keeps_the_per_float_bytes(tmp_path):
+    # one %-template a row writes what format(x, ".17g") wrote float by float
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 3.0, -2.0, 1e16, 0.1]
+    n = len(specials)
+    states = np.array([specials, np.random.default_rng(3).normal(size=n), [1.0] * n])
+    trace = flow.FlowTrace(states, [2.5, 1e308, -0.0], [5e-324, 1e-300], FlowConfig(tau=0.1, n_steps=2))
+    path = tmp_path / "trace.csv"
+    trace_to_csv(trace, str(path))
+    lines = [",".join(["step", "time", "energy", "residual"] + [f"v{i}" for i in range(n)])]
+    for k, (state, e) in enumerate(zip(trace.states, trace.energies)):
+        res = 0.0 if k == 0 else trace.residuals[k - 1]
+        row = [k * trace.config.tau, e, res, *state]
+        lines.append(",".join([str(k)] + [format(float(x), ".17g") for x in row]))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def _reference_admm_prox(form, u, tau, max_iters):
     """_admm_prox as it was before its loop was cut down, with the prox of
     ScalarPiece inlined as it was: kappa and its box bounds at every

@@ -71,12 +71,10 @@ def test_dump_outputs_script_is_deterministic(tmp_path):
         assert all(line.split()[-1] == expected for line in codes), codes
 
 
-def test_time_sweep_units_script():
-    # one JSON line: the minimum time a job takes, per kind and in total, and
-    # the peak resident set size
+def _time_units(workload, seed, units):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "time_sweep_units.py"), "--workload", "sweep",
-         "--seed", "29", "--units", "3", "--rounds", "1"],
+        [sys.executable, str(ROOT / "scripts" / "time_sweep_units.py"), "--workload", workload,
+         "--seed", str(seed), "--units", str(units), "--rounds", "1"],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
@@ -84,8 +82,21 @@ def test_time_sweep_units_script():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     (line,) = proc.stdout.splitlines()
-    out = json.loads(line)
+    return json.loads(line)
+
+
+def test_time_sweep_units_script():
+    # one JSON line: the minimum time a job takes, per kind and in total, the
+    # work per second of those times, and the peak resident set size
+    out = _time_units("sweep", 29, 3)
     assert (out["workload"], out["seed"], out["units"], out["rounds"], out["jobs"]) == (
         "sweep", 29, 3, 1, 3)
     assert out["ms_per_job"] > 0 and sum(out["kinds"].values()) > 0
+    assert 0 < out["work_per_s"] < float("inf")
     assert out["peak_rss_mb"] > 0
+    # work as perfbench counts it: a flow job's prox steps; the first flow_admm
+    # unit of seed 3 is a p = 1.5 grid pair, one step a datum
+    out = _time_units("flow_admm", 3, 1)
+    assert (out["jobs"], list(out["kinds"])) == (2, ["grid_abs_p1.5"])
+    work = out["work_per_s"] * out["jobs"] * out["ms_per_job"] / 1e3
+    assert abs(work - 2) < 1e-3, out
