@@ -91,7 +91,8 @@ def main() -> int:
         "jobs": len(jobs),
         "ms_per_job": round(1e3 * sum(best) / len(best), 4),
         "kinds": {k: round(1e3 * sum(v) / len(v), 4) for k, v in sorted(kinds.items())},
-        "work_per_s": round(work / sum(best), 2),
+        # unrounded, so work_per_s * jobs * ms_per_job / 1e3 gives the work back
+        "work_per_s": work / sum(best),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }))

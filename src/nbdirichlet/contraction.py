@@ -37,13 +37,6 @@ _MERGE_TOL = 1e-12  # breakpoints closer than this (relative) are one kink
 _SLOPE_TOL = 1e-9   # slack allowed before |slope| <= 1 is declared violated
 
 
-def _snap_slope(s: float) -> float:
-    for target in (-1.0, 0.0, 1.0):
-        if s != target and abs(s - target) <= 1e-12:
-            return target
-    return s
-
-
 def _padded(bps, slopes, anchors):
     """Rows given as their breakpoint sequences, slope sequences and anchors,
     as the arrays of a table (bps, slopes, anchor, nb), after the row checks,
@@ -390,7 +383,7 @@ def compose(outer, inner):
     else:
         reps = [0.0]
     slopes = tuple(
-        _snap_slope(out_slopes[bisect_right(out_bps, inner_at(x))] * in_slopes[bisect_right(in_bps, x)])
+        out_slopes[bisect_right(out_bps, inner_at(x))] * in_slopes[bisect_right(in_bps, x)]
         for x in reps
     )
     anchor = _evaluator(outer)(inner_at(0.0))

@@ -55,9 +55,13 @@ from .measure import Field, make_field
 FLOAT_FORMAT = "%.17g"
 
 
-def _check_tau(tau: float) -> None:
+def _as_tau(value) -> float:
+    """tau as a float: a real number by as_real's rule, positive and finite
+    (a float that is not finite gets this message, not as_real's)."""
+    tau = float(value) if isinstance(value, (float, np.floating)) else as_real("tau", value)
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
+    return tau
 
 
 def _check_space(form: FormInstance, u: Field) -> None:
@@ -74,9 +78,8 @@ class FlowConfig:
 
     def __post_init__(self):
         # stored as floats, so an integer gives the bits of the same float
-        object.__setattr__(self, "tau", as_real("tau", self.tau))
+        object.__setattr__(self, "tau", _as_tau(self.tau))
         object.__setattr__(self, "inner_tol", as_real("inner_tol", self.inner_tol))
-        _check_tau(self.tau)
         require_int("n_steps", self.n_steps, 1)
         if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
@@ -168,7 +171,7 @@ def _admm_prox(
     computed only where it is read, when the primal residual r passes or when
     rho is balanced, and what depends on rho (the factor, kappa and a box
     piece's bounds) only when rho changes."""
-    from scipy.sparse import csc_matrix, diags  # loaded only when ADMM runs
+    from scipy.sparse import csc_matrix  # loaded only when ADMM runs
     from scipy.sparse.linalg import splu
 
     m = form.space.weights
@@ -177,7 +180,7 @@ def _admm_prox(
     piece = form.piece
     # D^T D summed from its pair entries; CSC, as splu wants it
     DtD = csc_matrix(form._laplacian_entries(np.ones(c.size)), shape=(n, n))
-    base = diags(m / tau, format="csc")
+    base = csc_matrix((m / tau, np.arange(n), np.arange(n + 1)), shape=(n, n))  # diag(m/tau)
     cs = c * piece.scale
     box = piece.box
     D, Dt = form.diffs, form.diffs_adjoint
@@ -341,21 +344,17 @@ def prox_step(
     its budget, if Newton meets a singular Hessian or a non-finite gradient
     or step, or if the certificate fails. max_inner_iters bounds the Newton
     and ADMM iterations; the chain solver is direct and takes no budget.
+    tau, inner_tol and max_inner_iters are read by FlowConfig's rules.
     """
-    return _certified_step(form, u, tau, inner_tol, max_inner_iters)[0]
-
-
-def _certified_step(
-    form: FormInstance,
-    u: Field,
-    tau: float,
-    inner_tol: float,
-    max_inner_iters: int,
-) -> tuple[Field, float, float]:
-    """The step of prox_step, its certificate and its energy E(v), each
-    computed once."""
-    _check_tau(tau)
+    cfg = FlowConfig(tau, n_steps=1, inner_tol=inner_tol, max_inner_iters=max_inner_iters)
     _check_space(form, u)
+    return _certified_step(form, u, cfg)[0]
+
+
+def _certified_step(form: FormInstance, u: Field, cfg: FlowConfig) -> tuple[Field, float, float]:
+    """The step of prox_step, its certificate and its energy E(v), each
+    computed once; cfg has checked the parameters and the caller u's space."""
+    tau, max_inner_iters = cfg.tau, cfg.max_inner_iters
     duals = None  # differentiable pieces need none
     chain = False
     if form.n_terms == 0:
@@ -374,8 +373,8 @@ def _certified_step(
     energy = form.energy_of_values(v.values)
     obj = energy + _proximity(form, v.values, u.values, tau)
     certificate = prox_certificate(form, v, u, tau, duals, obj)
-    tol = inner_tol * (1.0 + abs(obj) + abs(obj - certificate))
-    if not certificate <= tol:
+    tol = cfg.inner_tol * (1.0 + abs(obj) + abs(obj - certificate))
+    if not certificate <= tol or certificate == math.inf:  # an infinite bound certifies nothing
         raise NoConvergence(
             f"prox certificate {certificate:.3e} exceeds its tolerance {tol:.3e}"
         )
@@ -397,9 +396,10 @@ def prox_certificate(
     bound. On a chain they default to the prefix sums of m (v - u) / tau,
     or the box face where Dv is not zero; other pair graphs need them, and a
     differentiable piece ignores them. ``objective`` is F(v), if the caller
-    has already summed it; the gap sums it otherwise. tau and the spaces of
-    u and v are checked as prox_step checks them."""
-    _check_tau(tau)
+    has already summed it; the gap sums it otherwise. Where the gap's sums
+    overflow, or it is NaN or -inf, it is +inf, still an upper bound. tau and
+    the spaces of u and v are checked as prox_step checks them."""
+    tau = _as_tau(tau)
     _check_space(form, u)
     _check_space(form, v)
     m = form.space.weights
@@ -413,12 +413,16 @@ def prox_certificate(
         duals = _chain_multipliers(form, v.values, u.values, tau)
     lam = np.clip(duals, form.coeffs * box[0], form.coeffs * box[1])
     t = form.diffs_adjoint(lam)
-    dual = math.fsum((lam * form.diffs(u.values)).tolist()) - 0.5 * tau * math.fsum(
-        (t * t / m).tolist()
-    )
+    try:
+        dual = math.fsum((lam * form.diffs(u.values)).tolist()) - 0.5 * tau * math.fsum(
+            (t * t / m).tolist()
+        )
+    except (OverflowError, ValueError):  # a sum past the largest float bounds nothing
+        return math.inf
     if objective is None:
         objective = _objective(form, v.values, u.values, tau)
-    return objective - dual
+    gap = objective - dual
+    return gap if gap > -math.inf else math.inf  # so is a gap of NaN or -inf
 
 
 @np.errstate(over="ignore")
@@ -439,9 +443,7 @@ def evolve(form: FormInstance, u0: Field, cfg: FlowConfig) -> FlowTrace:
     u = u0
     for k in range(cfg.n_steps):
         try:
-            v, residual, e = _certified_step(
-                form, u, cfg.tau, cfg.inner_tol, cfg.max_inner_iters
-            )
+            v, residual, e = _certified_step(form, u, cfg)
         except NoConvergence as exc:
             raise NoConvergence(f"step {k}: {exc}") from exc
         residuals.append(residual)
@@ -462,7 +464,7 @@ def exact_graph_resolvent(form: FormInstance, u: Field, tau: float) -> Field:
     Dense independent solve used as the oracle for prox_step. Raises
     ValueError for a piece other than p = 2 and for a tau prox_step rejects.
     """
-    _check_tau(tau)
+    tau = _as_tau(tau)
     _check_space(form, u)
     if form.piece.p != 2.0:
         raise ValueError("the closed-form resolvent needs a quadratic piece (p = 2)")

@@ -10,17 +10,24 @@ Each operator is written once, on the values of one field (n,) or of a stack
 pointwise and never read the weights.
 """
 
+import sys
+
 import numpy as np
 
 
-def _check_alpha(alpha):
-    """A finite nonnegative radius, or an array of them (returned as given
-    in shape, as floats); anything else, None and strings included, is a
-    ValueError."""
-    a = np.asarray(alpha)
-    if a.dtype.kind not in "iuf" or not (np.all(np.isfinite(a)) and np.all(a >= 0.0)):
-        raise ValueError("alpha must be a finite nonnegative number")
+def _in_range(x, hi: float, message: str):
+    """x, a number or an array of them, as floats of its shape if its numpy
+    dtype is an integer or a float one and every entry lies in [0, hi];
+    anything else, bools, None and strings included, is ValueError(message)."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf" or not np.all((0.0 <= a) & (a <= hi)):
+        raise ValueError(message)
     return float(a) if a.ndim == 0 else np.asarray(a, dtype=float)
+
+
+def _check_alpha(alpha):
+    """A finite nonnegative radius, or an array of them."""
+    return _in_range(alpha, sys.float_info.max, "alpha must be a finite nonnegative number")
 
 
 def h_alpha(f, g, alpha):
@@ -88,13 +95,12 @@ def twist_residuals(u, v, alpha, t, s):
     With h(u,v) = H_a(u,v), k(u,v) = H_a(v,u), u_t = (1-t)u + t h(u,v) and
     v_s = (1-s)v + s k(u,v), returns the sup norms over the last axis
     (||H_a(u_t, v_s) - u_{1-s}||_inf, ||H_a(v_s, u_t) - v_{1-t}||_inf);
-    both vanish on the simplex t + s <= 1.
+    both vanish on the simplex t + s <= 1. t and s are read by alpha's rule:
+    numbers or arrays of a numeric dtype, here in [0, 1].
     """
     a = _check_alpha(alpha)
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if not (np.all((0.0 <= t) & (t <= 1.0)) and np.all((0.0 <= s) & (s <= 1.0))):
-        raise ValueError("t and s must lie in [0, 1]")
+    t = _in_range(t, 1.0, "t and s must lie in [0, 1]")
+    s = _in_range(s, 1.0, "t and s must lie in [0, 1]")
     huv = h_alpha(u, v, a)
     hvu = h_alpha(v, u, a)
 

@@ -35,10 +35,11 @@ from .errors import require_int
 def check_rng(seed: int, name: str) -> np.random.Generator:
     """Independent stream per (seed, check name); stable across runs.
 
-    The seed is a nonnegative integer of any size, and distinct seeds give
-    distinct streams (numpy raises ValueError for a negative one).
+    The seed is a nonnegative integer of any size, by SuiteConfig's rule
+    (ValueError otherwise), and distinct seeds give distinct streams.
     """
-    return np.random.default_rng([int(seed), *_name_words(name)])
+    require_int("seed", seed, 0)
+    return np.random.default_rng([seed, *_name_words(name)])
 
 
 @functools.cache
@@ -66,6 +67,7 @@ class SuiteConfig:
 
     def __post_init__(self):
         require_int("n_samples", self.n_samples, 1)
+        require_int("seed", self.seed, 0)
 
 
 def field_values(words: np.ndarray, n: int) -> np.ndarray:

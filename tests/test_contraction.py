@@ -119,6 +119,21 @@ def test_compose_identity_laws():
     assert compose(minus, minus) == ident
 
 
+@pytest.mark.parametrize(
+    "phi",
+    [
+        PLFunction((), (1 - 2**-45,)),
+        PLFunction((), (-1 + 2**-45,)),
+        PLFunction((0.0,), (0.5, 1e-13)),
+    ],
+)
+def test_compose_with_the_identity_is_exact(phi):
+    # no slope is snapped to -1, 0 or 1: composition multiplies slopes
+    ident = make_phi([])
+    assert compose(ident, phi) == phi
+    assert compose(phi, ident) == phi
+
+
 def test_compose_example():
     got = compose(make_phi([2]), make_phi([-1, 0]))
     want = make_phi([-1, 0, 2])

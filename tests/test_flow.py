@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from nbdirichlet import flow
+from nbdirichlet.cli import run
 from nbdirichlet.errors import NoConvergence, SpaceMismatch
 from nbdirichlet.flow import (
     FlowConfig,
@@ -720,3 +723,42 @@ def test_admm_iterates_match_the_reference(label):
         for solver in (_reference_admm_prox, flow._admm_prox):
             with pytest.raises(NoConvergence, match="in 5 iterations"):
                 solver(form, u, tau, 5)
+
+
+def test_a_step_whose_certificate_overflows_stops_the_flow(tmp_path, capsys):
+    # the duality gap's sums pass the largest float: the certificate is +inf,
+    # which bounds the step but certifies nothing, so the flow stops
+    grid = {"kind": "local_grid_1d", "nodes": 3, "h": 1.0, "integrand": {"name": "abs_power", "p": 1}}
+    initial = [8e307, -8e307, 8e307]
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({"form": grid, "initial": initial, "flow": {"tau": 1.0, "n_steps": 2}}))
+    out = tmp_path / "trace.csv"
+    assert run(["flow", str(cfg), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: flow stopped: step 0: prox certificate inf" in err and "Traceback" not in err
+    assert not out.exists()
+    form = make_form(grid)
+    u = make_field(form.space, initial)
+    v = make_field(form.space, flow._chain_prox(form, u.values, 1.0))
+    with np.errstate(over="ignore"):
+        assert flow.prox_certificate(form, v, u, 1.0) == np.inf
+    # a finite objective and a gap whose (D^T lam)^2 overflows: the step
+    # passed with its certificate +inf
+    w = 1e160
+    kernel = make_form({"kind": "nonlocal_psi", "kernel": [[0, w, w], [w, 0, w], [w, w, 0]],
+                        "psi": {"name": "power", "p": 1}})
+    with np.errstate(over="ignore"), pytest.raises(NoConvergence, match="prox certificate inf"):
+        prox_step(kernel, make_field(kernel.space, [1.0, -1.0, 0.5]), 1e-200)
+
+
+def test_integer_run_parameters_give_the_bits_of_floats():
+    # tau, inner_tol and max_inner_iters are read as FlowConfig reads them
+    for form in (two_node(), random_graph(6, 1), _grid_form({"name": "abs_power", "p": 1}, 8)):
+        u = make_field(form.space, np.random.default_rng(5).uniform(-1.0, 1.0, form.space.n))
+        want = prox_step(form, u, 1.0).values
+        assert np.array_equal(prox_step(form, u, 1).values, want)
+        assert np.array_equal(prox_step(form, u, np.int64(1), 1e-9, np.int64(200_000)).values, want)
+    form = two_node()
+    u = make_field(form.space, [1.0, 0.0])
+    assert np.array_equal(exact_graph_resolvent(form, u, 1).values, exact_graph_resolvent(form, u, 1.0).values)
+    assert flow.prox_certificate(form, u, u, 1) == flow.prox_certificate(form, u, u, 1.0)

@@ -6,7 +6,9 @@ CLI returns 0, 1 or 2 and never raises, and says ``error:`` when it returns
 2; ``make_form`` raises only its typed errors; ``replay`` returns a float or
 raises ValueError. An entry of an array from outside that is a bool, a
 numeric string or None is never read as a number: the CLI returns 2 and
-``replay`` raises ValueError.
+``replay`` raises ValueError. The library's entries read their run
+parameters (tau, a step's tolerance and budget, a seed, the twist weights)
+by the config types' rules and raise ValueError before any solve or draw.
 """
 
 import contextlib
@@ -17,15 +19,19 @@ import math
 import pathlib
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nbdirichlet import flow
 from nbdirichlet.catalog import instance_catalog
-from nbdirichlet.cli import run
+from nbdirichlet.cli import canonical_json, run
 from nbdirichlet.errors import BadSpec, BadWeight, EmptySpace
 from nbdirichlet.forms import make_form
-from nbdirichlet.samplers import SuiteConfig
+from nbdirichlet.lattice_ops import twist_residuals
+from nbdirichlet.measure import make_field
+from nbdirichlet.samplers import SuiteConfig, check_rng
 from nbdirichlet.verifier import check_identities, counterexample_demo, replay, verify_form
 
 BAD_LEAVES = [
@@ -183,3 +189,59 @@ def test_array_entries_from_outside_are_numbers(case):
             assert run(argv) == 2
         assert err.getvalue().startswith("error:")
         assert not pathlib.Path(out).exists()
+
+
+def _two_nodes():
+    form = make_form({"kind": "graph_quadratic", "nodes": 2, "edges": [[0, 1, 1.0]]})
+    return form, make_field(form.space, [1.0, 0.0])
+
+
+_ONES = np.ones((1, 3))
+# (entry, bad value, the message of the config type's rule)
+_RUN_PARAMETERS = [
+    *[(entry, bad, "tau must be a real number")
+      for entry in ("prox_step", "prox_certificate", "exact_graph_resolvent")
+      for bad in (True, "0.1", None)],
+    *[("max_inner_iters", bad, "max_inner_iters must be an integer") for bad in (2.5, True)],
+    ("inner_tol", -1.0, "inner_tol must be positive"),
+    ("inner_tol", math.nan, "inner_tol must be finite"),
+    ("inner_tol", "1e-9", "inner_tol must be a real number"),
+    *[(entry, bad, "seed must be an integer")
+      for entry in ("SuiteConfig", "check_rng") for bad in (2.5, True, "3")],
+    *[(entry, -1, "seed must be at least 0") for entry in ("SuiteConfig", "check_rng")],
+    *[(entry, bad, r"t and s must lie in \[0, 1\]") for entry in ("t", "s") for bad in (True, "0.5")],
+]
+
+
+@pytest.mark.parametrize("entry, bad, message", _RUN_PARAMETERS)
+def test_run_parameters_follow_the_config_rules(monkeypatch, entry, bad, message):
+    # each entry reads tau, the step's tolerance and budget, the seed and the
+    # twist weights by the config types' rules, before any solve or draw
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{entry} solved or drew with {bad!r}")
+
+    for target, name in ((flow, "_certified_step"), (flow, "_gradient"),
+                         (np.linalg, "solve"), (np.random, "default_rng")):
+        monkeypatch.setattr(target, name, reached)
+    form, u = _two_nodes()
+    call = {
+        "prox_step": lambda: flow.prox_step(form, u, bad),
+        "prox_certificate": lambda: flow.prox_certificate(form, u, u, bad),
+        "exact_graph_resolvent": lambda: flow.exact_graph_resolvent(form, u, bad),
+        "max_inner_iters": lambda: flow.prox_step(form, u, 0.5, max_inner_iters=bad),
+        "inner_tol": lambda: flow.prox_step(form, u, 0.5, inner_tol=bad),
+        "SuiteConfig": lambda: SuiteConfig(n_samples=3, seed=bad),
+        "check_rng": lambda: check_rng(bad, "symmetry"),
+        "t": lambda: twist_residuals(_ONES, -_ONES, 0.5, bad, 0.0),
+        "s": lambda: twist_residuals(_ONES, -_ONES, 0.5, 0.0, bad),
+    }[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_a_numpy_integer_seed_gives_the_reports_of_the_int():
+    form = make_form(_DESCRIPTORS[1])
+    reports = [[r.report_entry() for r in verify_form(form, SuiteConfig(n_samples=5, seed=seed))]
+               for seed in (7, np.int64(7), np.uint8(7))]
+    assert canonical_json(reports[1]) == canonical_json(reports[0])
+    assert canonical_json(reports[2]) == canonical_json(reports[0])
