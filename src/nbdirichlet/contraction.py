@@ -18,7 +18,8 @@ own points with the arithmetic of one ``PLFunction`` call; a ``PLFunction``
 evaluates as a one-row table, and ``pl_table`` checks every row of a table
 by the row checks that ``PLFunction`` applies to its one. The contraction
 families of the verifier's proof chain have closed-form tables, and
-``closed_form_table`` builds the rows of several of them as one table.
+``closed_form_table`` builds the rows of several of them as one table; its
+folded rows are ``compose``'s, in closed form for the shapes the chain draws.
 """
 
 from __future__ import annotations
@@ -194,14 +195,9 @@ def pl_table(rows) -> PLTable:
     return PLTable.build(*_padded(bps, slopes, anchors))
 
 
-def _compact(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each array with the kept entries of each row moved to its front and
-    the row's last kept entry repeated after them, then the number kept."""
-    order = (~keep).argsort(axis=1, kind="stable")
-    count = keep.sum(axis=1)
-    rows = np.arange(keep.shape[0])[:, None]
-    at = order[rows, np.minimum(np.arange(keep.shape[1]), np.maximum(count - 1, 0)[:, None])]
-    return *(a[rows, at] for a in arrays), count
+def _widen(a: np.ndarray, width: int) -> np.ndarray:
+    """Each row of a with its last entry repeated up to the width."""
+    return a[:, np.minimum(np.arange(width), a.shape[1] - 1)]
 
 
 def closed_form_table(parts) -> PLTable:
@@ -209,74 +205,58 @@ def closed_form_table(parts) -> PLTable:
     increasing kinks (N, k), as one table built once; a row evaluates the
     same whatever the other rows. Row r is PLFunction(kinks[r], slopes, 0.0)
     for k + 1 slopes of which no two adjacent are equal or, where slopes is
-    None, compose(make_phi(kinks[r]), 0 v id) for one or two nonnegative
-    kinks, with compose's merging of near-coincident breakpoints and -0.0 as
-    its flat slope when a kink sits at 0. A row with fewer breakpoints than
-    the widest repeats its last breakpoint and slope."""
-    bps, slopes, nb = [], [], []
+    None, compose(make_phi(kinks[r]), 0 v id) for one or two kinks, bit for
+    bit (_folded). A row with fewer breakpoints than the widest repeats its
+    last breakpoint and slope."""
+    rows = []
     for kinks, pattern in parts:
         if (kinks[:, 1:] <= kinks[:, :-1]).any():
             raise NotIncreasing("breakpoints must be strictly increasing")
         if pattern is None:
-            b, s, c = _folded(kinks)
+            rows.append(_folded(kinks))
         else:
-            b, c = kinks, np.full(len(kinks), kinks.shape[1])
             s = np.broadcast_to(np.asarray(pattern, dtype=float), (len(kinks), len(pattern)))
-        bps.append(b)
-        slopes.append(s)
-        nb.append(c)
+            rows.append((kinks, s, np.full(len(kinks), kinks.shape[1])))
+    bps, slopes, nb = zip(*rows)
     k = max(b.shape[1] for b in bps)
-
-    def widen(a: np.ndarray, width: int) -> np.ndarray:
-        return a[:, np.minimum(np.arange(width), a.shape[1] - 1)]
-
     nb = np.concatenate(nb)
     return PLTable.build(
-        np.concatenate([widen(b, k) for b in bps]),
-        np.concatenate([widen(s, k + 1) for s in slopes]),
+        np.concatenate([_widen(b, k) for b in bps]),
+        np.concatenate([_widen(s, k + 1) for s in slopes]),
         np.zeros(len(nb)),
         nb,
     )
 
 
 def _folded(kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """closed_form_table's folded rows for kinks as (breakpoints, slopes, nb)."""
+    """closed_form_table's folded rows for kinks as (breakpoints, slopes, nb),
+    compose(make_phi(kinks[r]), 0 v id) padded as the table pads. In closed
+    form: a positive normal first kink (below that, compose's midpoints can
+    round onto a kink), with any second kink beyond the merge tolerance, gives
+    (0, k1[, k2]) and (0.0, 1, -1[, 1]); a first kink of +-0 merges into
+    0 v id's and gives (0[, k2]) and (-0.0, -1[, 1]). compose builds the rest."""
     n_rows, k = kinks.shape
     if not 1 <= k <= 2:
         raise ValueError("a folded table has one or two kinks a row")
-    # compose's candidates are 0 and the kinks; a kink is kept when it lies
-    # beyond the last kept candidate by more than the merge tolerance, relative
-    # to the larger magnitude, which is the kink's: the first kink is compared
-    # with 0, the second with the first when that is kept, else with 0
-    tol = _MERGE_TOL * np.abs(kinks)
-    keep = kinks > tol
-    keep[:, 1:] = kinks[:, 1:] - np.where(keep[:, :-1], kinks[:, :-1], 0.0) > tol[:, 1:]
-    cand = np.zeros((n_rows, k + 1))
-    cand[:, 1:] = kinks
-    # the next kept kink right of each candidate (inf after the last)
-    nxt = np.full((n_rows, k + 1), np.inf)
-    nxt[:, :-1] = np.minimum.accumulate(np.where(keep, kinks, np.inf)[:, ::-1], axis=1)[:, ::-1]
-    # make_phi's slope at 0, which the flat slope is 0 times, and right of
-    # each candidate at compose's representative point: the midpoint to the
-    # next kept candidate, or the point 1 + |c| past the last, which is inf
-    # beyond the largest float and so past every kink, as in compose
-    points = np.zeros((n_rows, k + 2))
-    with np.errstate(over="ignore"):
-        points[:, 1:] = np.where(nxt < np.inf, 0.5 * cand + 0.5 * nxt, cand + (1.0 + np.abs(cand)))
-    odd = (kinks[:, None, :] <= points[:, :, None]).sum(axis=2) % 2 == 1
-    flat = np.where(odd[:, 0], -0.0, 0.0)
-    right = np.where(odd[:, 1:], -1.0, 1.0)
-    # canonical form: a kept kink is a breakpoint when its right slope
-    # differs from that of the kept candidate before it, which for the
-    # second kink is the first when that is kept, else 0
-    before = right[:, :-1].copy()
-    before[:, 1:] = np.where(keep[:, :-1], right[:, 1:-1], right[:, :-2])
-    out = np.ones((n_rows, k + 1), dtype=bool)
-    out[:, 1:] = keep & (right[:, 1:] != before)
-    bps, right, nb = _compact(out, cand, right)
-    slopes = np.empty((n_rows, k + 2))
-    slopes[:, 0] = flat
-    slopes[:, 1:] = right
+    zero = kinks[:, 0] == 0.0
+    apart = kinks[:, 0] >= np.finfo(float).tiny
+    if k == 2:  # from 0 where the first kink is not positive: no overflow
+        apart &= kinks[:, 1] - np.maximum(kinks[:, 0], 0.0) > _MERGE_TOL * np.abs(kinks[:, 1])
+    bps = np.zeros((n_rows, k + 1))
+    bps[:, 1:] = kinks
+    slopes = np.tile((0.0, *_alternating_slopes(k)), (n_rows, 1))
+    nb = np.full(n_rows, k + 1)
+    # a kink at +-0 merges into 0 v id's: those rows drop column 1
+    keep = [0, *range(2, k + 2)]
+    bps[zero] = _widen(bps[zero][:, keep[:-1]], k + 1)
+    slopes[zero] = _widen(slopes[zero][:, keep], k + 2)
+    slopes[zero, 0] = -0.0
+    nb[zero] = k
+    for r in np.flatnonzero(~(zero | apart)):
+        b, s, _ = compose(make_phi(kinks[r]), PLFunction((0.0,), (0.0, 1.0)))  # 0 v id
+        bps[r] = b + b[-1:] * (k + 1 - len(b))
+        slopes[r] = s + s[-1:] * (k + 2 - len(s))
+        nb[r] = len(b)
     return bps, slopes, nb
 
 

@@ -189,7 +189,10 @@ def _admm_prox(
     def factor(rho: float):
         """The w-update's solve and the prox's kappa at rho, and for a box
         piece the bounds kappa * [lo, hi] of its prox, formed once per rho."""
-        solve = splu(base + rho * DtD, permc_spec="MMD_AT_PLUS_A").solve
+        try:
+            solve = splu(base + rho * DtD, permc_spec="MMD_AT_PLUS_A").solve
+        except RuntimeError as exc:  # an exactly singular factor
+            raise NoConvergence(f"ADMM prox: {exc}") from exc
         kappa = cs / rho
         if box is None:
             return solve, kappa, None, None

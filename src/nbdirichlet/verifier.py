@@ -518,6 +518,7 @@ def _args(params: dict) -> dict:
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite violation is a result
 def _evaluate(target, batches: list[tuple[Callable, dict]]) -> list[np.ndarray]:
     """The violations of each (kernel, kernel arguments) batch. On a form,
     the deferred table evaluations of every batch run together (_applied),

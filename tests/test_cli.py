@@ -10,6 +10,7 @@ import pytest
 
 from nbdirichlet import cli
 from nbdirichlet.cli import canonical_json, run
+from nbdirichlet.verifier import replay
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -386,6 +387,36 @@ def test_flow_whose_energy_overflows_exits_1(tmp_path, capsys):
     assert run(["flow", cfg, "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error: flow stopped: step 0: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_whose_energy_overflows_exits_1(tmp_path, capsys):
+    # |v|^2000 is past the largest float for |v| > 1.5: a non-finite
+    # violation is red, and its witness replays to it
+    kernel = {"kind": "nonlocal_psi", "kernel": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+              "psi": {"name": "power", "p": 2000}}
+    cfg = write_config(tmp_path, "verify.json", {"forms": [kernel], "suite": {"n_samples": 40}})
+    out = tmp_path / "report.json"
+    assert run(["verify", cfg, "--output", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    checks = json.loads(out.read_text())["checks"]
+    assert not all(math.isfinite(c["worst_violation"]) for c in checks)
+    for c in checks:
+        got, want = replay(c["witness"]), c["worst_violation"]
+        assert got == want or math.isnan(got) and math.isnan(want), c["name"]
+
+
+def test_flow_whose_admm_factor_is_singular_exits_1(tmp_path, capsys):
+    # rho * D^T D swamps diag(m / tau), so splu finds the factor exactly singular
+    kernel = {"kind": "nonlocal_psi", "kernel": [[0, 1e155, 1e155], [1e155, 0, 1e155], [1e155, 1e155, 0]],
+              "psi": {"name": "power", "p": 1}}
+    cfg = write_config(tmp_path, "flow.json", {"form": kernel, "initial": [1, -1, 0.5],
+                                               "flow": {"tau": 1.0, "n_steps": 2}})
+    out = tmp_path / "trace.csv"
+    assert run(["flow", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: flow stopped: step 0: ADMM prox: " in err and "Traceback" not in err
     assert not out.exists()
 
 

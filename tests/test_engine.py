@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbdirichlet import samplers, verifier
+from nbdirichlet import contraction, samplers, verifier
 from nbdirichlet.catalog import instance_catalog
 from nbdirichlet.contraction import (
     PLFunction,
@@ -319,6 +319,10 @@ def test_fold1_tables_equal_make_phi_and_compose():
     assert table_rows(closed_form_table([(kinks, None)])) == table_rows(pl_table(want))
     # x = 0: the flat piece has slope -0.0
     assert bits(want[0].slopes) == bits([-0.0, -1.0])
+    # rows that compose builds, and the edges of the closed forms
+    edges = [-1.0, -0.0, 5e-324, 1e-310]
+    assert table_rows(closed_form_table([(np.array(edges)[:, None], None)])) == table_rows(
+        pl_table([compose(make_phi([x]), POS_PART) for x in edges]))
 
 
 @pytest.mark.filterwarnings("error")  # a point past the largest float is inf, silently
@@ -336,6 +340,15 @@ def test_fold2_tables_equal_make_phi_and_compose():
     straddle = np.array([[-0.5, 0.5], [-3.0, 0.05], [-1e-13, 1e-13]])
     assert table_rows(closed_form_table([(straddle, (1.0, -1.0, 1.0))])) == table_rows(
         pl_table([make_phi(list(k)) for k in straddle]))
+    # rows that compose builds, and the edges of the closed forms
+    edges = np.array([
+        (-1.0, 2.0), (-2.0, -1.0), (-1e-13, 1e-13), (-0.0, 1.0), (-0.0, 5e-324),
+        (5e-324, 1e-310),
+        (1e-323, 1.5e-323),  # compose's midpoint between them rounds onto the second
+        (-1.7e308, 1.7e308),  # k2 - k1 is past the largest float
+    ])
+    assert table_rows(closed_form_table([(edges, None)])) == table_rows(
+        pl_table([compose(make_phi(list(k)), POS_PART) for k in edges]))
 
 
 def test_folded_tables_equal_compose_on_near_coincident_kinks():
@@ -348,6 +361,21 @@ def test_folded_tables_equal_compose_on_near_coincident_kinks():
         kinks = np.array([np.sort(rng.choice(pool, k, replace=False)) for _ in range(300)])
         want = [compose(make_phi(list(row)), POS_PART) for row in kinks]
         assert table_rows(closed_form_table([(kinks, None)])) == table_rows(pl_table(want)), k
+
+
+def test_law_shaped_folded_rows_are_closed_forms(monkeypatch):
+    # the fold1 law's x, the forced 0 included, and the one-sided law's
+    # (x1, x2), 15 % with x1 = 0: every folded row has a closed form
+    u = np.random.default_rng(4).random((10_000, 3))
+    x = verifier._x(u, 8, np.arange(10_000) % 40)[0]
+    x1, x2 = verifier._onesided(u, 8, np.arange(10_000))
+    assert (x == 0.0).any() and (x1 == 0.0).any()
+
+    def no_compose(*args):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(contraction, "compose", no_compose)
+    closed_form_table([(x[:, None], None), (np.column_stack([x1, x2]), None)])
 
 
 def test_deferred_table_evaluations_equal_eager_ones(monkeypatch):
